@@ -40,7 +40,7 @@ from .lsmd import (
     tree_norm,
     uniform_weights,
 )
-from .sparse import SolverParams, SparseCode, batch_code_templates, kkt_residual, nn_lasso, soft_threshold
+from .sparse import SolverParams, SparseCode, kkt_residual, nn_lasso, soft_threshold
 from .tracker import (
     AffineState,
     MotionModelParams,

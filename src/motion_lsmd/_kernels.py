@@ -1,25 +1,15 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-The active backend is chosen once at import time from the environment
-flag ``MOTION_LSMD_NUMBA`` (default on; set to ``0`` to force numpy).
-Both backends stay importable so tests and the benchmark can compare
-them directly. The batched kernels the tracker scores particles with
-(``cd_nn_lasso_gram_batch``, ``bilinear_sample_batch``) are numpy on
-either backend.
+The scalar kernels (``cd_nn_lasso``, ``cd_nn_lasso_gram``,
+``block_residuals``) solve one problem at a time; ``sparse.nn_lasso``
+runs on the first, and the tests score particles with the others as the
+reference for the batched solver the tracker uses
+(``cd_nn_lasso_gram_batch``). ``bilinear_sample`` warps patches.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -32,43 +22,7 @@ def _env_flag(name: str, default: bool) -> bool:
 # Columns with ||x_k|| = 0 are pinned to 0.
 # ---------------------------------------------------------------------------
 
-def _cd_nn_lasso_loop(X, t, lam, tol, max_iter):
-    d, n = X.shape
-    gamma = np.zeros(n)
-    resid = t.copy()
-    colsq = np.zeros(n)
-    for k in range(n):
-        acc = 0.0
-        for i in range(d):
-            acc += X[i, k] * X[i, k]
-        colsq[k] = acc
-    sweeps = 0
-    for sweep in range(max_iter):
-        sweeps = sweep + 1
-        max_change = 0.0
-        for k in range(n):
-            ck = colsq[k]
-            if ck <= 0.0:
-                continue
-            dot = 0.0
-            for i in range(d):
-                dot += X[i, k] * resid[i]
-            new = gamma[k] + (2.0 * dot - lam) / (2.0 * ck)
-            if new < 0.0:
-                new = 0.0
-            delta = new - gamma[k]
-            if delta != 0.0:
-                for i in range(d):
-                    resid[i] -= X[i, k] * delta
-                gamma[k] = new
-            if abs(delta) > max_change:
-                max_change = abs(delta)
-        if max_change < tol:
-            break
-    return gamma, resid, sweeps
-
-
-def _cd_nn_lasso_numpy(X, t, lam, tol, max_iter):
+def cd_nn_lasso(X, t, lam, tol, max_iter):
     d, n = X.shape
     gamma = np.zeros(n)
     resid = t.astype(np.float64).copy()
@@ -103,39 +57,7 @@ def _cd_nn_lasso_numpy(X, t, lam, tol, max_iter):
 # residual instead of the residual vector.
 # ---------------------------------------------------------------------------
 
-def _cd_nn_lasso_gram_loop(G, c, tt, lam, tol, max_iter):
-    n = G.shape[0]
-    gamma = np.zeros(n)
-    q = np.zeros(n)  # G @ gamma
-    sweeps = 0
-    for sweep in range(max_iter):
-        sweeps = sweep + 1
-        max_change = 0.0
-        for k in range(n):
-            gkk = G[k, k]
-            if gkk <= 0.0:
-                continue
-            new = gamma[k] + (2.0 * (c[k] - q[k]) - lam) / (2.0 * gkk)
-            if new < 0.0:
-                new = 0.0
-            delta = new - gamma[k]
-            if delta != 0.0:
-                for j in range(n):
-                    q[j] += G[j, k] * delta
-                gamma[k] = new
-            if abs(delta) > max_change:
-                max_change = abs(delta)
-        if max_change < tol:
-            break
-    resid_sq = tt
-    for k in range(n):
-        resid_sq += gamma[k] * (q[k] - 2.0 * c[k])
-    if resid_sq < 0.0:
-        resid_sq = 0.0
-    return gamma, resid_sq, sweeps
-
-
-def _cd_nn_lasso_gram_numpy(G, c, tt, lam, tol, max_iter):
+def cd_nn_lasso_gram(G, c, tt, lam, tol, max_iter):
     n = G.shape[0]
     gamma = np.zeros(n)
     q = np.zeros(n)
@@ -163,7 +85,7 @@ def _cd_nn_lasso_gram_numpy(G, c, tt, lam, tol, max_iter):
 
 
 def cd_nn_lasso_gram_batch(grams, which, c, tt, lam, tol, max_iter):
-    """Many Gram-form problems at once, in numpy whatever the backend.
+    """Many Gram-form problems at once.
 
     Problem i is ``cd_nn_lasso_gram(grams[which[i]], c[i], tt[i], ...)``
     with grams (K, n, n), which (A,), c (A, n) and tt (A,). Every problem
@@ -235,67 +157,37 @@ def cd_nn_lasso_gram_batch(grams, which, c, tt, lam, tol, max_iter):
 # per-position block coding residuals (generative appearance model)
 # ---------------------------------------------------------------------------
 
-def _make_block_residuals(gram_cd):
-    def _block_residuals(grams, dicts, blocks, lam, tol, max_iter):
-        # grams: (P, m, m); dicts: (P, d, m); blocks: (P, d)
-        P = dicts.shape[0]
-        d = dicts.shape[1]
-        m = dicts.shape[2]
-        out = np.empty(P)
-        for p in range(P):
-            y = blocks[p]
-            nrm = 0.0
-            for i in range(d):
-                nrm += y[i] * y[i]
-            nrm = np.sqrt(nrm)
-            if nrm <= 0.0:
-                out[p] = 0.0  # zero block reconstructs exactly
-                continue
-            c = np.zeros(m)
-            for j in range(m):
-                acc = 0.0
-                for i in range(d):
-                    acc += dicts[p, i, j] * y[i]
-                c[j] = acc / nrm
-            _gamma, resid_sq, _sweeps = gram_cd(grams[p], c, 1.0, lam, tol, max_iter)
-            out[p] = np.sqrt(resid_sq)
-        return out
+def block_residuals(grams, dicts, blocks, lam, tol, max_iter):
+    """Residual norm of each unit-scaled block y_p coded on its own
+    dictionary D_p, with grams (P, m, m) = D_p'D_p, dicts (P, d, m) and
+    blocks (P, d). A zero block reconstructs exactly: residual 0.
 
-    return _block_residuals
+    D_p'y and y'y are summed pixel by pixel, the order
+    ``tracker._block_coefficients`` keeps.
+    """
+    P, d, m = dicts.shape
+    c = np.zeros((P, m))
+    sq = np.zeros(P)
+    for i in range(d):
+        c += dicts[:, i, :] * blocks[:, i, None]
+        sq += blocks[:, i] * blocks[:, i]
+    nrm = np.sqrt(sq)
+    out = np.zeros(P)
+    for p in range(P):
+        if nrm[p] <= 0.0:
+            continue
+        _gamma, resid_sq, _sweeps = cd_nn_lasso_gram(grams[p], c[p] / nrm[p], 1.0, lam, tol, max_iter)
+        out[p] = np.sqrt(resid_sq)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # bilinear sampling with zero padding outside the image
 # ---------------------------------------------------------------------------
 
-def _bilinear_loop(pixels, rows, cols):
-    h, w = pixels.shape
-    oh, ow = rows.shape
-    out = np.zeros((oh, ow))
-    for u in range(oh):
-        for v in range(ow):
-            r = rows[u, v]
-            c = cols[u, v]
-            r0 = int(np.floor(r))
-            c0 = int(np.floor(c))
-            fr = r - r0
-            fc = c - c0
-            acc = 0.0
-            if 0 <= r0 < h:
-                if 0 <= c0 < w:
-                    acc += pixels[r0, c0] * (1.0 - fr) * (1.0 - fc)
-                if 0 <= c0 + 1 < w:
-                    acc += pixels[r0, c0 + 1] * (1.0 - fr) * fc
-            if 0 <= r0 + 1 < h:
-                if 0 <= c0 < w:
-                    acc += pixels[r0 + 1, c0] * fr * (1.0 - fc)
-                if 0 <= c0 + 1 < w:
-                    acc += pixels[r0 + 1, c0 + 1] * fr * fc
-            out[u, v] = acc
-    return out
-
-
-def _bilinear_numpy(pixels, rows, cols):
+def bilinear_sample(pixels, rows, cols):
+    """Bilinear sample of ``pixels`` at (rows, cols), grids of any shape
+    such as (n, h, w); reads outside the image are 0."""
     h, w = pixels.shape
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
@@ -314,45 +206,6 @@ def _bilinear_numpy(pixels, rows, cols):
     return out
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-NUMBA_REQUESTED = _env_flag("MOTION_LSMD_NUMBA", True)
-NUMBA_ACTIVE = False
-
-_block_residuals_numpy = _make_block_residuals(_cd_nn_lasso_gram_numpy)
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-
-        _cd_nn_lasso_jit = njit(cache=True, nogil=True)(_cd_nn_lasso_loop)
-        _cd_nn_lasso_gram_jit = njit(cache=True, nogil=True)(_cd_nn_lasso_gram_loop)
-        _bilinear_jit = njit(cache=True, nogil=True)(_bilinear_loop)
-        _block_residuals_jit = njit(nogil=True)(
-            _make_block_residuals(_cd_nn_lasso_gram_jit)
-        )
-        NUMBA_ACTIVE = True
-    except ImportError:
-        NUMBA_ACTIVE = False
-
-if NUMBA_ACTIVE:
-    cd_nn_lasso = _cd_nn_lasso_jit
-    cd_nn_lasso_gram = _cd_nn_lasso_gram_jit
-    bilinear_sample = _bilinear_jit
-    block_residuals = _block_residuals_jit
-else:
-    cd_nn_lasso = _cd_nn_lasso_numpy
-    cd_nn_lasso_gram = _cd_nn_lasso_gram_numpy
-    bilinear_sample = _bilinear_numpy
-    block_residuals = _block_residuals_numpy
-
-
-# the tracker's batched paths run in numpy on either backend; this
-# sampler takes grids with any leading axes, such as (n, h, w)
-bilinear_sample_batch = _bilinear_numpy
-
-
 def backend_name() -> str:
-    return "numba" if NUMBA_ACTIVE else "numpy"
+    """The numeric backend; the benchmark records it with its run facts."""
+    return "numpy"

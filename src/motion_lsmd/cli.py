@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .config import parse_config, parse_kv_lines
-from .detector import SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
+from .config import parse_config
+from .detector import ReportRow, SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
 from .errors import InputError, InvalidValue, UsageError
 from .ingest import load_frame_sequence, write_pgm
 from .lsmd import build_index_tree, decompose, uniform_weights
@@ -138,7 +138,10 @@ def _parse_synth_spec(path: str | Path) -> SynthSpec:
             parts = [p.strip() for p in raw.split(",")]
             if len(parts) != 3:
                 raise InvalidValue(f"{path}:{lineno}: event needs start,end,kind")
-            spec.events.append((int(parts[0]), int(parts[1]), parts[2]))
+            try:
+                spec.events.append((int(parts[0]), int(parts[1]), parts[2]))
+            except ValueError as exc:
+                raise InvalidValue(f"{path}:{lineno}: {exc}") from exc
         elif key in ("h", "w", "n_frames"):
             seen[key] = raw
         else:
@@ -167,8 +170,6 @@ def _cmd_eval(args) -> int:
     detected = fileio.read_events_csv(args.events)
     truth = fileio.read_events_csv(args.truth)
     correct = match_events(detected, truth)
-    from .detector import ReportRow
-
     report_path = Path(args.append)
     rows = fileio.read_report_rows(report_path) if report_path.exists() else []
     total_frames = args.frames

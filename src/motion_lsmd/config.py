@@ -140,7 +140,6 @@ class Config:
             lambda_l1=self["lsmd.lambda_l1"],
             max_iter=self["lsmd.max_iter"],
             rel_tol=self["lsmd.rel_tol"],
-            seed=self["pipeline.seed"],
         )
 
     def detector_config(self) -> DetectorConfig:

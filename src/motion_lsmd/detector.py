@@ -10,8 +10,6 @@ energies yields event intervals.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +18,7 @@ from .errors import (
     BadThresholds,
     EmptyScores,
     EventOutOfRange,
+    InvalidValue,
     NegativeCounts,
     TooFewFrames,
     UnsortedInput,
@@ -226,6 +225,9 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
     inside events blobs move 4-8 px/frame (burst: one blob oscillates;
     swap: the blobs trade places). Frames are quantized to the 8-bit grid
     the PGM pipeline delivers."""
+    margin = 12.0  # blob centres start this far inside the frame
+    if spec.h < 2 * margin or 0.45 * spec.w < margin:
+        raise InvalidValue(f"synth frame {spec.h}x{spec.w} too small: need h >= 24 and w >= 27")
     for start, end, kind in spec.events:
         if not (0 <= start <= end < spec.n_frames):
             raise EventOutOfRange(f"event ({start}, {end}) outside [0, {spec.n_frames})")
@@ -234,7 +236,6 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
 
     rng = np.random.default_rng(seed)
     bg = 0.08 + 0.02 * rng.random((spec.h, spec.w))
-    margin = 12.0
     pos = np.array(
         [
             [rng.uniform(margin, spec.h - margin), rng.uniform(margin, spec.w * 0.45)],
@@ -290,17 +291,6 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
 # the end-to-end detection pipeline
 # ---------------------------------------------------------------------------
 
-def _worker_count() -> int:
-    raw = os.environ.get("MOTION_LSMD_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n == 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def _frame_energy(seq: FrameSequence, t: int, cfg: DetectorConfig) -> float:
     if cfg.lsmd_input == "raw":
         frame = seq.frames[t]
@@ -324,21 +314,13 @@ def run_detection(
     """Score frames 1..T-1 and extract events by hysteresis.
 
     Thresholds are interpreted in normalized-energy units (relative to
-    the sequence maximum) unless config.normalize is off. Per-frame
-    decompositions run on a thread pool capped by MOTION_LSMD_THREADS.
+    the sequence maximum) unless config.normalize is off.
     """
     cfg = config or DetectorConfig()
     if len(seq) < 2:
         raise TooFewFrames("need at least two frames")
 
-    compute_frames = list(range(1, len(seq), cfg.temporal_stride))
-    workers = _worker_count()
-    if workers > 1 and len(compute_frames) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            energies = list(pool.map(lambda t: _frame_energy(seq, t, cfg), compute_frames))
-    else:
-        energies = [_frame_energy(seq, t, cfg) for t in compute_frames]
-    by_frame = dict(zip(compute_frames, energies))
+    by_frame = {t: _frame_energy(seq, t, cfg) for t in range(1, len(seq), cfg.temporal_stride)}
 
     tracker_conf = {t: 0.0 for t in range(1, len(seq))}
     if cfg.use_tracker:

@@ -93,7 +93,13 @@ def read_events_csv(path: str | Path) -> list[EventInterval]:
         if not line.strip():
             continue
         parts = line.split(",")
-        events.append(EventInterval(start=int(parts[0]), end=int(parts[1])))
+        try:
+            start, end = int(parts[0]), int(parts[1])
+        except (ValueError, IndexError) as exc:
+            raise InvalidValue(f"{path}: bad event line {line!r}") from exc
+        if start > end:
+            raise InvalidValue(f"{path}: event {start},{end} ends before it starts")
+        events.append(EventInterval(start=start, end=end))
     return events
 
 

@@ -267,7 +267,7 @@ def warp_patch(frame: Frame, state: "AffineState", out_h: int, out_w: int) -> Pa
 
 def warp_patches(frame: Frame, states: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """``warp_patch`` of every row of ``states`` (n, 6), stacked to
-    (n, out_h, out_w); sampled in numpy whatever the backend."""
+    (n, out_h, out_w)."""
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be >= 1")
     bad = ~((states[:, 3] > 0) & (states[:, 4] > 0))
@@ -275,7 +275,7 @@ def warp_patches(frame: Frame, states: np.ndarray, out_h: int, out_w: int) -> np
         s, alpha = states[np.argmax(bad), 3:5]
         raise NonPositiveScale(f"s={s}, alpha={alpha}")
     rows, cols = warp_sample_grids(states, out_h, out_w)
-    return _kernels.bilinear_sample_batch(frame.pixels, rows, cols)
+    return _kernels.bilinear_sample(frame.pixels, rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ class LsmdParams:
     lambda_l1: float = 0.05
     max_iter: int = 200
     rel_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.mu_L <= 0 or self.mu_S <= 0:

@@ -6,7 +6,7 @@ unscaled form (no 1/2 factor), so optimality conditions carry a factor 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,21 +85,9 @@ def nn_lasso(X: np.ndarray, t: np.ndarray, params: SolverParams | None = None) -
     )
 
 
-def residual_norm(X: np.ndarray, t: np.ndarray, gamma: np.ndarray) -> float:
-    """l2 norm of the reconstruction residual t - X gamma."""
-    return float(np.linalg.norm(t - X @ gamma))
-
-
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise sign(v) * max(|v| - tau, 0)."""
     if tau < 0:
         raise NegativeTau(f"tau={tau}")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-def batch_code_templates(
-    templates: list[np.ndarray], X: np.ndarray, params: SolverParams | None = None
-) -> list[SparseCode]:
-    """Independent nn_lasso solves, one per template, in input order."""
-    return [nn_lasso(X, np.asarray(t, dtype=np.float64).reshape(-1), params) for t in templates]

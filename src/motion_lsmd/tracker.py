@@ -6,15 +6,14 @@ weight each candidate patch by the product of a discriminative score
 blocks with occlusion masking), take the MAP particle, and update the
 template set when confidence and occlusion gates allow.
 
-A frame's particles are scored as a batch (``score_particles``), in numpy
-whatever ``MOTION_LSMD_NUMBA`` says: batched warps, then one vectorised
-Gram-form coordinate descent per dictionary over all holistic problems
-and over the local-block problems of up to _CD_GROUP particles at a
-time. The batch keeps each problem's arithmetic and its order, so a
-particle's scores equal the ones its own scalar solves give and do not
-depend on the batch it falls in. ``observation_likelihood``,
-``discriminative_confidence`` and ``generative_confidence`` are
-one-candidate views of the same scorer.
+A frame's particles are scored as a batch (``score_particles``): batched
+warps, then one vectorised Gram-form coordinate descent per dictionary
+over all holistic problems and over the local-block problems of up to
+_CD_GROUP particles at a time. The batch keeps each problem's arithmetic
+and its order, so a particle's scores equal the ones its own scalar
+solves give and do not depend on the batch it falls in.
+``observation_likelihood``, ``discriminative_confidence`` and
+``generative_confidence`` are one-candidate views of the same scorer.
 """
 
 from __future__ import annotations

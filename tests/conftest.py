@@ -1,27 +1,4 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
-
-from motion_lsmd import _kernels
-
-
-def warm_kernels():
-    """Trigger JIT compilation (or cache load) of every hot kernel so
-    timed tests measure the algorithms, not LLVM."""
-    X = np.array([[1.0, 0.3], [0.2, 1.0]])
-    t = np.array([0.5, 0.5])
-    _kernels.cd_nn_lasso(X, t, 0.01, 1e-8, 5)
-    _kernels.cd_nn_lasso_gram(X.T @ X, X.T @ t, float(t @ t), 0.01, 1e-8, 5)
-    _kernels.bilinear_sample(np.ones((8, 8)), np.full((2, 2), 3.5), np.full((2, 2), 3.5))
-    dicts = np.ones((1, 4, 2))
-    grams = np.einsum("pij,pik->pjk", dicts, dicts)
-    _kernels.block_residuals(grams, dicts, np.ones((1, 4)), 0.0, 1e-8, 5)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm():
-    warm_kernels()

@@ -272,6 +272,11 @@ def partition_of(assignments: np.ndarray):
 # tracker observation model: one particle at a time
 # ---------------------------------------------------------------------------
 
+def residual_norm(X: np.ndarray, t: np.ndarray, gamma: np.ndarray) -> float:
+    """l2 norm of the reconstruction residual t - X gamma."""
+    return float(np.linalg.norm(t - X @ gamma))
+
+
 def reference_particle_scores(frame, states, templates, params, sigma_c, eps_occ, size):
     """Score each particle state on its own: one ``warp_patch``, two
     holistic ``_kernels.cd_nn_lasso_gram`` solves and one

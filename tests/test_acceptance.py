@@ -34,7 +34,6 @@ from motion_lsmd.sparse import SolverParams, nn_lasso
 from motion_lsmd.ingest import Frame, FrameSequence
 from motion_lsmd.tracker import AffineState, MotionModelParams, TrackerConfig, track_sequence
 
-from conftest import warm_kernels
 from oracles import (
     active_set_nn_lasso,
     nuclear_objective,
@@ -73,7 +72,6 @@ def test_criterion_1_report_reproduction(tmp_path):
 
 
 def test_criterion_2_nn_lasso_oracle_suite():
-    warm_kernels()
     with criterion("criterion 2: nn_lasso oracle suite", budget_s=10.0):
         for seed in range(50):
             rng = np.random.default_rng(seed)
@@ -172,7 +170,6 @@ def test_criterion_5_index_tree_invariants():
 
 
 def test_criterion_6_tracker_synthetic_accuracy():
-    warm_kernels()
     with criterion("criterion 6: tracker synthetic accuracy", budget_s=60.0):
         h, w, size, speed = 64, 160, 24, 2.0
         cy, cx = 32.0, 20.0

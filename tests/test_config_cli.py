@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,16 +13,11 @@ from motion_lsmd.ingest import load_frame_sequence
 from report_fixture import ROWS
 
 
-def run_cli(args, cwd=None, env_extra=None):
-    env = dict(os.environ)
-    env["MOTION_LSMD_THREADS"] = "2"
-    env.update(env_extra or {})
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "motion_lsmd", *[str(a) for a in args]],
         capture_output=True,
         text=True,
-        cwd=cwd,
-        env=env,
     )
 
 
@@ -160,12 +154,8 @@ class TestCliDetectEval:
         res = run_cli(["detect", synth_dir, "--out", cli_scores, "--events", cli_events])
         assert res.returncode == 0, res.stderr
 
-        os.environ["MOTION_LSMD_THREADS"] = "2"
-        try:
-            seq = load_frame_sequence(synth_dir)
-            scores, events = run_detection(seq, default_config().detector_config())
-        finally:
-            os.environ.pop("MOTION_LSMD_THREADS", None)
+        seq = load_frame_sequence(synth_dir)
+        scores, events = run_detection(seq, default_config().detector_config())
         lib_scores = tmp_path / "lib_scores.csv"
         lib_events = tmp_path / "lib_events.csv"
         fileio.write_scores_csv(lib_scores, scores)
@@ -261,3 +251,27 @@ class TestCliErrors:
     def test_bad_init_string(self, synth_dir, tmp_path):
         res = run_cli(["track", synth_dir, "--init", "1,2,3", "--out", tmp_path / "t.csv"])
         assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("eval", "start,end,peak\n3,x,0.5\n"),  # non-integer field
+            ("eval", "start,end,kind\n9,3,burst\n"),  # reversed interval
+            ("synth", "event = 2,x,burst\n"),  # non-integer synth event
+            ("synth", "h = 4\n"),  # too small for the blob margin
+        ],
+        ids=["non-integer-event", "reversed-interval", "non-integer-synth-event", "tiny-synth-frame"],
+    )
+    def test_malformed_input_is_an_input_error(self, tmp_path, command, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        if command == "eval":
+            good = tmp_path / "good.csv"
+            good.write_text("start,end,kind\n2,8,burst\n", encoding="utf-8")
+            args = ["eval", "--events", good, "--truth", bad, "--name", "clip",
+                    "--append", tmp_path / "report.csv"]
+        else:
+            args = ["synth", "--spec", bad, "--out-dir", tmp_path / "frames"]
+        res = run_cli(args)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: "), res.stderr

@@ -1,16 +1,10 @@
-"""Equivalence of the numba kernels and the pure-numpy fallbacks, and of
-the batched Gram-form solver and the scalar one."""
-
-import os
-import subprocess
-import sys
+"""The scalar kernels against each other, and the batched Gram-form
+solver against the scalar one."""
 
 import numpy as np
 import pytest
 
 from motion_lsmd import _kernels
-
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ACTIVE, reason="numba backend inactive")
 
 
 def lasso_instance(seed, d=12, n=20):
@@ -18,16 +12,7 @@ def lasso_instance(seed, d=12, n=20):
     return rng.standard_normal((d, n)), rng.standard_normal(d)
 
 
-@needs_numba
-class TestBackendEquivalence:
-    def test_cd_nn_lasso(self):
-        for seed in range(10):
-            X, t = lasso_instance(seed)
-            g_np, r_np, s_np = _kernels._cd_nn_lasso_numpy(X, t, 0.05, 1e-10, 500)
-            g_nb, r_nb, s_nb = _kernels._cd_nn_lasso_jit(X, t, 0.05, 1e-10, 500)
-            assert np.allclose(g_np, g_nb, atol=1e-7)
-            assert np.allclose(r_np, r_nb, atol=1e-7)
-
+class TestScalarKernels:
     def test_gram_form_agrees_with_residual_form(self):
         for seed in range(10):
             X, t = lasso_instance(seed, d=30, n=8)
@@ -37,35 +22,25 @@ class TestBackendEquivalence:
             assert np.allclose(g_res, g_gram, atol=1e-6)
             assert np.isclose(float(resid @ resid), rsq, atol=1e-8)
 
-    def test_gram_backends(self):
-        for seed in range(10):
-            X, t = lasso_instance(seed, d=30, n=8)
-            G, c, tt = X.T @ X, X.T @ t, float(t @ t)
-            g_np, r_np, _ = _kernels._cd_nn_lasso_gram_numpy(G, c, tt, 0.02, 1e-10, 500)
-            g_nb, r_nb, _ = _kernels._cd_nn_lasso_gram_jit(G, c, tt, 0.02, 1e-10, 500)
-            assert np.allclose(g_np, g_nb, atol=1e-7)
-            assert np.isclose(r_np, r_nb, atol=1e-9)
-
-    def test_bilinear(self):
-        rng = np.random.default_rng(3)
-        pixels = rng.random((20, 30))
-        rows = rng.uniform(-5, 25, (16, 16))
-        cols = rng.uniform(-5, 35, (16, 16))
-        a = _kernels._bilinear_numpy(pixels, rows, cols)
-        b = _kernels._bilinear_jit(pixels, rows, cols)
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_block_residuals(self):
+    def test_block_residuals_solve_each_block(self):
         rng = np.random.default_rng(4)
         dicts = np.abs(rng.standard_normal((4, 16, 5)))
         dicts /= np.linalg.norm(dicts, axis=1, keepdims=True)
         grams = np.einsum("pij,pik->pjk", dicts, dicts)
         blocks = np.abs(rng.standard_normal((4, 16)))
-        blocks[2] = 0.0  # zero block path
-        a = _kernels._block_residuals_numpy(grams, dicts, blocks, 0.0, 1e-10, 200)
-        b = _kernels._block_residuals_jit(grams, dicts, blocks, 0.0, 1e-10, 200)
-        assert np.allclose(a, b, atol=1e-9)
-        assert a[2] == b[2] == 0.0
+        blocks[2] = 0.0  # a zero block reconstructs exactly
+        got = _kernels.block_residuals(grams, dicts, blocks, 0.0, 1e-10, 200)
+        assert got[2] == 0.0
+        for p in (0, 1, 3):
+            y = blocks[p] / np.linalg.norm(blocks[p])
+            _g, rsq, _s = _kernels.cd_nn_lasso_gram(grams[p], dicts[p].T @ y, 1.0, 0.0, 1e-10, 200)
+            assert got[p] == pytest.approx(np.sqrt(rsq), rel=1e-9)
+
+    def test_zero_column_pinned(self):
+        X = np.array([[1.0, 0.0], [0.5, 0.0]])
+        t = np.array([1.0, 1.0])
+        g, _r, _s = _kernels.cd_nn_lasso(X, t, 0.01, 1e-10, 100)
+        assert g[1] == 0.0
 
 
 class TestBatchedGramCD:
@@ -81,7 +56,7 @@ class TestBatchedGramCD:
         for lam, max_iter in ((0.0, 200), (0.05, 500), (0.05, 4)):
             resid_sq, sweeps = _kernels.cd_nn_lasso_gram_batch(grams, which, c, tt, lam, 1e-10, max_iter)
             for i in range(200):
-                _g, want_rsq, want_sweeps = _kernels._cd_nn_lasso_gram_numpy(
+                _g, want_rsq, want_sweeps = _kernels.cd_nn_lasso_gram(
                     grams[which[i]], c[i], float(tt[i]), lam, 1e-10, max_iter
                 )
                 assert sweeps[i] == want_sweeps
@@ -90,25 +65,3 @@ class TestBatchedGramCD:
                 assert (sweeps == 4).all()  # every problem hits max_iter
             else:
                 assert sweeps.min() < sweeps.max()  # problems stop at different sweeps
-
-
-class TestBackendSelection:
-    def test_env_flag_disables_numba(self):
-        env = dict(os.environ)
-        env["MOTION_LSMD_NUMBA"] = "0"
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from motion_lsmd import _kernels; print(_kernels.backend_name())"],
-            capture_output=True, text=True, env=env,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_backend_reported(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
-
-    def test_zero_column_pinned_both_backends(self):
-        X = np.array([[1.0, 0.0], [0.5, 0.0]])
-        t = np.array([1.0, 1.0])
-        for impl in (_kernels._cd_nn_lasso_numpy, _kernels.cd_nn_lasso):
-            g, _r, _s = impl(X, t, 0.01, 1e-10, 100)
-            assert g[1] == 0.0

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from motion_lsmd import errors
 from motion_lsmd.sparse import (
     SolverParams,
-    batch_code_templates,
     kkt_residual,
     nn_lasso,
-    objective_value,
     soft_threshold,
 )
 
@@ -145,25 +143,3 @@ class TestSoftThreshold:
         want = scalar_shrink_grid(v, tau)
         assert abs(got - want) < 1e-4  # grid resolution
 
-
-class TestBatchCodeTemplates:
-    def test_singleton_equals_single_solve(self):
-        X, t = random_instance(10, 6, 9)
-        params = SolverParams(lambda1=0.05)
-        batch = batch_code_templates([t], X, params)
-        single = nn_lasso(X, t, params)
-        assert len(batch) == 1
-        assert np.array_equal(batch[0].gamma, single.gamma)
-
-    def test_duplicate_templates_identical(self):
-        X, t = random_instance(11, 6, 9)
-        batch = batch_code_templates([t, t.copy()], X, SolverParams(lambda1=0.05))
-        assert np.array_equal(batch[0].gamma, batch[1].gamma)
-
-    def test_all_codes_pass_certificate(self):
-        rng = np.random.default_rng(12)
-        X = rng.standard_normal((8, 16))
-        templates = [rng.standard_normal(8) for _ in range(10)]
-        for code, tpl in zip(batch_code_templates(templates, X, SolverParams(lambda1=0.05)), templates):
-            assert code.kkt_residual <= 1e-6
-            assert abs(code.objective - objective_value(X, tpl, 0.05, code.gamma)) < 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from motion_lsmd import errors
 from motion_lsmd.ingest import Frame, FrameSequence, warp_patch, warp_sample_grids
-from motion_lsmd.sparse import SolverParams, nn_lasso, residual_norm
+from motion_lsmd.sparse import SolverParams, nn_lasso
 from motion_lsmd.tracker import (
     _CD_GROUP,
     _WARP_CHUNK,
@@ -25,7 +25,7 @@ from motion_lsmd.tracker import (
     update_templates,
 )
 
-from oracles import reference_particle_scores
+from oracles import reference_particle_scores, residual_norm
 
 
 def square_sequence(n_frames, h=64, w=160, size=24, speed=2.0, start=(32.0, 20.0)):
