@@ -48,7 +48,13 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
         vals = lines[2 + r].split(",")
         if len(vals) != cols:
             raise InvalidValue(f"{path}: row {r} has {len(vals)} values, expected {cols}")
-        data[r] = [float(v) for v in vals]
+        try:
+            data[r] = [float(v) for v in vals]
+        except ValueError as exc:
+            raise InvalidValue(f"{path}: row {r}: {exc}") from exc
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise InvalidValue(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
     return data
 
 

@@ -19,6 +19,7 @@ from .errors import (
     InconsistentDimensions,
     MalformedPgm,
     MissingSource,
+    NonFiniteInput,
     NonPositiveScale,
     PatchTooLarge,
     TooFewFrames,
@@ -51,6 +52,8 @@ class Frame:
             raise ValueError(f"frame must be at least 8x8, got {h}x{w}")
         if self.index < 0:
             raise ValueError("frame index must be non-negative")
+        if not np.all(np.isfinite(self.pixels)):
+            raise NonFiniteInput("frame pixels must be finite")
         lo, hi = float(self.pixels.min()), float(self.pixels.max())
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"pixel values outside [0,1]: min={lo}, max={hi}")

@@ -97,24 +97,43 @@ class Decomposition:
 # divisive hierarchical k-means
 # ---------------------------------------------------------------------------
 
+def _finite_points(points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteInput("clustering points must be finite")
+    return pts
+
+
+def _count_distinct_rows(pts: np.ndarray) -> int:
+    """Number of distinct rows of a finite 2-D float64 array, by value.
+
+    Adding 0.0 turns -0.0 into 0.0; each row is then one opaque byte
+    string, which np.unique sorts far faster than the one-field-per-column
+    structured dtype np.unique(axis=0) would build. Equal bytes mean
+    equal values only for finite points, which callers check.
+    """
+    rows = np.ascontiguousarray(pts + 0.0)
+    return np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))).size
+
+
 def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
     """Seeded k-means++ plus Lloyd iterations.
 
     Returns per-point cluster assignments, or None (indivisible) when k
-    exceeds the number of distinct points. Nearest-centroid ties break
-    toward the lowest centroid index; empty clusters are repaired by
-    moving the point farthest from its assigned centroid.
+    exceeds the number of distinct points, counted by value (-0.0 equals
+    0.0). Non-finite points raise NonFiniteInput. Nearest-centroid ties
+    break toward the lowest centroid index; empty clusters are repaired
+    by moving the point farthest from its assigned centroid.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _finite_points(points)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("kmeans needs at least one point")
     if k < 2:
         raise ValueError("k must be >= 2")
-    distinct = np.unique(pts, axis=0).shape[0]
-    if k > distinct:
+    if k > _count_distinct_rows(pts):
         return None
 
     rng = np.random.default_rng(seed)
@@ -137,27 +156,35 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
     for _ in range(100):
         dists = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(dists, axis=1)  # ties -> lowest index
-        # repair empty clusters with the globally worst-fit point
-        for c in range(k):
-            if not np.any(new_assign == c):
-                cur = dists[np.arange(n), new_assign]
-                worst = int(np.argmax(cur))
-                new_assign[worst] = c
-                dists[worst, :] = np.inf
+        counts = np.bincount(new_assign, minlength=k)
+        if not counts.all():
+            # repair empty clusters with the globally worst-fit point, in
+            # cluster order: one repair can empty a later cluster
+            for c in range(k):
+                if not np.any(new_assign == c):
+                    cur = dists[np.arange(n), new_assign]
+                    worst = int(np.argmax(cur))
+                    new_assign[worst] = c
+                    dists[worst, :] = np.inf
+            counts = np.bincount(new_assign, minlength=k)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
+        # row-by-row sums, as .mean(axis=0) forms them: a segmented
+        # np.add.reduceat sums long clusters pairwise, changing centroid bits
         for c in range(k):
-            centers[c] = pts[assign == c].mean(axis=0)
+            centers[c] = np.add.reduce(pts[assign == c], axis=0)
+        centers /= counts[:, None]
     return assign
 
 
 def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree:
     """Recursive k-means splits; stops below k members or when a node's
-    points are all identical (indivisible)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    points are all identical (indivisible).
+
+    Points are counted distinct by value (-0.0 equals 0.0); non-finite
+    points raise NonFiniteInput."""
+    pts = _finite_points(points)
     n = pts.shape[0]
     if n < 1:
         raise ValueError("need at least one point")
@@ -171,7 +198,7 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
         if len(members) < k:
             continue
         sub = pts[members]
-        distinct = np.unique(sub, axis=0).shape[0]
+        distinct = _count_distinct_rows(sub)
         if distinct < 2:
             node.indivisible = True
             continue

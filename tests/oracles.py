@@ -4,10 +4,12 @@ The oracles share no code with the implementations under test: the
 non-negative lasso oracle enumerates support sets, the prox oracles run
 projected subgradient descent refined by (a) dual block projections for
 group norms and (b) a smoothed quasi-Newton continuation for the nuclear
-norm, and the warp oracle interpolates one output pixel at a time. The
-tracker's reference scorer is the one exception: it scores particles one
-at a time with the scalar kernels, as the reference the batched scorer
-must reproduce.
+norm, and the warp oracle interpolates one output pixel at a time. Two
+references are exceptions, kept as the exact results the faster code
+must reproduce: the tracker's reference scorer scores particles one at a
+time with the scalar kernels, and the reference k-means and index tree
+are the tree builder as it was before its distinct-row count and Lloyd
+step were made cheaper.
 """
 
 from __future__ import annotations
@@ -266,6 +268,89 @@ def partition_of(assignments: np.ndarray):
         frozenset(int(i) for i in np.flatnonzero(assignments == c))
         for c in np.unique(assignments)
     )
+
+
+# ---------------------------------------------------------------------------
+# k-means and index tree: the exact reference for the tree builder
+# ---------------------------------------------------------------------------
+
+def reference_kmeans(points: np.ndarray, k: int, seed: int = 0):
+    """k-means++ plus Lloyd iterations that count distinct points with
+    np.unique(axis=0) and update centroids with one boolean-mask mean per
+    cluster. Returns assignments, or None when k exceeds the distinct
+    points."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    distinct = np.unique(pts, axis=0).shape[0]
+    if k > distinct:
+        return None
+
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = pts[int(np.argmax(d2))]
+        else:
+            idx = rng.choice(n, p=d2 / total)
+            centers[j] = pts[idx]
+        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(100):
+        dists = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(dists, axis=1)
+        for c in range(k):
+            if not np.any(new_assign == c):
+                cur = dists[np.arange(n), new_assign]
+                worst = int(np.argmax(cur))
+                new_assign[worst] = c
+                dists[worst, :] = np.inf
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            centers[c] = pts[assign == c].mean(axis=0)
+    return assign
+
+
+def reference_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> list[dict]:
+    """Breadth-first divisive k-means over reference_kmeans. Each node is a
+    dict with the keys id, parent, children, members, depth and
+    indivisible."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    nodes = [dict(id=0, parent=None, children=[], members=np.arange(n), depth=0, indivisible=False)]
+    queue = [0]
+    while queue:
+        nid = queue.pop(0)
+        node = nodes[nid]
+        members = node["members"]
+        if len(members) < k:
+            continue
+        sub = pts[members]
+        distinct = np.unique(sub, axis=0).shape[0]
+        if distinct < 2:
+            node["indivisible"] = True
+            continue
+        keff = min(k, distinct)
+        assign = reference_kmeans(sub, keff, seed=seed * 100003 + nid)
+        if assign is None:
+            node["indivisible"] = True
+            continue
+        for c in range(keff):
+            child = dict(id=len(nodes), parent=nid, children=[], members=members[assign == c],
+                         depth=node["depth"] + 1, indivisible=False)
+            nodes.append(child)
+            node["children"].append(child["id"])
+            queue.append(child["id"])
+    return nodes
 
 
 # ---------------------------------------------------------------------------

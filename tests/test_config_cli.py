@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motion_lsmd import errors, fileio
+from motion_lsmd import cli, errors, fileio
 from motion_lsmd.config import Config, default_config, parse_config
 from motion_lsmd.detector import run_detection
 from motion_lsmd.ingest import load_frame_sequence
@@ -275,3 +275,15 @@ class TestCliErrors:
         res = run_cli(args)
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("error: "), res.stderr
+
+    @pytest.mark.parametrize("field", ["abc", "nan", "inf", "-inf"])
+    def test_bad_matrix_field_is_an_input_error(self, tmp_path, capsys, field):
+        # 6x12 is wide enough to split, so a non-finite value would reach k-means
+        lines = ["rows,cols", "6,12"] + [",".join(["0.5"] * 12)] * 6
+        lines[5] = ",".join(["0.5"] * 11 + [field])
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = cli.main(["decompose", str(features), "--out-prefix", str(tmp_path / "dec")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and str(features) in err and "row 3" in err, err

@@ -142,6 +142,13 @@ class TestFrameDifference:
         with pytest.raises(errors.DimensionMismatch):
             frame_difference(make_frame(np.zeros((8, 8))), make_frame(np.zeros((8, 10)), 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        pixels = np.zeros((8, 8))
+        pixels[3, 4] = bad
+        with pytest.raises(errors.NonFiniteInput):
+            make_frame(pixels)
+
     @settings(deadline=None, max_examples=30)
     @given(
         a=arrays(np.float64, (8, 8), elements=st.floats(0, 1)),

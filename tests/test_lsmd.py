@@ -2,12 +2,17 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motion_lsmd import errors
-from motion_lsmd.ingest import ProposalSet
+from motion_lsmd.detector import DetectorConfig, SynthSpec, synth_sequence
+from motion_lsmd.ingest import ProposalSet, extract_proposals, feature_matrix, frame_difference
 from motion_lsmd.lsmd import (
     IndexTree,
     LsmdParams,
+    _count_distinct_rows,
     activity_scores,
     build_index_tree,
     clustering_points,
@@ -27,6 +32,8 @@ from oracles import (
     partition_of,
     prox_nuclear_oracle,
     prox_tree_oracle,
+    reference_index_tree,
+    reference_kmeans,
     tree_objective,
 )
 
@@ -43,6 +50,12 @@ def check_tree_invariants(tree: IndexTree, n: int):
             assert len(set(child_members.tolist())) == len(child_members)
         else:
             assert len(node.members) < tree.k or node.indivisible
+
+
+def points_with(bad):
+    pts = np.arange(24, dtype=np.float64).reshape(8, 3)
+    pts[5, 1] = bad
+    return pts
 
 
 def random_tree(seed, n=10, dim=2, k=4):
@@ -86,6 +99,11 @@ class TestKmeans:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 1, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(errors.NonFiniteInput):
+            kmeans(points_with(bad), 4, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +159,11 @@ class TestBuildIndexTree:
                     tree.depth(), bound, n,
                 )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(errors.NonFiniteInput):
+            build_index_tree(points_with(bad), k=4, seed=0)
+
     def test_duplicated_points_terminate(self):
         pts = np.zeros((17, 2))
         tree = build_index_tree(pts, k=4, seed=0)
@@ -154,6 +177,87 @@ class TestBuildIndexTree:
         pts = clustering_points(fm, height=10, width=20)
         assert pts.shape == (3, 5)
         assert np.allclose(pts[1][:2], [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# the tree builder against its exact reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rows_with_duplicates(draw):
+    """Rows picked with repetition from a small pool, so duplicates and
+    rows that differ only in the sign of a zero are common."""
+    cols = draw(st.integers(1, 5))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 6)), cols), elements=value))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
+    return pool[picks]
+
+
+def signed_zero_points(seed, n=40, dim=6):
+    """Points on a coarse grid with zeros of both signs and repeated rows."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-1, 2, (n, dim)) * 0.5
+    pts = np.where((pts == 0) & (rng.random((n, dim)) < 0.5), -0.0, pts)
+    pts[n // 2 : n // 2 + 10] = pts[:10]
+    return pts
+
+
+def assert_same_tree(tree: IndexTree, ref: list[dict]):
+    assert len(tree.nodes) == len(ref)
+    for node, want in zip(tree.nodes, ref):
+        assert node.id == want["id"] and node.parent == want["parent"]
+        assert node.children == want["children"]
+        assert np.array_equal(node.members, want["members"])
+        assert node.depth == want["depth"] and node.indivisible == want["indivisible"]
+
+
+class TestTreeIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_with_duplicates())
+    @example(np.array([[0.0], [-0.0], [1.0]]))
+    @example(np.array([[-0.0, 2.0, 0.0]]))
+    def test_distinct_rows_match_unique(self, pts):
+        assert _count_distinct_rows(pts) == np.unique(pts, axis=0).shape[0]
+
+    def test_detection_clip_trees(self):
+        cfg = DetectorConfig()
+        seq, _truth = synth_sequence(
+            SynthSpec(n_frames=100, events=[(10, 22, "burst"), (55, 70, "swap")]), seed=3
+        )
+        h, w = seq.shape
+        for t in range(1, len(seq)):
+            diff = frame_difference(seq.frames[t - 1], seq.frames[t])
+            fm = feature_matrix(extract_proposals(diff, cfg.patch_size, cfg.stride))
+            pts = clustering_points(fm, h, w)
+            seed = cfg.seed * 7919 + t
+            assert_same_tree(build_index_tree(pts, cfg.tree_k, seed), reference_index_tree(pts, cfg.tree_k, seed))
+
+    def test_decompose_style_trees(self):
+        for seed in range(10):
+            data = signed_zero_points(seed).T  # duplicate columns, zeros of both signs
+            n = data.shape[1]
+            pos = (np.arange(n, dtype=np.float64) / (n - 1))[:, None]
+            for pts in (np.hstack([pos, data.T]), data.T):
+                assert_same_tree(build_index_tree(pts, 4, seed), reference_index_tree(pts, 4, seed))
+
+    def test_criterion_5_point_set_trees(self):
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            pts = rng.random((1 + seed % 53, 3)) * 10
+            assert_same_tree(build_index_tree(pts, 4, seed), reference_index_tree(pts, 4, seed))
+
+    def test_kmeans_assignments(self):
+        rng = np.random.default_rng(11)
+        cases = [signed_zero_points(s, n=30, dim=3) for s in range(20)]
+        cases += [rng.random((int(rng.integers(5, 60)), int(rng.integers(1, 5)))) for _ in range(40)]
+        cases += [rng.random(25)]  # 1-D points
+        for i, pts in enumerate(cases):
+            for k in (2, 3, 4, 5):
+                got, want = kmeans(pts, k, seed=i), reference_kmeans(pts, k, seed=i)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
