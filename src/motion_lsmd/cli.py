@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .config import parse_config
+from .config import iter_kv_lines, parse_config
 from .detector import ReportRow, SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
 from .errors import InputError, InvalidValue, UsageError
 from .ingest import load_frame_sequence, write_pgm
@@ -127,13 +127,8 @@ def _parse_synth_spec(path: str | Path) -> SynthSpec:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     spec = SynthSpec(events=[])
     seen: dict[str, str] = {}
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise InvalidValue(f"{path}:{lineno}: expected key = value")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
+    # not parse_kv_lines: 'event' may repeat
+    for lineno, key, raw in iter_kv_lines(lines, source=str(path)):
         if key == "event":
             parts = [p.strip() for p in raw.split(",")]
             if len(parts) != 3:
@@ -214,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:  # only input files are decoded
+        print(f"error: input file is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal error
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -176,14 +178,16 @@ def _convert(key: str, raw: str):
             val = raw
     except ValueError as exc:
         raise InvalidValue(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if typ is float and not math.isfinite(val):
+        raise InvalidValue(f"{key} = {raw!r} is not a finite number")
     if not check(val):
         raise RangeError(f"{key} = {val!r} outside legal range ({legal})")
     return val
 
 
-def parse_kv_lines(lines: list[str], source: str = "<config>") -> dict[str, str]:
-    """Shared 'key = value' line format with '#' comments."""
-    out: dict[str, str] = {}
+def iter_kv_lines(lines: list[str], source: str = "<config>") -> Iterator[tuple[int, str, str]]:
+    """The shared 'key = value' line format with '#' comments: yields
+    (line number, key, raw value) per line, both sides stripped."""
     for lineno, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -191,8 +195,12 @@ def parse_kv_lines(lines: list[str], source: str = "<config>") -> dict[str, str]
         if "=" not in stripped:
             raise InvalidValue(f"{source}:{lineno}: expected key = value")
         key, raw = stripped.split("=", 1)
-        out[key.strip()] = raw.strip()
-    return out
+        yield lineno, key.strip(), raw.strip()
+
+
+def parse_kv_lines(lines: list[str], source: str = "<config>") -> dict[str, str]:
+    """'key = value' lines as a dict; a repeated key keeps its last value."""
+    return {key: raw for _lineno, key, raw in iter_kv_lines(lines, source)}
 
 
 def parse_config(

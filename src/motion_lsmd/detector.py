@@ -228,6 +228,8 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
     margin = 12.0  # blob centres start this far inside the frame
     if spec.h < 2 * margin or 0.45 * spec.w < margin:
         raise InvalidValue(f"synth frame {spec.h}x{spec.w} too small: need h >= 24 and w >= 27")
+    if spec.n_frames < 1:
+        raise InvalidValue(f"synth needs n_frames >= 1, got {spec.n_frames}")
     for start, end, kind in spec.events:
         if not (0 <= start <= end < spec.n_frames):
             raise EventOutOfRange(f"event ({start}, {end}) outside [0, {spec.n_frames})")

@@ -20,6 +20,10 @@ class MalformedPgm(InputError):
     pass
 
 
+class FrameTooSmall(InputError):
+    pass
+
+
 class InconsistentDimensions(InputError):
     pass
 

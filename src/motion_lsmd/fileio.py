@@ -41,15 +41,20 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
         rows, cols = (int(v) for v in lines[1].split(","))
     except ValueError as exc:
         raise InvalidValue(f"{path}: bad dimension line {lines[1]!r}") from exc
+    if rows < 1 or cols < 1:
+        raise InvalidValue(f"{path}: matrix must be at least 1x1, got {rows}x{cols}")
     if len(lines) < 2 + rows:
         raise InvalidValue(f"{path}: expected {rows} data rows")
+    body = lines[2 : 2 + rows]
+    # every row's length is checked before the matrix is allocated, so a
+    # dimension line cannot ask for more memory than the file has values
+    for r, line in enumerate(body):
+        if line.count(",") + 1 != cols:
+            raise InvalidValue(f"{path}: row {r} has {line.count(',') + 1} values, expected {cols}")
     data = np.empty((rows, cols))
-    for r in range(rows):
-        vals = lines[2 + r].split(",")
-        if len(vals) != cols:
-            raise InvalidValue(f"{path}: row {r} has {len(vals)} values, expected {cols}")
+    for r, line in enumerate(body):
         try:
-            data[r] = [float(v) for v in vals]
+            data[r] = [float(v) for v in line.split(",")]
         except ValueError as exc:
             raise InvalidValue(f"{path}: row {r}: {exc}") from exc
     finite = np.isfinite(data).all(axis=1)
@@ -174,12 +179,9 @@ def read_report_rows(path: str | Path) -> list[ReportRow]:
         name, frames, events, correct = parts
         if name == "TOTAL":
             continue
-        rows.append(
-            ReportRow(
-                name=name,
-                total_frames=int(frames),
-                num_events=int(events),
-                correct_detections=int(correct),
-            )
-        )
+        try:
+            counts = [int(frames), int(events), int(correct)]
+        except ValueError as exc:
+            raise InvalidValue(f"{path}: malformed report row {line!r}") from exc
+        rows.append(ReportRow(name, *counts))
     return rows

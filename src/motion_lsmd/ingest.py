@@ -16,6 +16,7 @@ from . import _kernels
 from .errors import (
     DimensionMismatch,
     EmptyProposals,
+    FrameTooSmall,
     InconsistentDimensions,
     MalformedPgm,
     MissingSource,
@@ -49,7 +50,7 @@ class Frame:
             raise ValueError("frame pixels must be a 2-D array")
         h, w = self.pixels.shape
         if h < 8 or w < 8:
-            raise ValueError(f"frame must be at least 8x8, got {h}x{w}")
+            raise FrameTooSmall(f"frame must be at least 8x8, got {h}x{w}")
         if self.index < 0:
             raise ValueError("frame index must be non-negative")
         if not np.all(np.isfinite(self.pixels)):

@@ -9,11 +9,23 @@ so the objective
     0.5 ||F - L - S||_F^2 + mu_L ||L||_* + mu_S Omega(S) + mu_S l1 ||S||_1
 
 is non-increasing by construction.
+
+An iteration costs one SVD: the objective's ||L||_* is the sum of the
+singular values that prox_nuclear has just thresholded, and its fit term
+reuses R = F - L, which the sparse step needs anyway. The tree norm and
+prox work one depth level at a time (IndexTree.levels), deepest first.
+Nodes of one depth have disjoint members, so a level is one segmented
+sum (np.add.reduceat) over column squared norms and one vector of group
+shrink factors; applying the levels children before parents is the exact
+prox for tree-nested groups (Jenatton, Mairal, Obozinski and Bach,
+"Proximal methods for hierarchical sparse coding", JMLR 2011).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +48,20 @@ class TreeNode:
         return not self.children
 
 
+class TreeLevel(NamedTuple):
+    """The non-empty nodes of one depth, laid out for segmented sums.
+
+    Their members are disjoint, so ``cols`` (each node's members in
+    turn) holds every column at most once; node ``ids[i]`` owns the
+    ``sizes[i]`` entries of ``cols`` from ``starts[i]`` on.
+    """
+
+    ids: tuple[int, ...]
+    cols: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
 @dataclass
 class IndexTree:
     """Hierarchy over feature-matrix columns; ids are breadth-first."""
@@ -46,6 +72,26 @@ class IndexTree:
 
     def node(self, nid: int) -> TreeNode:
         return self.nodes[nid]
+
+    @cached_property
+    def levels(self) -> list[TreeLevel]:
+        """One TreeLevel per depth, deepest first; computed on first use,
+        so the nodes must not change after it."""
+        by_depth: dict[int, list[TreeNode]] = {}
+        for node in self.nodes:
+            if len(node.members):
+                by_depth.setdefault(node.depth, []).append(node)
+        levels = []
+        for depth in sorted(by_depth, reverse=True):
+            group = by_depth[depth]
+            sizes = np.array([len(nd.members) for nd in group])
+            levels.append(TreeLevel(
+                ids=tuple(nd.id for nd in group),
+                cols=np.concatenate([nd.members for nd in group]),
+                starts=np.concatenate([[0], np.cumsum(sizes[:-1])]),
+                sizes=sizes,
+            ))
+        return levels
 
     @property
     def n_columns(self) -> int:
@@ -118,6 +164,22 @@ def _count_distinct_rows(pts: np.ndarray) -> int:
     return np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))).size
 
 
+def _repair_empty_clusters(assign: np.ndarray, fit: np.ndarray, counts: np.ndarray) -> None:
+    """Fill each empty cluster, in index order, with the worst-fit point
+    (largest ``fit``, the squared distance to its nearest centroid) among
+    the points whose cluster keeps another member.
+
+    ``assign`` and ``counts`` are updated in place. A moved point is alone
+    in its new cluster, so it is never picked twice, and no repair empties
+    a cluster: with n >= k points some cluster always has a spare member.
+    """
+    for c in np.flatnonzero(counts == 0):
+        worst = int(np.argmax(np.where(counts[assign] > 1, fit, -np.inf)))
+        counts[assign[worst]] -= 1
+        counts[c] = 1
+        assign[worst] = c
+
+
 def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
     """Seeded k-means++ plus Lloyd iterations.
 
@@ -125,7 +187,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
     exceeds the number of distinct points, counted by value (-0.0 equals
     0.0). Non-finite points raise NonFiniteInput. Nearest-centroid ties
     break toward the lowest centroid index; empty clusters are repaired
-    by moving the point farthest from its assigned centroid.
+    by moving the worst-fit points (``_repair_empty_clusters``).
     """
     pts = _finite_points(points)
     n = pts.shape[0]
@@ -158,15 +220,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
         new_assign = np.argmin(dists, axis=1)  # ties -> lowest index
         counts = np.bincount(new_assign, minlength=k)
         if not counts.all():
-            # repair empty clusters with the globally worst-fit point, in
-            # cluster order: one repair can empty a later cluster
-            for c in range(k):
-                if not np.any(new_assign == c):
-                    cur = dists[np.arange(n), new_assign]
-                    worst = int(np.argmax(cur))
-                    new_assign[worst] = c
-                    dists[worst, :] = np.inf
-            counts = np.bincount(new_assign, minlength=k)
+            _repair_empty_clusters(new_assign, dists[np.arange(n), new_assign], counts)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -238,13 +292,23 @@ def _check_tree_shape(S: np.ndarray, tree: IndexTree) -> None:
         )
 
 
+def _column_sq_norms(M: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", M, M)
+
+
+def _level_weights(weights: TreeWeights, level: TreeLevel) -> np.ndarray:
+    return np.array([weights[nid] for nid in level.ids], dtype=np.float64)
+
+
 def tree_norm(S: np.ndarray, tree: IndexTree, weights: TreeWeights) -> float:
     """Omega(S) = sum over nodes G of w_G * ||S[:, G]||_F."""
     S = np.asarray(S, dtype=np.float64)
     _check_tree_shape(S, tree)
+    colsq = _column_sq_norms(S)
     total = 0.0
-    for node in tree.nodes:
-        total += weights[node.id] * float(np.linalg.norm(S[:, node.members]))
+    for level in tree.levels:
+        norms = np.sqrt(np.add.reduceat(colsq[level.cols], level.starts))
+        total += float(_level_weights(weights, level) @ norms)
     return total
 
 
@@ -257,21 +321,31 @@ def prox_tree_norm(
 ) -> np.ndarray:
     """Prox of tau*(Omega + lambda_l1 * l1): elementwise soft threshold,
     then group shrinkage applied children before parents (exact for
-    tree-nested groups)."""
+    tree-nested groups).
+
+    Every group shrinkage scales whole columns, so the levels only update
+    per-column scales and squared norms; the matrix is scaled once at the
+    end. Zeroed groups are set to +0.0.
+    """
     if tau < 0 or lambda_l1 < 0:
         raise NegativeTau(f"tau={tau}, lambda_l1={lambda_l1}")
     S = np.asarray(S, dtype=np.float64)
     _check_tree_shape(S, tree)
     Z = soft_threshold(S, tau * lambda_l1)
-    for node in sorted(tree.nodes, key=lambda nd: -nd.depth):
-        cols = node.members
-        block = Z[:, cols]
-        nrm = float(np.linalg.norm(block))
-        thr = tau * weights[node.id]
-        if nrm <= thr:
-            Z[:, cols] = 0.0
-        else:
-            Z[:, cols] = block * (1.0 - thr / nrm)
+    colsq = _column_sq_norms(Z)
+    scale = np.ones(Z.shape[1])
+    for level in tree.levels:
+        cols = level.cols
+        norms = np.sqrt(np.add.reduceat(colsq[cols], level.starts))
+        thr = tau * _level_weights(weights, level)
+        keep = norms > thr
+        factor = np.zeros_like(norms)
+        factor[keep] = 1.0 - thr[keep] / norms[keep]
+        col_factor = np.repeat(factor, level.sizes)
+        scale[cols] *= col_factor
+        colsq[cols] *= col_factor * col_factor
+    Z *= scale
+    Z[:, scale == 0.0] = 0.0
     return Z
 
 
@@ -279,8 +353,15 @@ def nuclear_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
-def prox_nuclear(L: np.ndarray, tau: float) -> np.ndarray:
-    """Singular value thresholding."""
+def prox_nuclear(
+    L: np.ndarray, tau: float, *, return_singular_values: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Singular value thresholding.
+
+    With ``return_singular_values`` the result is a pair: the matrix and
+    its singular values (the thresholded ones), whose sum is its nuclear
+    norm.
+    """
     L = np.asarray(L, dtype=np.float64)
     if not np.all(np.isfinite(L)):
         raise NonFiniteInput("matrix must be finite")
@@ -288,7 +369,8 @@ def prox_nuclear(L: np.ndarray, tau: float) -> np.ndarray:
         raise NegativeTau(f"tau={tau}")
     U, s, Vt = np.linalg.svd(L, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
-    return (U * s) @ Vt
+    X = (U * s) @ Vt
+    return (X, s) if return_singular_values else X
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +389,33 @@ def decompose(
     data = F.data if isinstance(F, FeatureMatrix) else np.asarray(F, dtype=np.float64)
     _check_tree_shape(data, tree)
 
-    def objective(L: np.ndarray, S: np.ndarray) -> float:
-        fit = 0.5 * float(np.linalg.norm(data - L - S) ** 2)
+    def objective(residual: np.ndarray, S: np.ndarray, nuclear: float) -> float:
+        # residual = data - L - S; nuclear = ||L||_*
         return (
-            fit
-            + params.mu_L * nuclear_norm(L)
+            0.5 * float(np.linalg.norm(residual) ** 2)
+            + params.mu_L * nuclear
             + params.mu_S * tree_norm(S, tree, weights)
             + params.mu_S * params.lambda_l1 * float(np.abs(S).sum())
         )
 
+    def sparse_step(L: np.ndarray, nuclear: float) -> tuple[np.ndarray, float]:
+        # the prox input data - L becomes the residual in place, and is
+        # freed before the next SVD
+        R = data - L
+        S = prox_tree_norm(R, tree, weights, params.mu_S, params.lambda_l1)
+        R -= S
+        return S, objective(R, S, nuclear)
+
     L = np.zeros_like(data)
     S = np.zeros_like(data)
-    trace = [objective(L, S)]
+    trace = [objective(data, S, 0.0)]
     converged = False
     iterations = 0
     for it in range(1, params.max_iter + 1):
         iterations = it
-        L = prox_nuclear(data - S, params.mu_L)
-        S = prox_tree_norm(data - L, tree, weights, params.mu_S, params.lambda_l1)
-        trace.append(objective(L, S))
+        L, sv = prox_nuclear(data - S, params.mu_L, return_singular_values=True)
+        S, obj = sparse_step(L, float(sv.sum()))
+        trace.append(obj)
         prev, cur = trace[-2], trace[-1]
         if abs(prev - cur) <= params.rel_tol * max(1.0, abs(prev)):
             converged = True

@@ -59,6 +59,11 @@ class TestParseConfig:
         with pytest.raises(errors.InvalidValue):
             parse_config(None, overrides=["tracker.n_particles=many"])
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    def test_non_finite_float_rejected(self, raw):
+        with pytest.raises(errors.InvalidValue):
+            parse_config(None, overrides=[f"lsmd.lambda_l1={raw}"])
+
     def test_threshold_cross_check(self):
         with pytest.raises(errors.RangeError):
             parse_config(None, overrides=["detector.tau_off=0.9"])

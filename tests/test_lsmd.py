@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -13,6 +14,7 @@ from motion_lsmd.lsmd import (
     IndexTree,
     LsmdParams,
     _count_distinct_rows,
+    _repair_empty_clusters,
     activity_scores,
     build_index_tree,
     clustering_points,
@@ -32,8 +34,11 @@ from oracles import (
     partition_of,
     prox_nuclear_oracle,
     prox_tree_oracle,
+    reference_decompose,
     reference_index_tree,
     reference_kmeans,
+    reference_prox_tree_norm,
+    reference_tree_norm,
     tree_objective,
 )
 
@@ -104,6 +109,24 @@ class TestKmeans:
     def test_non_finite_points_rejected(self, bad):
         with pytest.raises(errors.NonFiniteInput):
             kmeans(points_with(bad), 4, seed=0)
+
+    def test_repair_fills_several_empty_clusters(self):
+        # every point in cluster 0: each empty cluster takes a different
+        # point, worst fit first, and no cluster is left empty
+        assign = np.zeros(4, dtype=np.int64)
+        counts = np.bincount(assign, minlength=4)
+        _repair_empty_clusters(assign, np.array([0.1, 0.4, 0.3, 0.2]), counts)
+        assert assign.tolist() == [0, 1, 2, 3]
+        assert counts.tolist() == [1, 1, 1, 1]
+
+    def test_repair_never_empties_a_cluster(self):
+        # the worst-fit point is alone in cluster 2, so the next worst
+        # point, from cluster 0, fills cluster 1
+        assign = np.array([0, 0, 2, 0, 3])
+        counts = np.bincount(assign, minlength=4)
+        _repair_empty_clusters(assign, np.array([0.5, 0.1, 9.0, 0.2, 0.3]), counts)
+        assert assign.tolist() == [1, 0, 2, 0, 3]
+        assert counts.tolist() == np.bincount(assign, minlength=4).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +358,64 @@ class TestProxTreeNorm:
             prox_tree_norm(np.zeros((2, 4)), tree, uniform_weights(tree), -1.0)
 
 
+def criterion_5_trees():
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((1 + seed % 53, 3)) * 10
+        yield build_index_tree(pts, 4, seed)
+
+
+def indivisible_trees():
+    # duplicate points make indivisible nodes with >= k members, at the
+    # root and below it
+    yield build_index_tree(np.zeros((17, 2)), 4, 0)
+    for seed in range(10):
+        base = np.random.default_rng(seed).random((12, 2))
+        tree = build_index_tree(np.vstack([base, np.repeat(base[:3], 5, axis=0)]), 4, seed)
+        assert sum(nd.indivisible for nd in tree.nodes) == 3
+        yield tree
+
+
+def zero_some_blocks(S, tree, rng):
+    """Zero the columns of a random leaf and of a random subtree."""
+    leaves = tree.leaves()
+    S[:, leaves[rng.integers(len(leaves))].members] = 0.0
+    S[:, tree.nodes[rng.integers(len(tree.nodes))].members] = 0.0
+    return S
+
+
+class TestLevelBatchedTreeProx:
+    """The level-batched norm and prox against the node-by-node reference."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(21)
+        for i, tree in enumerate(itertools.chain(criterion_5_trees(), indivisible_trees())):
+            n = tree.n_columns
+            weights = {nd.id: float(rng.uniform(0.2, 2.0)) for nd in tree.nodes}
+            S = rng.standard_normal((5, n)) * rng.uniform(0.1, 3.0, n)
+            if i % 2:
+                S = zero_some_blocks(S, tree, rng)
+            yield tree, weights, S, float(rng.uniform(0.1, 1.5)), (0.0, 0.3)[i % 3 == 0]
+        tree = build_index_tree(np.random.default_rng(3).random((20, 2)), 4, 3)
+        yield tree, uniform_weights(tree), np.zeros((4, 20)), 0.5, 0.3
+
+    def test_tree_norm_matches_reference(self):
+        for tree, weights, S, _tau, _lam in self.cases():
+            want = reference_tree_norm(S, tree, weights)
+            got = tree_norm(S, tree, weights)
+            assert abs(got - want) <= 1e-12 * want if want else got == 0.0
+
+    def test_prox_matches_reference(self):
+        for tree, weights, S, tau, lam in self.cases():
+            want = reference_prox_tree_norm(S, tree, weights, tau, lam)
+            got = prox_tree_norm(S, tree, weights, tau, lam)
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(S).max(), 1.0)
+            # the same zeros, with the same signs, so written bytes match
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestProxNuclear:
     def test_tau_zero_identity(self):
         M = np.random.default_rng(8).standard_normal((4, 5))
@@ -343,6 +424,8 @@ class TestProxNuclear:
     def test_diagonal_example(self):
         out = prox_nuclear(np.diag([3.0, 1.0]), 1.0)
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
+        again, sv = prox_nuclear(np.diag([3.0, 1.0]), 1.0, return_singular_values=True)
+        assert np.array_equal(again, out) and sv.tolist() == [2.0, 0.0]
 
     def test_matches_numeric_oracle(self):
         # contract tolerance is the 1e-5 objective gap; the point check is
@@ -409,6 +492,34 @@ class TestDecompose:
         tree, _ = random_tree(15, n=5)
         with pytest.raises(errors.ShapeMismatch):
             decompose(np.zeros((4, 9)), tree, uniform_weights(tree))
+
+    @staticmethod
+    def assert_matches_reference(data, tree, weights, params):
+        dec = decompose(data, tree, weights, params)
+        L, S, trace, iterations, converged = reference_decompose(data, tree, weights, params)
+        assert (dec.iterations, dec.converged) == (iterations, converged)
+        assert np.abs(dec.L - L).max() <= 1e-9 and np.abs(dec.S - S).max() <= 1e-9
+        assert np.allclose(dec.objective_trace, trace, rtol=1e-12, atol=0.0)
+
+    def test_criterion_4_matches_reference(self):
+        rng = np.random.default_rng(16)
+        d, n = 64, 100
+        tree = build_index_tree(rng.random((n, 2)) * 10, k=4, seed=16)
+        leaves = [nd for nd in tree.leaves() if len(nd.members) >= 2]
+        cols = np.concatenate([nd.members for nd in leaves[:5]])
+        L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
+        S0 = np.zeros((d, n))
+        S0[:, cols] = rng.choice([-1.0, 1.0], size=(d, len(cols)))
+        self.assert_matches_reference(L0 + S0, tree, uniform_weights(tree), LsmdParams())
+
+    def test_detection_frame_matches_reference(self):
+        cfg = DetectorConfig()
+        seq, _truth = synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)
+        t = 8
+        diff = frame_difference(seq.frames[t - 1], seq.frames[t])
+        fm = feature_matrix(extract_proposals(diff, cfg.patch_size, cfg.stride))
+        tree = build_index_tree(clustering_points(fm, *seq.shape), cfg.tree_k, cfg.seed * 7919 + t)
+        self.assert_matches_reference(fm.data, tree, uniform_weights(tree, cfg.group_weight), cfg.lsmd)
 
     def test_recovers_planted_structure(self):
         rng = np.random.default_rng(16)
