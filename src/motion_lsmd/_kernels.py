@@ -1,10 +1,10 @@
 """Hot numeric kernels, in numpy.
 
-The scalar kernels (``cd_nn_lasso``, ``cd_nn_lasso_gram``,
-``block_residuals``) solve one problem at a time; ``sparse.nn_lasso``
-runs on the first, and the tests score particles with the others as the
-reference for the batched solver the tracker uses
-(``cd_nn_lasso_gram_batch``). ``bilinear_sample`` warps patches.
+The scalar kernels (``cd_nn_lasso_gram``, ``block_residuals``) solve
+one problem at a time; ``sparse.nn_lasso`` runs on the first, and the
+tests score particles with both as the reference for the batched solver
+the tracker uses (``cd_nn_lasso_gram_batch``). ``bilinear_sample`` warps
+patches.
 """
 
 from __future__ import annotations
@@ -13,48 +13,14 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# non-negative lasso coordinate descent
+# non-negative lasso coordinate descent, Gram form
 #
 # minimize ||t - X g||^2 + lam * sum(g)   subject to g >= 0
 #
-# Per-coordinate closed form on the residual r = t - X g:
-#   g_k <- max(0, g_k + (2 x_k.r - lam) / (2 ||x_k||^2))
-# Columns with ||x_k|| = 0 are pinned to 0.
-# ---------------------------------------------------------------------------
-
-def cd_nn_lasso(X, t, lam, tol, max_iter):
-    d, n = X.shape
-    gamma = np.zeros(n)
-    resid = t.astype(np.float64).copy()
-    colsq = np.einsum("ij,ij->j", X, X)
-    sweeps = 0
-    for sweep in range(max_iter):
-        sweeps = sweep + 1
-        max_change = 0.0
-        for k in range(n):
-            ck = colsq[k]
-            if ck <= 0.0:
-                continue
-            new = gamma[k] + (2.0 * float(X[:, k] @ resid) - lam) / (2.0 * ck)
-            if new < 0.0:
-                new = 0.0
-            delta = new - gamma[k]
-            if delta != 0.0:
-                resid -= X[:, k] * delta
-                gamma[k] = new
-            if abs(delta) > max_change:
-                max_change = abs(delta)
-        if max_change < tol:
-            break
-    return gamma, resid, sweeps
-
-
-# ---------------------------------------------------------------------------
-# Gram-form coordinate descent for the same problem
-#
-# Same update rule written against G = X'X, c = X't and tt = t.t, which
-# the appearance model caches per dictionary. Returns the squared
-# residual instead of the residual vector.
+# Per-coordinate closed form, written against G = X'X, c = X't and
+# tt = t.t, which the appearance model caches per dictionary:
+#   g_k <- max(0, g_k + (2 (c_k - (G g)_k) - lam) / (2 G_kk))
+# Columns with G_kk = 0 are pinned to 0. Returns the squared residual.
 # ---------------------------------------------------------------------------
 
 def cd_nn_lasso_gram(G, c, tt, lam, tol, max_iter):
@@ -189,20 +155,22 @@ def bilinear_sample(pixels, rows, cols):
     """Bilinear sample of ``pixels`` at (rows, cols), grids of any shape
     such as (n, h, w); reads outside the image are 0."""
     h, w = pixels.shape
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
+    r0 = np.floor(rows)
+    c0 = np.floor(cols)
     fr = rows - r0
     fc = cols - c0
-
-    def fetch(ri, ci):
-        valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-        vals = pixels[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)]
-        return np.where(valid, vals, 0.0)
-
-    out = fetch(r0, c0) * (1.0 - fr) * (1.0 - fc)
-    out = out + fetch(r0, c0 + 1) * (1.0 - fr) * fc
-    out = out + fetch(r0 + 1, c0) * fr * (1.0 - fc)
-    out = out + fetch(r0 + 1, c0 + 1) * fr * fc
+    # two zero rows and columns on every side: with the base corner
+    # clipped to [-2, h] x [-2, w], every corner outside the image reads
+    # one of those zeros
+    stride = w + 4
+    padded = np.zeros((h + 4, stride))
+    padded[2:-2, 2:-2] = pixels
+    flat = padded.reshape(-1)
+    i = ((np.clip(r0, -2, h) + 2) * stride + (np.clip(c0, -2, w) + 2)).astype(np.intp)
+    out = flat[i] * (1.0 - fr) * (1.0 - fc)
+    out = out + flat[i + 1] * (1.0 - fr) * fc
+    out = out + flat[i + stride] * fr * (1.0 - fc)
+    out = out + flat[i + stride + 1] * fr * fc
     return out
 
 

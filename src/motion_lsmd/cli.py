@@ -83,10 +83,9 @@ def _parse_init(text: str) -> AffineState:
     if len(parts) != 6:
         raise InvalidValue(f'--init needs 6 comma-separated values, got {text!r}')
     try:
-        vals = [float(v) for v in parts]
-    except ValueError as exc:
+        return AffineState(*[float(v) for v in parts])
+    except ValueError as exc:  # unparseable, non-finite or s, alpha <= 0
         raise InvalidValue(f"--init: {exc}") from exc
-    return AffineState(*vals)
 
 
 def _cmd_detect(args) -> int:

@@ -32,10 +32,6 @@ def _any(_v) -> bool:
     return True
 
 
-def _choice(*opts):
-    return lambda v: v in opts
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -74,14 +70,12 @@ SCHEMA: dict[str, tuple[type, object, object, str]] = {
     "tracker.tau_update": (float, 0.3, _unit, "in [0,1]"),
     "tracker.occ_gate": (float, 0.3, _unit, "in [0,1]"),
     "tracker.ring_scale": (float, 1.5, _positive, "> 0"),
-    "tracker.observe": (str, "raw", _choice("raw", "difference"), "raw|difference"),
     "detector.tau_on": (float, 0.5, _non_negative, ">= 0"),
     "detector.tau_off": (float, 0.35, _non_negative, ">= 0"),
     "detector.min_len": (int, 5, _positive, "> 0"),
     "detector.kappa": (float, 0.0, _unit, "in [0,1]"),
     "detector.normalize": (bool, True, _any, "bool"),
     "detector.stride": (int, 1, _positive, "> 0"),
-    "detector.lsmd_input": (str, "difference", _choice("difference", "raw"), "difference|raw"),
     "detector.use_tracker": (bool, False, _any, "bool"),
 }
 
@@ -128,7 +122,6 @@ class Config:
             tau_update=self["tracker.tau_update"],
             occ_gate=self["tracker.occ_gate"],
             ring_scale=self["tracker.ring_scale"],
-            observe=self["tracker.observe"],
             seed=self["pipeline.seed"],
             lambda1=self["sparse.lambda1"],
             solver_tol=self["sparse.tol"],
@@ -157,7 +150,6 @@ class Config:
             kappa=self["detector.kappa"],
             normalize=self["detector.normalize"],
             temporal_stride=self["detector.stride"],
-            lsmd_input=self["detector.lsmd_input"],
             seed=self["pipeline.seed"],
             use_tracker=self["detector.use_tracker"],
             tracker=self.tracker_config(),
@@ -172,10 +164,8 @@ def _convert(key: str, raw: str):
             val = _parse_bool(raw)
         elif typ is int:
             val = int(raw)
-        elif typ is float:
-            val = float(raw)
         else:
-            val = raw
+            val = float(raw)
     except ValueError as exc:
         raise InvalidValue(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
     if typ is float and not math.isfinite(val):

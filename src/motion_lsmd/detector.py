@@ -94,7 +94,6 @@ class DetectorConfig:
     kappa: float = 0.0
     normalize: bool = True
     temporal_stride: int = 1
-    lsmd_input: str = "difference"  # or "raw"
     seed: int = 0
     use_tracker: bool = False
     tracker: object | None = None  # TrackerConfig for the optional branch
@@ -230,6 +229,8 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
         raise InvalidValue(f"synth frame {spec.h}x{spec.w} too small: need h >= 24 and w >= 27")
     if spec.n_frames < 1:
         raise InvalidValue(f"synth needs n_frames >= 1, got {spec.n_frames}")
+    if seed < 0:
+        raise InvalidValue(f"synth seed must be >= 0, got {seed}")
     for start, end, kind in spec.events:
         if not (0 <= start <= end < spec.n_frames):
             raise EventOutOfRange(f"event ({start}, {end}) outside [0, {spec.n_frames})")
@@ -294,10 +295,7 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
 # ---------------------------------------------------------------------------
 
 def _frame_energy(seq: FrameSequence, t: int, cfg: DetectorConfig) -> float:
-    if cfg.lsmd_input == "raw":
-        frame = seq.frames[t]
-    else:
-        frame = frame_difference(seq.frames[t - 1], seq.frames[t])
+    frame = frame_difference(seq.frames[t - 1], seq.frames[t])
     proposals = extract_proposals(frame, cfg.patch_size, cfg.stride)
     fm = feature_matrix(proposals)
     h, w = frame.shape

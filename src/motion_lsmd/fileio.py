@@ -152,6 +152,17 @@ REPORT_HEADER = "name,total_frames,num_events,correct_detections"
 
 
 def write_report_csv(path: str | Path, report: DetectionReport) -> None:
+    """Write the rows, the TOTAL row and the accuracy footer. A row name
+    that ``read_report_rows`` would not read back is refused before the
+    file is opened."""
+    for row in report.rows:
+        name = row.name
+        if name == "TOTAL" or name.startswith("accuracy=") or "".join(name.splitlines()) != name:
+            raise InvalidValue(f"report row name {name!r} is reserved or holds a line break")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidValue(f"report row name {name!r} is not valid text") from exc
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(REPORT_HEADER + "\n")
         for row in report.rows:

@@ -279,6 +279,8 @@ def warp_patches(frame: Frame, states: np.ndarray, out_h: int, out_w: int) -> np
         s, alpha = states[np.argmax(bad), 3:5]
         raise NonPositiveScale(f"s={s}, alpha={alpha}")
     rows, cols = warp_sample_grids(states, out_h, out_w)
+    if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+        raise NonFiniteInput("affine warp overflows: sample coordinates are not finite")
     return _kernels.bilinear_sample(frame.pixels, rows, cols)
 
 

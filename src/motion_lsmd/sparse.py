@@ -2,6 +2,8 @@
 
 Solves min ||t - X g||^2 + lambda1 * ||g||_1 subject to g >= 0, the
 unscaled form (no 1/2 factor), so optimality conditions carry a factor 2.
+``nn_lasso`` runs the Gram-form kernel the tracker's scorer is checked
+against, on X'X, X't and t't.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def nn_lasso(X: np.ndarray, t: np.ndarray, params: SolverParams | None = None) -
         raise BadShape(f"t has shape {t.shape}, expected ({X.shape[0]},)")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(t))):
         raise NonFiniteInput("X and t must be finite")
-    gamma, _resid, sweeps = _kernels.cd_nn_lasso(
-        X, t, float(params.lambda1), float(params.tol), int(params.max_iter)
+    gamma, _resid_sq, sweeps = _kernels.cd_nn_lasso_gram(
+        X.T @ X, X.T @ t, float(t @ t), float(params.lambda1), float(params.tol), int(params.max_iter)
     )
     return SparseCode(
         gamma=gamma,

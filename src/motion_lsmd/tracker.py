@@ -1,10 +1,12 @@
 """Particle-filter tracking with a collaborative sparse appearance model.
 
-Per frame: propose particles from a six-parameter Gaussian motion model,
-weight each candidate patch by the product of a discriminative score
-(holistic templates vs background) and a generative score (local 8x8
-blocks with occlusion masking), take the MAP particle, and update the
-template set when confidence and occlusion gates allow.
+The appearance model scores raw frames: the templates are cut from
+frame 0, and frame t is observed as it is. Per frame: propose particles
+from a six-parameter Gaussian motion model, weight each candidate patch
+by the product of a discriminative score (holistic templates vs
+background) and a generative score (local 8x8 blocks with occlusion
+masking), take the MAP particle, and update the template set when
+confidence and occlusion gates allow.
 
 A frame's particles are scored as a batch (``score_particles``): batched
 warps, then one vectorised Gram-form coordinate descent per dictionary
@@ -36,7 +38,6 @@ from .ingest import (
     Frame,
     FrameSequence,
     Patch,
-    frame_difference,
     unit_columns,
     warp_patch,
     warp_patches,
@@ -110,21 +111,21 @@ class TemplateSet:
 
     Slot 0 holds the first-frame template and is never replaced. The local
     dictionary is organized per block position: shape (P, b*b, m). The
-    normalized holistic/negative matrices are derived caches, rebuilt
-    whenever a TemplateSet is constructed.
+    fields after ``block`` are derived caches, built by ``__post_init__``;
+    the negative ones stay None when there are no negatives.
     """
 
     holistic: list[Patch]
     negatives: list[Patch]
     ages: np.ndarray
     block: int = 8
-    local_dict: np.ndarray = None
-    local_grams: np.ndarray = None
-    local_has_content: np.ndarray = None
-    holistic_dict: np.ndarray = None
-    holistic_gram: np.ndarray = None
-    negative_dict: np.ndarray = None
-    negative_gram: np.ndarray = None
+    local_dict: np.ndarray = field(init=False, default=None, repr=False)
+    local_grams: np.ndarray = field(init=False, default=None, repr=False)
+    local_has_content: np.ndarray = field(init=False, default=None, repr=False)
+    holistic_dict: np.ndarray = field(init=False, default=None, repr=False)
+    holistic_gram: np.ndarray = field(init=False, default=None, repr=False)
+    negative_dict: np.ndarray = field(init=False, default=None, repr=False)
+    negative_gram: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.ages = np.asarray(self.ages, dtype=np.int64)
@@ -169,7 +170,6 @@ class TrackerConfig:
     tau_update: float = 0.3
     occ_gate: float = 0.3
     ring_scale: float = 1.5
-    observe: str = "raw"  # or "difference"
     seed: int = 0
     lambda1: float = 0.01  # holistic coding penalty
     solver_tol: float = 1e-8
@@ -542,12 +542,6 @@ def update_templates(
 # sequence loop
 # ---------------------------------------------------------------------------
 
-def _observation_frame(seq: FrameSequence, t: int, observe: str) -> Frame:
-    if observe == "difference":
-        return frame_difference(seq.frames[t - 1], seq.frames[t])
-    return seq.frames[t]
-
-
 def track_sequence(
     seq: FrameSequence, init: AffineState, config: TrackerConfig | None = None
 ) -> list[TrackResult]:
@@ -561,21 +555,20 @@ def track_sequence(
     solver = SolverParams(lambda1=cfg.lambda1, max_iter=cfg.solver_max_iter, tol=cfg.solver_tol)
     size = cfg.template_size
 
-    first = _observation_frame(seq, 1, cfg.observe) if cfg.observe == "difference" else seq.frames[0]
-    templates = make_template_set(first, init, cfg)
+    templates = make_template_set(seq.frames[0], init, cfg)
 
     prev = init
     results: list[TrackResult] = []
     for t in range(1, len(seq)):
-        obs = _observation_frame(seq, t, cfg.observe)
+        frame = seq.frames[t]
         particles = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
         particles.frame_index = t
-        scores = score_particles(obs, particles.states, templates, solver, cfg.sigma_c, cfg.eps_occ, size)
+        scores = score_particles(frame, particles.states, templates, solver, cfg.sigma_c, cfg.eps_occ, size)
         particles.likelihoods = scores.likelihood
         particles.occlusions = scores.occluded.mean(axis=1)
         result = map_estimate(particles)
-        patch = warp_patch(obs, result.state, size, size)
-        templates = update_templates(templates, result, patch, obs, cfg)
+        patch = warp_patch(frame, result.state, size, size)
+        templates = update_templates(templates, result, patch, frame, cfg)
         prev = result.state
         results.append(result)
     return results

@@ -4,14 +4,15 @@ The oracles share no code with the implementations under test: the
 non-negative lasso oracle enumerates support sets, the prox oracles run
 projected subgradient descent refined by (a) dual block projections for
 group norms and (b) a smoothed quasi-Newton continuation for the nuclear
-norm, and the warp oracle interpolates one output pixel at a time. Three
+norm, and the warp oracle interpolates one output pixel at a time. Four
 references are exceptions, kept as the exact results the faster code
 must reproduce: the tracker's reference scorer scores particles one at a
-time with the scalar kernels; the reference k-means and index tree are
-the tree builder as it was before its distinct-row count and Lloyd step
-were made cheaper; and the reference tree norm, tree prox and LSMD loop
-work node by node and take a second SVD per iteration for the
-objective's nuclear norm.
+time with the scalar kernels; the reference bilinear sampler reads each
+corner through its own clip, gather and mask; the reference k-means and
+index tree are the tree builder as it was before its distinct-row count
+and Lloyd step were made cheaper; and the reference tree norm, tree prox
+and LSMD loop work node by node and take a second SVD per iteration for
+the objective's nuclear norm.
 """
 
 from __future__ import annotations
@@ -236,6 +237,27 @@ def warp_reference(pixels: np.ndarray, state, out_h: int, out_w: int) -> np.ndar
                 if 0 <= ri < h and 0 <= ci < w:
                     acc += pixels[ri, ci] * wgt
             out[u, v] = acc
+    return out
+
+
+def reference_bilinear_sample(pixels, rows, cols):
+    """``_kernels.bilinear_sample`` as it was before it gathered from a
+    padded frame: one clip, gather and validity mask per corner."""
+    h, w = pixels.shape
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    fr = rows - r0
+    fc = cols - c0
+
+    def fetch(ri, ci):
+        valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
+        vals = pixels[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)]
+        return np.where(valid, vals, 0.0)
+
+    out = fetch(r0, c0) * (1.0 - fr) * (1.0 - fc)
+    out = out + fetch(r0, c0 + 1) * (1.0 - fr) * fc
+    out = out + fetch(r0 + 1, c0) * fr * (1.0 - fc)
+    out = out + fetch(r0 + 1, c0 + 1) * fr * fc
     return out
 
 

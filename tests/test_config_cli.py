@@ -15,7 +15,7 @@ from report_fixture import ROWS
 
 def run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "motion_lsmd", *[str(a) for a in args]],
+        [sys.executable, "-m", "motion_lsmd", *[a if isinstance(a, bytes) else str(a) for a in args]],
         capture_output=True,
         text=True,
     )
@@ -68,9 +68,10 @@ class TestParseConfig:
         with pytest.raises(errors.RangeError):
             parse_config(None, overrides=["detector.tau_off=0.9"])
 
-    def test_choice_keys(self):
-        with pytest.raises(errors.RangeError):
-            parse_config(None, overrides=["tracker.observe=color"])
+    @pytest.mark.parametrize("override", ["tracker.observe=raw", "detector.lsmd_input=difference"])
+    def test_removed_keys_are_unknown(self, override):
+        with pytest.raises(errors.UnknownKey):
+            parse_config(None, overrides=[override])
 
     def test_bool_parsing(self):
         cfg = parse_config(None, overrides=["detector.normalize=off"])
@@ -256,6 +257,39 @@ class TestCliErrors:
     def test_bad_init_string(self, synth_dir, tmp_path):
         res = run_cli(["track", synth_dir, "--init", "1,2,3", "--out", tmp_path / "t.csv"])
         assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "init", ["32,32,0,0,1,0", "32,32,0,1,-1,0", "32,nan,0,1,1,0", "32,32,inf,1,1,0", "32,32,0,1e200,1e200,0"],
+        ids=["zero-scale", "negative-alpha", "nan", "inf", "overflowing-warp"],
+    )
+    def test_init_outside_the_state_domain(self, synth_dir, tmp_path, init):
+        res = run_cli(["track", synth_dir, "--init", init, "--out", tmp_path / "t.csv"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.splitlines()[-1].startswith("error: "), res.stderr  # after any overflow warnings
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_negative_synth_seed(self, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("n_frames = 4\n", encoding="utf-8")
+        res = run_cli(["synth", "--spec", spec, "--seed", "-1", "--out-dir", tmp_path / "frames"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: "), res.stderr
+
+    @pytest.mark.parametrize(
+        "name", ["TOTAL", "accuracy=1.0", "two\nlines", "cr\rreturn", "sep\u2028line", b"bad\xff"],
+        ids=["total", "accuracy", "newline", "carriage-return", "line-separator", "not-utf8"],
+    )
+    def test_eval_name_that_would_corrupt_the_report(self, tmp_path, name):
+        events = tmp_path / "e.csv"
+        events.write_text("start,end,kind\n2,8,burst\n", encoding="utf-8")
+        report = tmp_path / "report.csv"
+        args = ["eval", "--events", events, "--truth", events, "--append", report]
+        assert run_cli([*args, "--name", "clip"]).returncode == 0
+        before = report.read_bytes()
+        res = run_cli([*args, "--name", name])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: report row name"), res.stderr
+        assert report.read_bytes() == before
 
     @pytest.mark.parametrize(
         "command, text",

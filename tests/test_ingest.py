@@ -216,6 +216,12 @@ class TestWarpPatch:
         with pytest.raises(errors.NonPositiveScale):
             warp_patch(frame, state, 8, 8)
 
+    def test_overflowing_warp_rejected(self):
+        # s * alpha overflows to inf, and inf * 0 on the grid's centre row is nan
+        state = AffineState(l_x=8, l_y=8, s=1e200, alpha=1e200)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(errors.NonFiniteInput):
+            warp_patch(make_frame(np.zeros((16, 16))), state, 8, 8)
+
 
 # ---------------------------------------------------------------------------
 # proposals and features

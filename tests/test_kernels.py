@@ -1,10 +1,11 @@
-"""The scalar kernels against each other, and the batched Gram-form
-solver against the scalar one."""
+"""The scalar kernels against each other, the batched Gram-form solver
+against the scalar one, and the bilinear sampler against its reference."""
 
 import numpy as np
 import pytest
 
 from motion_lsmd import _kernels
+from oracles import reference_bilinear_sample
 
 
 def lasso_instance(seed, d=12, n=20):
@@ -13,15 +14,6 @@ def lasso_instance(seed, d=12, n=20):
 
 
 class TestScalarKernels:
-    def test_gram_form_agrees_with_residual_form(self):
-        for seed in range(10):
-            X, t = lasso_instance(seed, d=30, n=8)
-            g_res, resid, _ = _kernels.cd_nn_lasso(X, t, 0.02, 1e-12, 1000)
-            G, c = X.T @ X, X.T @ t
-            g_gram, rsq, _ = _kernels.cd_nn_lasso_gram(G, c, float(t @ t), 0.02, 1e-12, 1000)
-            assert np.allclose(g_res, g_gram, atol=1e-6)
-            assert np.isclose(float(resid @ resid), rsq, atol=1e-8)
-
     def test_block_residuals_solve_each_block(self):
         rng = np.random.default_rng(4)
         dicts = np.abs(rng.standard_normal((4, 16, 5)))
@@ -39,7 +31,7 @@ class TestScalarKernels:
     def test_zero_column_pinned(self):
         X = np.array([[1.0, 0.0], [0.5, 0.0]])
         t = np.array([1.0, 1.0])
-        g, _r, _s = _kernels.cd_nn_lasso(X, t, 0.01, 1e-10, 100)
+        g, _r, _s = _kernels.cd_nn_lasso_gram(X.T @ X, X.T @ t, float(t @ t), 0.01, 1e-10, 100)
         assert g[1] == 0.0
 
 
@@ -65,3 +57,23 @@ class TestBatchedGramCD:
                 assert (sweeps == 4).all()  # every problem hits max_iter
             else:
                 assert sweeps.min() < sweeps.max()  # problems stop at different sweeps
+
+
+class TestBilinearSample:
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 7), (9, 5), (64, 160)])
+    def test_bit_equal_to_reference(self, h, w):
+        rng = np.random.default_rng(h * 1000 + w)
+        pixels = rng.uniform(-1.0, 1.0, (h, w))
+        # every edge crossed: corners from two pixels outside to two past
+        # the far side, on both axes and at fractional and integer points
+        span_r = np.concatenate([np.linspace(-3.0, h + 2.0, 4 * h + 21), np.arange(-3, h + 3)])
+        span_c = np.concatenate([np.linspace(-3.0, w + 2.0, 4 * w + 21), np.arange(-3, w + 3)])
+        rows, cols = np.meshgrid(span_r, span_c, indexing="ij")
+        far = np.array([-1e6, -1e6 + 0.25, -2.5, 0.5, 1e6 - 0.75, 1e6])
+        far_r, far_c = np.meshgrid(far, far, indexing="ij")
+        batch = rng.uniform(-4.0, h + 4.0, (3, 8, 8)), rng.uniform(-4.0, w + 4.0, (3, 8, 8))
+        for r, c in ((rows, cols), (far_r, far_c), batch):
+            got = _kernels.bilinear_sample(pixels, r, c)
+            want = reference_bilinear_sample(pixels, r, c)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # bits, so -0.0 != 0.0
