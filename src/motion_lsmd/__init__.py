@@ -17,7 +17,6 @@ from .detector import (
     synth_sequence,
 )
 from .ingest import (
-    FeatureMatrix,
     Frame,
     FrameSequence,
     ProposalSet,

@@ -114,7 +114,7 @@ def _cmd_decompose(args) -> int:
     pos = (np.arange(n, dtype=np.float64) / max(n - 1, 1))[:, None]
     points = np.hstack([pos, data.T])
     tree = build_index_tree(points, k=cfg["lsmd.k"], seed=cfg["pipeline.seed"])
-    dec = decompose(data, tree, uniform_weights(tree, cfg["lsmd.group_weight"]), cfg.lsmd_params())
+    dec = decompose(data, tree, uniform_weights(tree), cfg.lsmd_params())
     prefix = args.out_prefix
     fileio.write_matrix_csv(f"{prefix}_L.csv", dec.L)
     fileio.write_matrix_csv(f"{prefix}_S.csv", dec.S)

@@ -13,6 +13,7 @@ import numpy as np
 from .detector import DetectorConfig
 from .errors import InvalidValue, RangeError, UnknownKey
 from .lsmd import LsmdParams
+from .sparse import SolverParams
 from .tracker import MotionModelParams, TrackerConfig
 
 
@@ -56,7 +57,6 @@ SCHEMA: dict[str, tuple[type, object, object, str]] = {
     "lsmd.max_iter": (int, 200, _positive, "> 0"),
     "lsmd.rel_tol": (float, 1e-6, _positive, "> 0"),
     "lsmd.k": (int, 4, lambda v: v >= 2, ">= 2"),
-    "lsmd.group_weight": (float, 1.0, _positive, "> 0"),
     "tracker.n_particles": (int, 600, _positive, "> 0"),
     "tracker.sigma_lx": (float, 4.0, _non_negative, ">= 0"),
     "tracker.sigma_ly": (float, 4.0, _non_negative, ">= 0"),
@@ -76,7 +76,6 @@ SCHEMA: dict[str, tuple[type, object, object, str]] = {
     "detector.kappa": (float, 0.0, _unit, "in [0,1]"),
     "detector.normalize": (bool, True, _any, "bool"),
     "detector.stride": (int, 1, _positive, "> 0"),
-    "detector.use_tracker": (bool, False, _any, "bool"),
 }
 
 
@@ -123,9 +122,11 @@ class Config:
             occ_gate=self["tracker.occ_gate"],
             ring_scale=self["tracker.ring_scale"],
             seed=self["pipeline.seed"],
-            lambda1=self["sparse.lambda1"],
-            solver_tol=self["sparse.tol"],
-            solver_max_iter=self["sparse.max_iter"],
+            solver=SolverParams(
+                lambda1=self["sparse.lambda1"],
+                max_iter=self["sparse.max_iter"],
+                tol=self["sparse.tol"],
+            ),
         )
 
     def lsmd_params(self) -> LsmdParams:
@@ -143,7 +144,6 @@ class Config:
             stride=self["ingest.stride"],
             tree_k=self["lsmd.k"],
             lsmd=self.lsmd_params(),
-            group_weight=self["lsmd.group_weight"],
             tau_on=self["detector.tau_on"],
             tau_off=self["detector.tau_off"],
             min_len=self["detector.min_len"],
@@ -151,7 +151,6 @@ class Config:
             normalize=self["detector.normalize"],
             temporal_stride=self["detector.stride"],
             seed=self["pipeline.seed"],
-            use_tracker=self["detector.use_tracker"],
             tracker=self.tracker_config(),
         )
 

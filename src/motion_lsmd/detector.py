@@ -87,16 +87,14 @@ class DetectorConfig:
     stride: int = 8
     tree_k: int = 4
     lsmd: LsmdParams = field(default_factory=LsmdParams)
-    group_weight: float = 1.0
     tau_on: float = 0.5
     tau_off: float = 0.35
     min_len: int = 5
-    kappa: float = 0.0
+    kappa: float = 0.0  # > 0 runs the tracker branch
     normalize: bool = True
     temporal_stride: int = 1
     seed: int = 0
-    use_tracker: bool = False
-    tracker: object | None = None  # TrackerConfig for the optional branch
+    tracker: object | None = None  # TrackerConfig of the tracker branch
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +295,12 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
 def _frame_energy(seq: FrameSequence, t: int, cfg: DetectorConfig) -> float:
     frame = frame_difference(seq.frames[t - 1], seq.frames[t])
     proposals = extract_proposals(frame, cfg.patch_size, cfg.stride)
-    fm = feature_matrix(proposals)
+    data = feature_matrix(proposals)
     h, w = frame.shape
     tree = build_index_tree(
-        clustering_points(fm, h, w), k=cfg.tree_k, seed=cfg.seed * 7919 + t
+        clustering_points(proposals, data, h, w), k=cfg.tree_k, seed=cfg.seed * 7919 + t
     )
-    weights = uniform_weights(tree, cfg.group_weight)
-    dec = decompose(fm, tree, weights, cfg.lsmd)
+    dec = decompose(data, tree, uniform_weights(tree), cfg.lsmd)
     scores = activity_scores(dec.S, proposals, motion_prior(proposals))
     return frame_activity_energy(scores)
 
@@ -322,8 +319,9 @@ def run_detection(
 
     by_frame = {t: _frame_energy(seq, t, cfg) for t in range(1, len(seq), cfg.temporal_stride)}
 
+    # with kappa = 0 the tracker's confidence cannot change a combined score
     tracker_conf = {t: 0.0 for t in range(1, len(seq))}
-    if cfg.use_tracker:
+    if cfg.kappa > 0:
         from .tracker import AffineState, TrackerConfig, track_sequence
 
         # auto-init on the strongest first difference

@@ -6,7 +6,7 @@ All functions are pure; nothing here keeps mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -93,35 +93,20 @@ class FrameSequence:
 
 @dataclass
 class ProposalSet:
-    """Axis-aligned grid patches cut from one frame."""
+    """Axis-aligned grid patches cut from one frame: ``patches`` (n, p, p)
+    and their centres (row, col) as ``coords`` (n, 2)."""
 
-    patches: list[Patch]
-    coords: list[tuple[int, int]]
-    grid: tuple[int, int, int] = (0, 0, 1)  # (rows, cols, stride)
+    patches: np.ndarray
+    coords: np.ndarray
 
     def __post_init__(self):
+        self.patches = np.asarray(self.patches, dtype=np.float64)
+        self.coords = np.asarray(self.coords, dtype=np.int64)
         if len(self.patches) != len(self.coords):
             raise ValueError("patches and coords length mismatch")
 
     def __len__(self) -> int:
         return len(self.patches)
-
-
-@dataclass
-class FeatureMatrix:
-    """d x n matrix; column j is the unit-normalized vectorized patch j."""
-
-    data: np.ndarray
-    coords: list[tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
-
-    @property
-    def n_columns(self) -> int:
-        return self.data.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +274,8 @@ def warp_patches(frame: Frame, states: np.ndarray, out_h: int, out_w: int) -> np
 # ---------------------------------------------------------------------------
 
 def extract_proposals(frame: Frame, patch_size: int, stride: int) -> ProposalSet:
-    """Regular grid of axis-aligned patches fully inside the frame."""
+    """Regular grid of axis-aligned patches fully inside the frame, in
+    raster order."""
     h, w = frame.shape
     if patch_size > min(h, w):
         raise PatchTooLarge(f"patch {patch_size} exceeds frame {h}x{w}")
@@ -297,16 +283,17 @@ def extract_proposals(frame: Frame, patch_size: int, stride: int) -> ProposalSet
         raise ValueError("stride must be >= 1")
     rows = (h - patch_size) // stride + 1
     cols = (w - patch_size) // stride + 1
-    half = patch_size // 2
-    patches: list[Patch] = []
-    coords: list[tuple[int, int]] = []
-    for ri in range(rows):
-        r = ri * stride
-        for ci in range(cols):
-            c = ci * stride
-            patches.append(frame.pixels[r : r + patch_size, c : c + patch_size].copy())
-            coords.append((r + half, c + half))
-    return ProposalSet(patches=patches, coords=coords, grid=(rows, cols, stride))
+    pixels = frame.pixels
+    sr, sc = pixels.strides
+    grid = np.lib.stride_tricks.as_strided(
+        pixels,
+        shape=(rows, cols, patch_size, patch_size),
+        strides=(sr * stride, sc * stride, sr, sc),
+        writeable=False,
+    )
+    patches = np.ascontiguousarray(grid.reshape(rows * cols, patch_size, patch_size))
+    coords = np.indices((rows, cols)).reshape(2, -1).T * stride + patch_size // 2
+    return ProposalSet(patches=patches, coords=coords)
 
 
 def unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -316,9 +303,12 @@ def unit_columns(mat: np.ndarray) -> np.ndarray:
     return mat / safe
 
 
-def feature_matrix(proposals: ProposalSet) -> FeatureMatrix:
-    """Column j = unit-normalized row-major vectorization of patch j."""
-    if len(proposals) == 0:
+def feature_matrix(proposals: ProposalSet) -> np.ndarray:
+    """d x n matrix; column j is the unit-normalized row-major
+    vectorization of patch j."""
+    n = len(proposals)
+    if n == 0:
         raise EmptyProposals("no proposals to featurize")
-    cols = np.stack([p.reshape(-1) for p in proposals.patches], axis=1)
-    return FeatureMatrix(data=unit_columns(cols), coords=list(proposals.coords))
+    # in C order unit_columns' norms sum each column row after row; the
+    # last bits of every detection output depend on that order
+    return unit_columns(np.ascontiguousarray(proposals.patches.reshape(n, -1).T))

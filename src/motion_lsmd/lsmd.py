@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NegativeTau, NonFiniteInput, ShapeMismatch
-from .ingest import FeatureMatrix, ProposalSet
+from .ingest import ProposalSet
 from .sparse import soft_threshold
 
 
@@ -107,10 +107,8 @@ class IndexTree:
 TreeWeights = dict[int, float]
 
 
-def uniform_weights(tree: IndexTree, value: float = 1.0) -> TreeWeights:
-    if value <= 0:
-        raise ValueError("group weight must be > 0")
-    return {n.id: value for n in tree.nodes}
+def uniform_weights(tree: IndexTree) -> TreeWeights:
+    return {n.id: 1.0 for n in tree.nodes}
 
 
 @dataclass
@@ -272,13 +270,15 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
     return IndexTree(nodes=nodes, root=0, k=k)
 
 
-def clustering_points(features: FeatureMatrix, height: int, width: int) -> np.ndarray:
-    """Per-proposal clustering vector: [row/height, col/width, feature]."""
-    coords = np.array(features.coords, dtype=np.float64)
-    if coords.shape[0] != features.n_columns:
+def clustering_points(
+    proposals: ProposalSet, data: np.ndarray, height: int, width: int
+) -> np.ndarray:
+    """Per-proposal clustering vector [row/height, col/width, feature],
+    from the proposals' centres and their feature matrix ``data``."""
+    if len(proposals) != data.shape[1]:
         raise ShapeMismatch("coords do not match feature columns")
-    scaled = coords / np.array([height, width], dtype=np.float64)
-    return np.hstack([scaled, features.data.T])
+    scaled = proposals.coords / np.array([height, width], dtype=np.float64)
+    return np.hstack([scaled, data.T])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def prox_nuclear(
 # ---------------------------------------------------------------------------
 
 def decompose(
-    F: FeatureMatrix | np.ndarray,
+    F: np.ndarray,
     tree: IndexTree,
     weights: TreeWeights,
     params: LsmdParams | None = None,
@@ -386,7 +386,7 @@ def decompose(
     """Alternating exact proximal minimization over L and S."""
     if params is None:
         params = LsmdParams()
-    data = F.data if isinstance(F, FeatureMatrix) else np.asarray(F, dtype=np.float64)
+    data = np.asarray(F, dtype=np.float64)
     _check_tree_shape(data, tree)
 
     def objective(residual: np.ndarray, S: np.ndarray, nuclear: float) -> float:
@@ -432,7 +432,7 @@ def motion_prior(proposals: ProposalSet) -> np.ndarray:
 
     An all-zero prior maps to uniform 1 so it never suppresses scores.
     """
-    means = np.array([float(p.mean()) for p in proposals.patches])
+    means = proposals.patches.mean(axis=(1, 2))
     top = means.max() if means.size else 0.0
     if top <= 0.0:
         return np.ones_like(means)

@@ -110,15 +110,15 @@ class TemplateSet:
     """Holistic template dictionary plus per-position local block dictionary.
 
     Slot 0 holds the first-frame template and is never replaced. The local
-    dictionary is organized per block position: shape (P, b*b, m). The
-    fields after ``block`` are derived caches, built by ``__post_init__``;
-    the negative ones stay None when there are no negatives.
+    dictionary is organized per block position: shape (P, BLOCK*BLOCK, m).
+    The fields after ``ages`` are derived caches, built by
+    ``__post_init__``; the negative ones stay None when there are no
+    negatives.
     """
 
     holistic: list[Patch]
     negatives: list[Patch]
     ages: np.ndarray
-    block: int = 8
     local_dict: np.ndarray = field(init=False, default=None, repr=False)
     local_grams: np.ndarray = field(init=False, default=None, repr=False)
     local_has_content: np.ndarray = field(init=False, default=None, repr=False)
@@ -129,7 +129,7 @@ class TemplateSet:
 
     def __post_init__(self):
         self.ages = np.asarray(self.ages, dtype=np.int64)
-        self.local_dict = build_local_dict(self.holistic, self.block)
+        self.local_dict = build_local_dict(self.holistic)
         self.local_grams = np.einsum("pij,pik->pjk", self.local_dict, self.local_dict)
         self.local_has_content = np.any(self.local_dict != 0.0, axis=(1, 2))
         self.holistic_dict = unit_columns(
@@ -164,17 +164,17 @@ class TrackerConfig:
     motion: MotionModelParams = field(default_factory=MotionModelParams)
     n_templates: int = 10
     template_size: int = CANONICAL_SIZE
-    block: int = 8
     sigma_c: float = 0.1
     eps_occ: float = 0.15
     tau_update: float = 0.3
     occ_gate: float = 0.3
     ring_scale: float = 1.5
     seed: int = 0
-    lambda1: float = 0.01  # holistic coding penalty
-    solver_tol: float = 1e-8
-    solver_max_iter: int = 500
+    solver: SolverParams = field(default_factory=SolverParams)  # holistic coding
 
+
+# SCM's local appearance model codes BLOCK x BLOCK pixel blocks
+BLOCK = 8
 
 # local block coding runs unregularized so an exactly representable block
 # reports zero residual
@@ -196,20 +196,21 @@ def _vec_unit(patch: Patch) -> np.ndarray:
     return v / nrm if nrm > 0 else v
 
 
-def _blocks(patch: Patch, b: int) -> np.ndarray:
+def _blocks(patch: Patch) -> np.ndarray:
     h, w = patch.shape
+    b = BLOCK
     if h % b or w % b:
         raise BadBlocking(f"patch {h}x{w} not divisible into {b}x{b} blocks")
     grid = patch.reshape(h // b, b, w // b, b).swapaxes(1, 2)
     return grid.reshape(-1, b * b)  # raster order over block positions
 
 
-def build_local_dict(holistic: list[Patch], b: int) -> np.ndarray:
-    """(P, b*b, m) dictionary: position p holds the normalized p-th block
-    of every holistic template."""
-    per_template = [_blocks(h, b) for h in holistic]  # each (P, b*b)
+def build_local_dict(holistic: list[Patch]) -> np.ndarray:
+    """(P, BLOCK*BLOCK, m) dictionary: position p holds the normalized
+    p-th block of every holistic template."""
+    per_template = [_blocks(h) for h in holistic]  # each (P, BLOCK*BLOCK)
     P = per_template[0].shape[0]
-    out = np.empty((P, b * b, len(holistic)))
+    out = np.empty((P, BLOCK * BLOCK, len(holistic)))
     for j, blocks in enumerate(per_template):
         for p in range(P):
             out[p, :, j] = _vec_unit(blocks[p])
@@ -230,7 +231,6 @@ def make_template_set(
         holistic=holistic,
         negatives=negatives,
         ages=np.zeros(cfg.n_templates, dtype=np.int64),
-        block=cfg.block,
     )
 
 
@@ -314,7 +314,7 @@ def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
     blocks, in raster order, and which blocks those are. The sums run
     pixel by pixel, as ``_kernels.block_residuals`` takes them."""
     n, h, w = patches.shape
-    b = templates.block
+    b = BLOCK
     if h % b or w % b:
         raise BadBlocking(f"patch {h}x{w} not divisible into {b}x{b} blocks")
     P = (h // b) * (w // b)
@@ -464,8 +464,7 @@ def generative_confidence(
     residuals, _sweeps = _block_codes(*_block_coefficients(_one(candidate), templates), templates)
     h_g, occluded = _generative(residuals, eps_occ)
     h, w = np.shape(candidate)
-    b = templates.block
-    return float(h_g[0]), occluded[0].reshape(h // b, w // b)
+    return float(h_g[0]), occluded[0].reshape(h // BLOCK, w // BLOCK)
 
 
 def observation_likelihood(
@@ -530,12 +529,7 @@ def update_templates(
     holistic[slot] = np.asarray(result_patch, dtype=np.float64).copy()
     ages[slot] = result.frame_index
     negatives = _ring_negatives(frame, result.state, cfg)
-    return TemplateSet(
-        holistic=holistic,
-        negatives=negatives,
-        ages=ages,
-        block=templates.block,
-    )
+    return TemplateSet(holistic=holistic, negatives=negatives, ages=ages)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +546,6 @@ def track_sequence(
     h, w = seq.shape
     if not (0 <= init.l_x < w and 0 <= init.l_y < h):
         raise InitOutOfBounds(f"init center ({init.l_x}, {init.l_y}) outside {h}x{w}")
-    solver = SolverParams(lambda1=cfg.lambda1, max_iter=cfg.solver_max_iter, tol=cfg.solver_tol)
     size = cfg.template_size
 
     templates = make_template_set(seq.frames[0], init, cfg)
@@ -563,7 +556,7 @@ def track_sequence(
         frame = seq.frames[t]
         particles = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
         particles.frame_index = t
-        scores = score_particles(frame, particles.states, templates, solver, cfg.sigma_c, cfg.eps_occ, size)
+        scores = score_particles(frame, particles.states, templates, cfg.solver, cfg.sigma_c, cfg.eps_occ, size)
         particles.likelihoods = scores.likelihood
         particles.occlusions = scores.occluded.mean(axis=1)
         result = map_estimate(particles)

@@ -4,15 +4,16 @@ The oracles share no code with the implementations under test: the
 non-negative lasso oracle enumerates support sets, the prox oracles run
 projected subgradient descent refined by (a) dual block projections for
 group norms and (b) a smoothed quasi-Newton continuation for the nuclear
-norm, and the warp oracle interpolates one output pixel at a time. Four
+norm, and the warp oracle interpolates one output pixel at a time. Five
 references are exceptions, kept as the exact results the faster code
-must reproduce: the tracker's reference scorer scores particles one at a
-time with the scalar kernels; the reference bilinear sampler reads each
-corner through its own clip, gather and mask; the reference k-means and
-index tree are the tree builder as it was before its distinct-row count
-and Lloyd step were made cheaper; and the reference tree norm, tree prox
-and LSMD loop work node by node and take a second SVD per iteration for
-the objective's nuclear norm.
+must reproduce: the reference proposal grid, feature matrix and motion
+prior work one patch at a time; the tracker's reference scorer scores
+particles one at a time with the scalar kernels; the reference bilinear
+sampler reads each corner through its own clip, gather and mask; the
+reference k-means and index tree are the tree builder as it was before
+its distinct-row count and Lloyd step were made cheaper; and the
+reference tree norm, tree prox and LSMD loop work node by node and take
+a second SVD per iteration for the objective's nuclear norm.
 """
 
 from __future__ import annotations
@@ -202,6 +203,37 @@ def prox_nuclear_oracle(V, tau, eps_schedule=(1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-
             if attempt % 2 == 1:  # shake off a line-search stall
                 zf = zf + 1e-9 * np.random.default_rng(attempt).standard_normal(zf.shape)
     return zf.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# proposals: one patch copy at a time
+# ---------------------------------------------------------------------------
+
+def reference_extract_proposals(pixels: np.ndarray, patch_size: int, stride: int):
+    """(patches, coords) as lists: a copy of each grid patch in raster
+    order, and its centre (row, col)."""
+    h, w = pixels.shape
+    half = patch_size // 2
+    patches, coords = [], []
+    for r in range(0, h - patch_size + 1, stride):
+        for c in range(0, w - patch_size + 1, stride):
+            patches.append(pixels[r : r + patch_size, c : c + patch_size].copy())
+            coords.append((r + half, c + half))
+    return patches, coords
+
+
+def reference_feature_matrix(patches: list[np.ndarray]) -> np.ndarray:
+    """The vectorized patches stacked as columns, each scaled to unit norm."""
+    from motion_lsmd.ingest import unit_columns
+
+    return unit_columns(np.stack([p.reshape(-1) for p in patches], axis=1))
+
+
+def reference_motion_prior(patches: list[np.ndarray]) -> np.ndarray:
+    """Each patch's mean, one ``.mean()`` at a time, max-normalized."""
+    means = np.array([float(p.mean()) for p in patches])
+    top = means.max()
+    return means / top if top > 0.0 else np.ones_like(means)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +431,10 @@ def reference_particle_scores(frame, states, templates, params, sigma_c, eps_occ
     """
     from motion_lsmd import _kernels
     from motion_lsmd.ingest import warp_patch
-    from motion_lsmd.tracker import _LOCAL_LAMBDA, _LOCAL_MAX_ITER, _LOCAL_TOL, AffineState
+    from motion_lsmd.tracker import _LOCAL_LAMBDA, _LOCAL_MAX_ITER, _LOCAL_TOL, BLOCK, AffineState
 
     n = len(states)
-    b = templates.block
+    b = BLOCK
     P = templates.local_dict.shape[0]
     out = {
         "likelihood": np.empty(n),

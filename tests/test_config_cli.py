@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ import pytest
 
 from motion_lsmd import cli, errors, fileio
 from motion_lsmd.config import Config, default_config, parse_config
-from motion_lsmd.detector import run_detection
+from motion_lsmd.detector import DetectorConfig, run_detection
 from motion_lsmd.ingest import load_frame_sequence
+from motion_lsmd.lsmd import LsmdParams
+from motion_lsmd.tracker import TrackerConfig
 
 from report_fixture import ROWS
 
@@ -19,6 +22,22 @@ def run_cli(args):
         capture_output=True,
         text=True,
     )
+
+
+def assert_same_fields(got, want):
+    """Dataclasses equal field by field; a ``tracker`` of None counts as
+    TrackerConfig(), and arrays compare elementwise."""
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "tracker":
+            a, b = (TrackerConfig() if v is None else v for v in (a, b))
+        if dataclasses.is_dataclass(b):
+            assert_same_fields(a, b)
+        elif isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +87,15 @@ class TestParseConfig:
         with pytest.raises(errors.RangeError):
             parse_config(None, overrides=["detector.tau_off=0.9"])
 
-    @pytest.mark.parametrize("override", ["tracker.observe=raw", "detector.lsmd_input=difference"])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "tracker.observe=raw",
+            "detector.lsmd_input=difference",
+            "detector.use_tracker=true",
+            "lsmd.group_weight=1.0",
+        ],
+    )
     def test_removed_keys_are_unknown(self, override):
         with pytest.raises(errors.UnknownKey):
             parse_config(None, overrides=[override])
@@ -85,6 +112,12 @@ class TestParseConfig:
         parse_config(None, overrides=["pipeline.seed=3"], verbose=True)
         err = capsys.readouterr().err
         assert "pipeline.seed = 3" in err
+
+    def test_default_views_equal_dataclass_defaults(self):
+        cfg = default_config()
+        assert_same_fields(cfg.detector_config(), DetectorConfig())
+        assert_same_fields(cfg.tracker_config(), TrackerConfig())
+        assert_same_fields(cfg.lsmd_params(), LsmdParams())
 
     def test_views_reflect_overrides(self):
         cfg = parse_config(None, overrides=["lsmd.mu_S=0.2", "tracker.sigma_lx=1.5", "ingest.stride=4"])

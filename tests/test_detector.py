@@ -273,7 +273,6 @@ class TestRunDetection:
 
         seq, _ = synth_sequence(SynthSpec(64, 64, 12, [(2, 9, "burst")]), seed=9)
         cfg = DetectorConfig(
-            use_tracker=True,
             kappa=0.2,
             tracker=TrackerConfig(n_particles=20, seed=1),
         )

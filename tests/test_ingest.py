@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motion_lsmd import errors
+from motion_lsmd.detector import SynthSpec, synth_sequence
 from motion_lsmd.ingest import (
     Frame,
+    ProposalSet,
     extract_proposals,
     feature_matrix,
     frame_difference,
@@ -15,9 +17,15 @@ from motion_lsmd.ingest import (
     warp_patch,
     write_pgm,
 )
+from motion_lsmd.lsmd import motion_prior
 from motion_lsmd.tracker import AffineState
 
-from oracles import warp_reference
+from oracles import (
+    reference_extract_proposals,
+    reference_feature_matrix,
+    reference_motion_prior,
+    warp_reference,
+)
 
 
 def make_frame(pixels, index=0):
@@ -231,7 +239,7 @@ class TestExtractProposals:
     def test_four_proposals_on_64(self):
         frame = make_frame(np.zeros((64, 64)))
         props = extract_proposals(frame, 32, 32)
-        assert props.coords == [(16, 16), (16, 48), (48, 16), (48, 48)]
+        assert props.coords.tolist() == [[16, 16], [16, 48], [48, 16], [48, 48]]
 
     def test_single_placement(self):
         frame = make_frame(np.zeros((32, 32)))
@@ -241,7 +249,7 @@ class TestExtractProposals:
         frame = make_frame(np.zeros((64, 48)))
         props = extract_proposals(frame, 16, 16)
         assert len(props) == 12
-        assert props.grid == (4, 3, 16)
+        assert props.patches.shape == (12, 16, 16)
 
     def test_patch_too_large(self):
         with pytest.raises(errors.PatchTooLarge):
@@ -264,28 +272,22 @@ class TestExtractProposals:
 
 class TestFeatureMatrix:
     def test_zero_patch_stays_zero(self):
-        from motion_lsmd.ingest import ProposalSet
-
         props = ProposalSet(patches=[np.zeros((4, 4))], coords=[(2, 2)])
         fm = feature_matrix(props)
-        assert np.all(fm.data == 0.0)
+        assert np.all(fm == 0.0)
 
     def test_constant_patch_normalization(self):
-        from motion_lsmd.ingest import ProposalSet
-
         props = ProposalSet(patches=[np.full((2, 2), 0.7)], coords=[(1, 1)])
         fm = feature_matrix(props)
-        assert np.allclose(fm.data[:, 0], 0.5)
+        assert np.allclose(fm[:, 0], 0.5)
 
     def test_unit_norms_random(self):
         rng = np.random.default_rng(11)
         frame = make_frame(rng.random((32, 32)))
         fm = feature_matrix(extract_proposals(frame, 8, 8))
-        assert np.allclose(np.linalg.norm(fm.data, axis=0), 1.0, atol=1e-9)
+        assert np.allclose(np.linalg.norm(fm, axis=0), 1.0, atol=1e-9)
 
     def test_permutation_equivariance(self):
-        from motion_lsmd.ingest import ProposalSet
-
         rng = np.random.default_rng(4)
         patches = [rng.random((4, 4)) for _ in range(6)]
         coords = [(2, 2 + i) for i in range(6)]
@@ -294,11 +296,37 @@ class TestFeatureMatrix:
         fm_p = feature_matrix(
             ProposalSet(patches=[patches[i] for i in perm], coords=[coords[i] for i in perm])
         )
-        assert np.allclose(fm_p.data, fm.data[:, perm])
-        assert fm_p.coords == [coords[i] for i in perm]
+        assert np.allclose(fm_p, fm[:, perm])
 
     def test_empty_proposals(self):
-        from motion_lsmd.ingest import ProposalSet
-
         with pytest.raises(errors.EmptyProposals):
             feature_matrix(ProposalSet(patches=[], coords=[]))
+
+
+class TestListReference:
+    """The stacked proposals, feature matrix and motion prior against the
+    one-patch-at-a-time code, compared byte for byte."""
+
+    def assert_same(self, frame, patch_size, stride):
+        props = extract_proposals(frame, patch_size, stride)
+        patches, coords = reference_extract_proposals(frame.pixels, patch_size, stride)
+        for got, want in (
+            (props.patches, np.stack(patches)),
+            (props.coords, np.array(coords, dtype=np.int64)),
+            (feature_matrix(props), reference_feature_matrix(patches)),
+            (motion_prior(props), reference_motion_prior(patches)),
+        ):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_synth_clip(self):
+        seq, _ = synth_sequence(
+            SynthSpec(64, 64, 100, [(10, 25, "burst"), (55, 70, "swap")]), seed=7
+        )
+        self.assert_same(seq.frames[0], 16, 8)
+        for prev, cur in zip(seq.frames, seq.frames[1:]):
+            self.assert_same(cur, 16, 8)
+            self.assert_same(frame_difference(prev, cur), 16, 8)
+
+    def test_small_patches_uneven_grid(self):
+        rng = np.random.default_rng(3)
+        self.assert_same(make_frame(rng.random((40, 56))), 8, 4)

@@ -194,10 +194,8 @@ class TestBuildIndexTree:
         check_tree_invariants(tree, 17)
 
     def test_clustering_points_layout(self):
-        from motion_lsmd.ingest import FeatureMatrix
-
-        fm = FeatureMatrix(data=np.eye(3), coords=[(0, 0), (5, 10), (10, 20)])
-        pts = clustering_points(fm, height=10, width=20)
+        props = ProposalSet(patches=np.zeros((3, 1, 3)), coords=[(0, 0), (5, 10), (10, 20)])
+        pts = clustering_points(props, np.eye(3), height=10, width=20)
         assert pts.shape == (3, 5)
         assert np.allclose(pts[1][:2], [0.5, 0.5])
 
@@ -251,8 +249,8 @@ class TestTreeIdentity:
         h, w = seq.shape
         for t in range(1, len(seq)):
             diff = frame_difference(seq.frames[t - 1], seq.frames[t])
-            fm = feature_matrix(extract_proposals(diff, cfg.patch_size, cfg.stride))
-            pts = clustering_points(fm, h, w)
+            props = extract_proposals(diff, cfg.patch_size, cfg.stride)
+            pts = clustering_points(props, feature_matrix(props), h, w)
             seed = cfg.seed * 7919 + t
             assert_same_tree(build_index_tree(pts, cfg.tree_k, seed), reference_index_tree(pts, cfg.tree_k, seed))
 
@@ -517,9 +515,10 @@ class TestDecompose:
         seq, _truth = synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)
         t = 8
         diff = frame_difference(seq.frames[t - 1], seq.frames[t])
-        fm = feature_matrix(extract_proposals(diff, cfg.patch_size, cfg.stride))
-        tree = build_index_tree(clustering_points(fm, *seq.shape), cfg.tree_k, cfg.seed * 7919 + t)
-        self.assert_matches_reference(fm.data, tree, uniform_weights(tree, cfg.group_weight), cfg.lsmd)
+        props = extract_proposals(diff, cfg.patch_size, cfg.stride)
+        data = feature_matrix(props)
+        tree = build_index_tree(clustering_points(props, data, *seq.shape), cfg.tree_k, cfg.seed * 7919 + t)
+        self.assert_matches_reference(data, tree, uniform_weights(tree), cfg.lsmd)
 
     def test_recovers_planted_structure(self):
         rng = np.random.default_rng(16)

@@ -45,7 +45,7 @@ def textured_templates(seed=0, size=16, m=4, q=3):
     rng = np.random.default_rng(seed)
     holistic = [rng.random((size, size)) for _ in range(m)]
     negatives = [rng.random((size, size)) for _ in range(q)]
-    return TemplateSet(holistic=holistic, negatives=negatives, ages=np.zeros(m), block=8)
+    return TemplateSet(holistic=holistic, negatives=negatives, ages=np.zeros(m))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ class TestGenerative:
         holistic = [np.zeros((16, 16)) for _ in range(3)]
         for h in holistic:
             h[:8, :8] = 0.5
-        templates = TemplateSet(holistic=holistic, negatives=[np.ones((16, 16))], ages=np.zeros(3), block=8)
+        templates = TemplateSet(holistic=holistic, negatives=[np.ones((16, 16))], ages=np.zeros(3))
         score, mask = generative_confidence(holistic[0], templates)
         assert not mask.any()
         assert score == pytest.approx(1.0, abs=1e-6)
@@ -207,7 +207,6 @@ class TestBatchedScoring:
         n_particles=16, seed=5, tau_update=0.0, occ_gate=1.0,
         motion=MotionModelParams(np.array([6.0, 6.0, 0.05, 0.02, 0.01, 0.005])),
     )
-    solver = SolverParams(lambda1=cfg.lambda1, max_iter=cfg.solver_max_iter, tol=cfg.solver_tol)
 
     def case(self):
         seq, centers = square_sequence(4, start=(14.0, 14.0))
@@ -216,7 +215,7 @@ class TestBatchedScoring:
 
     def score(self, obs, states, templates):
         cfg = self.cfg
-        return score_particles(obs, states, templates, self.solver, cfg.sigma_c, cfg.eps_occ, cfg.template_size)
+        return score_particles(obs, states, templates, cfg.solver, cfg.sigma_c, cfg.eps_occ, cfg.template_size)
 
     def test_matches_scalar_reference(self):
         cfg = self.cfg
@@ -228,7 +227,7 @@ class TestBatchedScoring:
             ps = propose_particles(prev, cfg.motion, cfg.n_particles, 100 + t)
             got = self.score(obs, ps.states, templates)
             want = reference_particle_scores(
-                obs, ps.states, templates, self.solver, cfg.sigma_c, cfg.eps_occ, cfg.template_size
+                obs, ps.states, templates, cfg.solver, cfg.sigma_c, cfg.eps_occ, cfg.template_size
             )
             # near-zero block residuals are the square root of rounding noise
             assert np.allclose(got.holistic_residuals, want["holistic_residuals"], rtol=0.0, atol=1e-7)
