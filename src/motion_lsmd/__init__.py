@@ -37,7 +37,6 @@ from .lsmd import (
     prox_nuclear,
     prox_tree_norm,
     tree_norm,
-    uniform_weights,
 )
 from .sparse import SolverParams, SparseCode, kkt_residual, nn_lasso, soft_threshold
 from .tracker import (

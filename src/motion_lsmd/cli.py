@@ -16,7 +16,7 @@ from .config import iter_kv_lines, parse_config
 from .detector import ReportRow, SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
 from .errors import InputError, InvalidValue, UsageError
 from .ingest import load_frame_sequence, write_pgm
-from .lsmd import build_index_tree, decompose, uniform_weights
+from .lsmd import build_index_tree, decompose
 from .tracker import AffineState, track_sequence
 
 SYNOPSIS = """\
@@ -114,7 +114,7 @@ def _cmd_decompose(args) -> int:
     pos = (np.arange(n, dtype=np.float64) / max(n - 1, 1))[:, None]
     points = np.hstack([pos, data.T])
     tree = build_index_tree(points, k=cfg["lsmd.k"], seed=cfg["pipeline.seed"])
-    dec = decompose(data, tree, uniform_weights(tree), cfg.lsmd_params())
+    dec = decompose(data, tree, cfg.lsmd_params())
     prefix = args.out_prefix
     fileio.write_matrix_csv(f"{prefix}_L.csv", dec.L)
     fileio.write_matrix_csv(f"{prefix}_S.csv", dec.S)
@@ -126,7 +126,6 @@ def _parse_synth_spec(path: str | Path) -> SynthSpec:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     spec = SynthSpec(events=[])
     seen: dict[str, str] = {}
-    # not parse_kv_lines: 'event' may repeat
     for lineno, key, raw in iter_kv_lines(lines, source=str(path)):
         if key == "event":
             parts = [p.strip() for p in raw.split(",")]

@@ -187,11 +187,6 @@ def iter_kv_lines(lines: list[str], source: str = "<config>") -> Iterator[tuple[
         yield lineno, key.strip(), raw.strip()
 
 
-def parse_kv_lines(lines: list[str], source: str = "<config>") -> dict[str, str]:
-    """'key = value' lines as a dict; a repeated key keeps its last value."""
-    return {key: raw for _lineno, key, raw in iter_kv_lines(lines, source)}
-
-
 def parse_config(
     path: str | Path | None = None,
     overrides: list[str] | None = None,
@@ -199,20 +194,20 @@ def parse_config(
 ) -> Config:
     """Parse a config file plus 'key=value' override strings.
 
-    Overrides win over file values; absent keys take documented defaults.
+    Overrides win over file values, and a repeated key keeps its last
+    value; absent keys take documented defaults.
     """
-    values: dict[str, object] = {}
+    pairs: list[tuple[str, str]] = []
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
-        for key, raw in parse_kv_lines(text.splitlines(), source=str(path)).items():
-            if key not in SCHEMA:
-                raise UnknownKey(f"unknown config key {key!r}")
-            values[key] = _convert(key, raw)
+        pairs += [(key, raw) for _lineno, key, raw in iter_kv_lines(text.splitlines(), str(path))]
     for item in overrides or []:
         if "=" not in item:
             raise InvalidValue(f"override must look like key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        key = key.strip()
+        pairs.append((key.strip(), raw))
+    values: dict[str, object] = {}
+    for key, raw in pairs:
         if key not in SCHEMA:
             raise UnknownKey(f"unknown config key {key!r}")
         values[key] = _convert(key, raw)

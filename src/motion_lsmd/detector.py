@@ -31,7 +31,6 @@ from .lsmd import (
     clustering_points,
     decompose,
     motion_prior,
-    uniform_weights,
 )
 
 
@@ -300,9 +299,19 @@ def _frame_energy(seq: FrameSequence, t: int, cfg: DetectorConfig) -> float:
     tree = build_index_tree(
         clustering_points(proposals, data, h, w), k=cfg.tree_k, seed=cfg.seed * 7919 + t
     )
-    dec = decompose(data, tree, uniform_weights(tree), cfg.lsmd)
+    dec = decompose(data, tree, cfg.lsmd)
     scores = activity_scores(dec.S, proposals, motion_prior(proposals))
     return frame_activity_energy(scores)
+
+
+def _first_motion_peak(seq: FrameSequence) -> tuple[int, int] | None:
+    """(row, col) of the largest pixel of the first non-zero frame
+    difference, or None when no two consecutive frames differ."""
+    for t in range(1, len(seq)):
+        diff = frame_difference(seq.frames[t - 1], seq.frames[t]).pixels
+        if diff.max() > 0.0:
+            return np.unravel_index(int(np.argmax(diff)), diff.shape)
+    return None
 
 
 def run_detection(
@@ -319,15 +328,14 @@ def run_detection(
 
     by_frame = {t: _frame_energy(seq, t, cfg) for t in range(1, len(seq), cfg.temporal_stride)}
 
-    # with kappa = 0 the tracker's confidence cannot change a combined score
+    # with kappa = 0 the tracker's confidence cannot change a combined score,
+    # and a sequence without motion gives it nothing to start on
     tracker_conf = {t: 0.0 for t in range(1, len(seq))}
-    if cfg.kappa > 0:
+    start = _first_motion_peak(seq) if cfg.kappa > 0 else None
+    if start is not None:
         from .tracker import AffineState, TrackerConfig, track_sequence
 
-        # auto-init on the strongest first difference
-        d0 = frame_difference(seq.frames[0], seq.frames[1])
-        peak = np.unravel_index(int(np.argmax(d0.pixels)), d0.pixels.shape)
-        init = AffineState(l_x=float(peak[1]), l_y=float(peak[0]))
+        init = AffineState(l_x=float(start[1]), l_y=float(start[0]))
         tcfg = cfg.tracker if cfg.tracker is not None else TrackerConfig(seed=cfg.seed)
         for r in track_sequence(seq, init, tcfg):
             tracker_conf[r.frame_index] = r.confidence

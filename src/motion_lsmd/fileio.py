@@ -29,8 +29,8 @@ def write_matrix_csv(path: str | Path, mat: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rows,cols\n")
         fh.write(f"{rows},{cols}\n")
-        for r in range(rows):
-            fh.write(",".join(_fmt(v) for v in mat[r]) + "\n")
+        for row in mat.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

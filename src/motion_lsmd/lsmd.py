@@ -5,7 +5,9 @@ tree, k = 4). The decomposition minimises
 
     0.5 ||F - L - S||_F^2 + mu_L ||L||_* + mu_S Omega(S) + mu_S l1 ||S||_1
 
-over the pair (L, S). Minimising out L leaves a function of S whose
+over the pair (L, S), where Omega(S) sums ||S[:, G]||_F over the column
+groups G of the tree's nodes. The groups are unweighted: mu_S alone
+scales the tree penalty. Minimising out L leaves a function of S whose
 smooth part, the Moreau envelope of mu_L ||.||_* at F - S, has a
 1-Lipschitz gradient; one proximal gradient step with step 1 is the two
 exact proximal steps L = prox_nuclear(F - S) (singular value
@@ -70,11 +72,10 @@ class TreeLevel(NamedTuple):
     """The non-empty nodes of one depth, laid out for segmented sums.
 
     Their members are disjoint, so ``cols`` (each node's members in
-    turn) holds every column at most once; node ``ids[i]`` owns the
+    turn) holds every column at most once; the i-th node owns the
     ``sizes[i]`` entries of ``cols`` from ``starts[i]`` on.
     """
 
-    ids: tuple[int, ...]
     cols: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
@@ -104,7 +105,6 @@ class IndexTree:
             group = by_depth[depth]
             sizes = np.array([len(nd.members) for nd in group])
             levels.append(TreeLevel(
-                ids=tuple(nd.id for nd in group),
                 cols=np.concatenate([nd.members for nd in group]),
                 starts=np.concatenate([[0], np.cumsum(sizes[:-1])]),
                 sizes=sizes,
@@ -120,13 +120,6 @@ class IndexTree:
 
     def depth(self) -> int:
         return max(n.depth for n in self.nodes)
-
-
-TreeWeights = dict[int, float]
-
-
-def uniform_weights(tree: IndexTree) -> TreeWeights:
-    return {n.id: 1.0 for n in tree.nodes}
 
 
 @dataclass
@@ -319,28 +312,20 @@ def _column_sq_norms(M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", M, M)
 
 
-def _level_weights(weights: TreeWeights, level: TreeLevel) -> np.ndarray:
-    return np.array([weights[nid] for nid in level.ids], dtype=np.float64)
-
-
-def tree_norm(S: np.ndarray, tree: IndexTree, weights: TreeWeights) -> float:
-    """Omega(S) = sum over nodes G of w_G * ||S[:, G]||_F."""
+def tree_norm(S: np.ndarray, tree: IndexTree) -> float:
+    """Omega(S) = sum over nodes G of ||S[:, G]||_F."""
     S = np.asarray(S, dtype=np.float64)
     _check_tree_shape(S, tree)
     colsq = _column_sq_norms(S)
     total = 0.0
     for level in tree.levels:
         norms = np.sqrt(np.add.reduceat(colsq[level.cols], level.starts))
-        total += float(_level_weights(weights, level) @ norms)
+        total += float(norms.sum())
     return total
 
 
 def prox_tree_norm(
-    S: np.ndarray,
-    tree: IndexTree,
-    weights: TreeWeights,
-    tau: float,
-    lambda_l1: float = 0.0,
+    S: np.ndarray, tree: IndexTree, tau: float, lambda_l1: float = 0.0
 ) -> np.ndarray:
     """Prox of tau*(Omega + lambda_l1 * l1): elementwise soft threshold,
     then group shrinkage applied children before parents (exact for
@@ -360,10 +345,9 @@ def prox_tree_norm(
     for level in tree.levels:
         cols = level.cols
         norms = np.sqrt(np.add.reduceat(colsq[cols], level.starts))
-        thr = tau * _level_weights(weights, level)
-        keep = norms > thr
+        keep = norms > tau
         factor = np.zeros_like(norms)
-        factor[keep] = 1.0 - thr[keep] / norms[keep]
+        factor[keep] = 1.0 - tau / norms[keep]
         col_factor = np.repeat(factor, level.sizes)
         scale[cols] *= col_factor
         colsq[cols] *= col_factor * col_factor
@@ -401,17 +385,15 @@ def prox_nuclear(
 # ---------------------------------------------------------------------------
 
 def decompose(
-    F: np.ndarray,
-    tree: IndexTree,
-    weights: TreeWeights,
-    params: LsmdParams | None = None,
+    F: np.ndarray, tree: IndexTree, params: LsmdParams | None = None
 ) -> Decomposition:
     """Accelerated proximal gradient on S with function and gradient
     restarts (see the module docstring).
 
     Each iteration extrapolates Y = S + beta (S - S_prev), with
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and beta = (t_k - 1) / t_{k+1},
-    and takes L = prox_nuclear(F - Y), S = prox_tree_norm(F - L). The
+    and takes L = prox_nuclear(F - Y, mu_L) and
+    S = prox_tree_norm(F - L, tree, mu_S, lambda_l1). The
     objective trace holds one accepted pair per iteration and is
     non-increasing; the loop stops when one iteration lowers it by at
     most rel_tol * max(1, |previous|), or after max_iter iterations.
@@ -426,7 +408,7 @@ def decompose(
         return (
             0.5 * float(np.linalg.norm(residual) ** 2)
             + params.mu_L * nuclear
-            + params.mu_S * tree_norm(S, tree, weights)
+            + params.mu_S * tree_norm(S, tree)
             + params.mu_S * params.lambda_l1 * float(np.abs(S).sum())
         )
 
@@ -436,7 +418,7 @@ def decompose(
         # place, and is freed before the next SVD
         L, sv = prox_nuclear(data - point, params.mu_L, return_singular_values=True)
         R = data - L
-        S = prox_tree_norm(R, tree, weights, params.mu_S, params.lambda_l1)
+        S = prox_tree_norm(R, tree, params.mu_S, params.lambda_l1)
         R -= S
         return L, S, objective(R, S, float(sv.sum()))
 

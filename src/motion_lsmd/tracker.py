@@ -330,21 +330,19 @@ def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
     return acc[solve] / nrm[solve][:, None], solve
 
 
-def _discriminative(c_pos, c_neg, tt, templates: TemplateSet, params, sigma_c: float):
+def _discriminative(c_pos, c_neg, tt, templates: TemplateSet, cfg: TrackerConfig):
     """(H_d (N,), residuals (N, 2), sweeps (N, 2)) of the holistic codes."""
-    if params is None:
-        params = SolverParams()
     which = np.zeros(len(tt), dtype=np.intp)
     solves = [
         _kernels.cd_nn_lasso_gram_batch(
             gram[None], which, c, tt,
-            float(params.lambda1), float(params.tol), int(params.max_iter),
+            float(cfg.solver.lambda1), float(cfg.solver.tol), int(cfg.solver.max_iter),
         )
         for gram, c in ((templates.holistic_gram, c_pos), (templates.negative_gram, c_neg))
     ]
     eps = np.sqrt(np.stack([resid_sq for resid_sq, _s in solves], axis=1))
     sweeps = np.stack([sw for _r, sw in solves], axis=1)
-    return discriminative_score(eps[:, 0], eps[:, 1], sigma_c), eps, sweeps
+    return discriminative_score(eps[:, 0], eps[:, 1], cfg.sigma_c), eps, sweeps
 
 
 def _block_codes(c_blk, solve, templates: TemplateSet):
@@ -383,13 +381,12 @@ def _generative(residuals: np.ndarray, eps_occ: float):
     return h_g, occluded
 
 
-def _scores(holistic, local, templates: TemplateSet, params, sigma_c: float,
-            eps_occ: float) -> ObservationScores:
+def _scores(holistic, local, templates: TemplateSet, cfg: TrackerConfig) -> ObservationScores:
     """Scores of N candidates from their holistic coefficients
     (c_pos, c_neg, tt) and their block codes (residuals, sweeps)."""
-    h_d, eps, hol_sweeps = _discriminative(*holistic, templates, params, sigma_c)
+    h_d, eps, hol_sweeps = _discriminative(*holistic, templates, cfg)
     residuals, blk_sweeps = local
-    h_g, occluded = _generative(residuals, eps_occ)
+    h_g, occluded = _generative(residuals, cfg.eps_occ)
     return ObservationScores(
         likelihood=h_d * h_g,
         occluded=occluded,
@@ -411,31 +408,28 @@ def _group_coefficients(frame: Frame, states: np.ndarray, templates: TemplateSet
 
 
 def score_particles(
-    frame: Frame,
-    states: np.ndarray,
-    templates: TemplateSet,
-    params=None,
-    sigma_c: float = 0.1,
-    eps_occ: float = 0.15,
-    size: int = CANONICAL_SIZE,
+    frame: Frame, states: np.ndarray, templates: TemplateSet, cfg: TrackerConfig
 ) -> ObservationScores:
     """Warp and score every particle state (N, 6) of a frame in batches.
 
-    Groups of _CD_GROUP particles are warped _WARP_CHUNK at a time and
-    their blocks coded by one batched coordinate descent; the holistic
-    codes of all N particles then run as one batch per dictionary.
+    The candidates are cfg.template_size square; the holistic codes use
+    cfg.solver, and cfg.sigma_c and cfg.eps_occ set the discriminative
+    and generative scores. Groups of _CD_GROUP particles are warped
+    _WARP_CHUNK at a time and their blocks coded by one batched
+    coordinate descent; the holistic codes of all N particles then run
+    as one batch per dictionary.
     """
     holistic, local = [], []
     for lo in range(0, len(states), _CD_GROUP):
         *coefficients, c_blk, solve = _group_coefficients(
-            frame, states[lo : lo + _CD_GROUP], templates, size
+            frame, states[lo : lo + _CD_GROUP], templates, cfg.template_size
         )
         holistic.append(coefficients)
         local.append(_block_codes(c_blk, solve, templates))
     return _scores(
         [np.concatenate(part) for part in zip(*holistic)],
         [np.concatenate(part) for part in zip(*local)],
-        templates, params, sigma_c, eps_occ,
+        templates, cfg,
     )
 
 
@@ -444,41 +438,34 @@ def _one(candidate: Patch) -> np.ndarray:
 
 
 def discriminative_confidence(
-    candidate: Patch,
-    templates: TemplateSet,
-    params=None,
-    sigma_c: float = 0.1,
+    candidate: Patch, templates: TemplateSet, cfg: TrackerConfig | None = None
 ) -> float:
     """Holistic reconstruction-error contrast between target and background
     dictionaries."""
     h_d, _eps, _sweeps = _discriminative(
-        *_holistic_coefficients(_one(candidate), templates), templates, params, sigma_c
+        *_holistic_coefficients(_one(candidate), templates), templates, cfg or TrackerConfig()
     )
     return float(h_d[0])
 
 
 def generative_confidence(
-    candidate: Patch, templates: TemplateSet, eps_occ: float = 0.15
+    candidate: Patch, templates: TemplateSet, cfg: TrackerConfig | None = None
 ) -> tuple[float, np.ndarray]:
     """Blockwise local coding; returns (score, occlusion mask grid)."""
     residuals, _sweeps = _block_codes(*_block_coefficients(_one(candidate), templates), templates)
-    h_g, occluded = _generative(residuals, eps_occ)
+    h_g, occluded = _generative(residuals, (cfg or TrackerConfig()).eps_occ)
     h, w = np.shape(candidate)
     return float(h_g[0]), occluded[0].reshape(h // BLOCK, w // BLOCK)
 
 
 def observation_likelihood(
-    candidate: Patch,
-    templates: TemplateSet,
-    params=None,
-    sigma_c: float = 0.1,
-    eps_occ: float = 0.15,
+    candidate: Patch, templates: TemplateSet, cfg: TrackerConfig | None = None
 ) -> float:
     """Collaborative likelihood H_d * H_g."""
     patch = _one(candidate)
     holistic = _holistic_coefficients(patch, templates)
     local = _block_codes(*_block_coefficients(patch, templates), templates)
-    return float(_scores(holistic, local, templates, params, sigma_c, eps_occ).likelihood[0])
+    return float(_scores(holistic, local, templates, cfg or TrackerConfig()).likelihood[0])
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +477,8 @@ def map_estimate(particles: ParticleSet) -> TrackResult:
     lowest index. Confidence is the winner's share of total weight."""
     if particles.likelihoods is None:
         raise LikelihoodsUnset("weight the particles before MAP estimation")
-    weights = particles.likelihoods * particles.motion_priors
-    total = float(weights.sum())
+    posterior = particles.likelihoods * particles.motion_priors
+    total = float(posterior.sum())
     if total <= 0.0:
         prev = particles.prev_state or particles.state(0)
         return TrackResult(
@@ -501,11 +488,11 @@ def map_estimate(particles: ParticleSet) -> TrackResult:
             frame_index=particles.frame_index,
             degenerate=True,
         )
-    winner = int(np.argmax(weights))
+    winner = int(np.argmax(posterior))
     occ = float(particles.occlusions[winner]) if particles.occlusions is not None else 0.0
     return TrackResult(
         state=particles.state(winner),
-        confidence=float(weights[winner] / total),
+        confidence=float(posterior[winner] / total),
         occlusion_fraction=occ,
         frame_index=particles.frame_index,
     )
@@ -556,7 +543,7 @@ def track_sequence(
         frame = seq.frames[t]
         particles = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
         particles.frame_index = t
-        scores = score_particles(frame, particles.states, templates, cfg.solver, cfg.sigma_c, cfg.eps_occ, size)
+        scores = score_particles(frame, particles.states, templates, cfg)
         particles.likelihoods = scores.likelihood
         particles.occlusions = scores.occluded.mean(axis=1)
         result = map_estimate(particles)

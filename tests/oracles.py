@@ -69,7 +69,7 @@ def scalar_shrink_grid(v: float, tau: float, span: float = 6.0, steps: int = 200
 # prox oracles
 # ---------------------------------------------------------------------------
 
-def _tree_groups(tree, weights, tau, lam):
+def _tree_groups(tree, tau, lam):
     """Column masks and thresholds: one group per tree node plus one
     singleton group per entry realizing the elementwise l1 term."""
     def masks_for(shape):
@@ -78,7 +78,7 @@ def _tree_groups(tree, weights, tau, lam):
         for node in tree.nodes:
             m = np.zeros((d, n))
             m[:, node.members] = 1.0
-            groups.append((m, tau * weights[node.id]))
+            groups.append((m, tau))
         if lam > 0:
             for i in range(d):
                 for j in range(n):
@@ -90,10 +90,10 @@ def _tree_groups(tree, weights, tau, lam):
     return masks_for
 
 
-def tree_objective(Z, V, tree, weights, tau, lam):
+def tree_objective(Z, V, tree, tau, lam):
     val = 0.5 * float(np.sum((Z - V) ** 2))
     for node in tree.nodes:
-        val += tau * weights[node.id] * float(np.linalg.norm(Z[:, node.members]))
+        val += tau * float(np.linalg.norm(Z[:, node.members]))
     val += tau * lam * float(np.abs(Z).sum())
     return val
 
@@ -114,8 +114,8 @@ def subgradient_descent(V, objective, subgrad, iters=2000):
     return best
 
 
-def prox_tree_oracle(V, tree, weights, tau, lam, cycles=20000, tol=1e-13):
-    """Numeric prox of tau*(sum_G w_G||Z_G||_F + lam*||Z||_1).
+def prox_tree_oracle(V, tree, tau, lam, cycles=20000, tol=1e-13):
+    """Numeric prox of tau*(sum_G ||Z_G||_F + lam*||Z||_1).
 
     A subgradient phase localizes the solution; dual block projections
     (each an exact coordinate minimization of the dual) then converge to
@@ -127,14 +127,14 @@ def prox_tree_oracle(V, tree, weights, tau, lam, cycles=20000, tol=1e-13):
             block = Z[:, node.members]
             nrm = np.linalg.norm(block)
             if nrm > 0:
-                G[:, node.members] += tau * weights[node.id] * block / nrm
+                G[:, node.members] += tau * block / nrm
         G += tau * lam * np.sign(Z)
         return G
 
-    obj = lambda Z: tree_objective(Z, V, tree, weights, tau, lam)
+    obj = lambda Z: tree_objective(Z, V, tree, tau, lam)
     z0 = subgradient_descent(V, obj, subgrad, iters=300)
 
-    groups = _tree_groups(tree, weights, tau, lam)(V.shape)
+    groups = _tree_groups(tree, tau, lam)(V.shape)
     us = [np.zeros_like(V) for _ in groups]
     Z = V.copy()
     for _ in range(cycles):
@@ -418,8 +418,9 @@ def residual_norm(X: np.ndarray, t: np.ndarray, gamma: np.ndarray) -> float:
     return float(np.linalg.norm(t - X @ gamma))
 
 
-def reference_particle_scores(frame, states, templates, params, sigma_c, eps_occ, size):
-    """Score each particle state on its own: one ``warp_patch``, two
+def reference_particle_scores(frame, states, templates, cfg):
+    """Score each particle state of ``score_particles(frame, states,
+    templates, cfg)`` on its own: one ``warp_patch``, two
     holistic ``_kernels.cd_nn_lasso_gram`` solves and one
     ``_kernels.block_residuals`` call per particle.
 
@@ -433,6 +434,7 @@ def reference_particle_scores(frame, states, templates, params, sigma_c, eps_occ
     from motion_lsmd.ingest import warp_patch
     from motion_lsmd.tracker import _LOCAL_LAMBDA, _LOCAL_MAX_ITER, _LOCAL_TOL, BLOCK, AffineState
 
+    params, size = cfg.solver, cfg.template_size
     n = len(states)
     b = BLOCK
     P = templates.local_dict.shape[0]
@@ -462,7 +464,7 @@ def reference_particle_scores(frame, states, templates, params, sigma_c, eps_occ
             out["holistic_residuals"][i, j] = np.sqrt(resid_sq)
             out["holistic_sweeps"][i, j] = sweeps
         eps_pos, eps_neg = out["holistic_residuals"][i]
-        h_d = float(np.clip(np.exp(-(eps_pos - eps_neg) / sigma_c), 0.0, 1e6))
+        h_d = float(np.clip(np.exp(-(eps_pos - eps_neg) / cfg.sigma_c), 0.0, 1e6))
 
         h, w = cand.shape
         blocks = cand.reshape(h // b, b, w // b, b).swapaxes(1, 2).reshape(-1, b * b)
@@ -472,8 +474,8 @@ def reference_particle_scores(frame, states, templates, params, sigma_c, eps_occ
         )
         empty = np.linalg.norm(blocks, axis=1) == 0.0
         residuals = np.where(empty & templates.local_has_content, 1.0, residuals)
-        occluded = residuals > eps_occ
-        h_g = float(np.sum((1.0 - residuals / eps_occ)[~occluded]) / P)
+        occluded = residuals > cfg.eps_occ
+        h_g = float(np.sum((1.0 - residuals / cfg.eps_occ)[~occluded]) / P)
         out["likelihood"][i] = h_d * h_g
         out["occluded"][i] = occluded
         out["block_residuals"][i] = residuals
@@ -497,15 +499,15 @@ def reference_particle_scores(frame, states, templates, params, sigma_c, eps_occ
 # LSMD: node-by-node tree prox and norm, two SVDs per iteration
 # ---------------------------------------------------------------------------
 
-def reference_tree_norm(S, tree, weights) -> float:
-    """sum over nodes G of w_G * ||S[:, G]||_F, one node at a time."""
+def reference_tree_norm(S, tree) -> float:
+    """sum over nodes G of ||S[:, G]||_F, one node at a time."""
     total = 0.0
     for node in tree.nodes:
-        total += weights[node.id] * float(np.linalg.norm(S[:, node.members]))
+        total += float(np.linalg.norm(S[:, node.members]))
     return total
 
 
-def reference_prox_tree_norm(S, tree, weights, tau, lambda_l1=0.0):
+def reference_prox_tree_norm(S, tree, tau, lambda_l1=0.0):
     """Elementwise soft threshold, then each node's group shrinkage applied
     to the matrix in turn, deepest nodes first."""
     Z = np.sign(S) * np.maximum(np.abs(S) - tau * lambda_l1, 0.0)
@@ -513,15 +515,14 @@ def reference_prox_tree_norm(S, tree, weights, tau, lambda_l1=0.0):
         cols = node.members
         block = Z[:, cols]
         nrm = float(np.linalg.norm(block))
-        thr = tau * weights[node.id]
-        if nrm <= thr:
+        if nrm <= tau:
             Z[:, cols] = 0.0
         else:
-            Z[:, cols] = block * (1.0 - thr / nrm)
+            Z[:, cols] = block * (1.0 - tau / nrm)
     return Z
 
 
-def reference_decompose(data, tree, weights, params):
+def reference_decompose(data, tree, params):
     """The LSMD loop with a fresh SVD of L for the objective's nuclear norm
     and the node-by-node tree prox. Returns (L, S, objective trace,
     iterations, converged)."""
@@ -529,7 +530,7 @@ def reference_decompose(data, tree, weights, params):
         return (
             0.5 * float(np.linalg.norm(data - L - S) ** 2)
             + params.mu_L * float(np.linalg.svd(L, compute_uv=False).sum())
-            + params.mu_S * reference_tree_norm(S, tree, weights)
+            + params.mu_S * reference_tree_norm(S, tree)
             + params.mu_S * params.lambda_l1 * float(np.abs(S).sum())
         )
 
@@ -542,7 +543,7 @@ def reference_decompose(data, tree, weights, params):
         iterations = it
         U, s, Vt = np.linalg.svd(data - S, full_matrices=False)
         L = (U * np.maximum(s - params.mu_L, 0.0)) @ Vt
-        S = reference_prox_tree_norm(data - L, tree, weights, params.mu_S, params.lambda_l1)
+        S = reference_prox_tree_norm(data - L, tree, params.mu_S, params.lambda_l1)
         trace.append(objective(L, S))
         if abs(trace[-2] - trace[-1]) <= params.rel_tol * max(1.0, abs(trace[-2])):
             converged = True

@@ -28,7 +28,6 @@ from motion_lsmd.lsmd import (
     prox_nuclear,
     prox_tree_norm,
     tree_norm,
-    uniform_weights,
 )
 from motion_lsmd.sparse import SolverParams, nn_lasso
 from motion_lsmd.ingest import Frame, FrameSequence
@@ -108,22 +107,20 @@ def test_criterion_3_prox_oracle_suite():
         for seed in range(20):
             n = int(rng.integers(4, 8))
             tree = build_index_tree(rng.random((n, 2)) * 10, k=3, seed=seed)
-            w = uniform_weights(tree)
             S = rng.standard_normal((3, n))
             tau = float(rng.uniform(0.2, 1.0))
             lam = float(rng.choice([0.0, 0.3]))
-            got = prox_tree_norm(S, tree, w, tau, lam)
-            want = prox_tree_oracle(S, tree, w, tau, lam)
+            got = prox_tree_norm(S, tree, tau, lam)
+            want = prox_tree_oracle(S, tree, tau, lam)
             assert np.abs(got - want).max() <= 1e-6
 
         # non-expansiveness on 100 random pairs each
         tree = build_index_tree(rng.random((6, 2)) * 10, k=4, seed=0)
-        w = uniform_weights(tree)
         for _ in range(100):
             A, B = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
             assert np.linalg.norm(prox_nuclear(A, 0.8) - prox_nuclear(B, 0.8)) <= np.linalg.norm(A - B) + 1e-12
-            pa = prox_tree_norm(A, tree, w, 0.5, 0.1)
-            pb = prox_tree_norm(B, tree, w, 0.5, 0.1)
+            pa = prox_tree_norm(A, tree, 0.5, 0.1)
+            pb = prox_tree_norm(B, tree, 0.5, 0.1)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(A - B) + 1e-12
 
 
@@ -137,7 +134,7 @@ def test_criterion_4_lsmd_recovery():
         L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
         S0 = np.zeros((d, n))
         S0[:, cols] = rng.choice([-1.0, 1.0], size=(d, len(cols)))
-        dec = decompose(L0 + S0, tree, uniform_weights(tree), LsmdParams())
+        dec = decompose(L0 + S0, tree, LsmdParams())
 
         assert np.linalg.norm(dec.L - L0) / np.linalg.norm(L0) <= 0.05
         est = np.abs(dec.S) > 1e-6

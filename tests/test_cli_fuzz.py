@@ -56,7 +56,7 @@ report_file = st.one_of(
 )
 spec_file = text_file(kv_line(["h", "w", "n_frames", "event", "depth"]))
 config_file = text_file(kv_line(["lsmd.mu_L", "lsmd.mu_S", "lsmd.lambda_l1", "lsmd.max_iter", "lsmd.k",
-                                 "lsmd.group_weight", "pipeline.seed", "detector.tau_off", "lsmd.nope"]))
+                                 "lsmd.rel_tol", "pipeline.seed", "detector.tau_off", "lsmd.nope"]))
 matrix_file = st.one_of(
     st.builds(lambda h, dims, rows: "\n".join([h, dims, *rows]) + "\n",
               st.one_of(st.just("rows,cols"), junk),

@@ -280,3 +280,31 @@ class TestRunDetection:
         assert any(s.tracker_conf > 0.0 for s in scores)
         for s in scores:
             assert s.combined == pytest.approx(s.lsmd_energy * (1 - 0.2 * s.tracker_conf))
+
+    @staticmethod
+    def capture_tracker_starts(monkeypatch):
+        """Replace the tracker with a stub that records its starting state."""
+        from motion_lsmd import tracker
+
+        starts = []
+        monkeypatch.setattr(tracker, "track_sequence", lambda seq, init, cfg: starts.append(init) or [])
+        return starts
+
+    def test_tracker_starts_on_first_motion(self, monkeypatch):
+        # frames 0 and 1 are equal, so the first difference is all zero
+        seq, _ = synth_sequence(SynthSpec(64, 64, 24, [(12, 20, "burst")]), seed=0)
+        starts = self.capture_tracker_starts(monkeypatch)
+        run_detection(seq, DetectorConfig(kappa=0.2, temporal_stride=8))
+        assert len(starts) == 1
+        diffs = [np.abs(b.pixels - a.pixels) for a, b in zip(seq.frames, seq.frames[1:])]
+        first = next(d for d in diffs if d.max() > 0.0)
+        assert diffs[0].max() == 0.0
+        assert first[int(starts[0].l_y), int(starts[0].l_x)] == first.max()
+
+    def test_static_sequence_skips_tracker(self, monkeypatch):
+        pixels = np.random.default_rng(1).random((64, 64))
+        seq = FrameSequence([Frame(pixels.copy(), i) for i in range(4)], "static")
+        starts = self.capture_tracker_starts(monkeypatch)
+        scores, _events = run_detection(seq, DetectorConfig(kappa=0.2))
+        assert starts == []
+        assert all(s.tracker_conf == 0.0 for s in scores)

@@ -26,7 +26,6 @@ from motion_lsmd.lsmd import (
     prox_nuclear,
     prox_tree_norm,
     tree_norm,
-    uniform_weights,
 )
 
 from oracles import (
@@ -289,37 +288,36 @@ class TestTreeIdentity:
 class TestTreeNorm:
     def test_zero(self):
         tree, _ = random_tree(1, n=6)
-        assert tree_norm(np.zeros((4, 6)), tree, uniform_weights(tree)) == 0.0
+        assert tree_norm(np.zeros((4, 6)), tree) == 0.0
 
     def test_single_leaf_is_frobenius(self):
         tree = build_index_tree(np.zeros((3, 1)), k=4, seed=0)
         S = np.random.default_rng(0).standard_normal((5, 3))
-        assert np.isclose(tree_norm(S, tree, uniform_weights(tree)), np.linalg.norm(S))
+        assert np.isclose(tree_norm(S, tree), np.linalg.norm(S))
 
     def test_positive_homogeneity(self):
         tree, _ = random_tree(2, n=9)
         S = np.random.default_rng(1).standard_normal((4, 9))
-        w = uniform_weights(tree)
-        assert np.isclose(tree_norm(2 * S, tree, w), 2 * tree_norm(S, tree, w))
+        assert np.isclose(tree_norm(2 * S, tree), 2 * tree_norm(S, tree))
 
     def test_shape_mismatch(self):
         tree, _ = random_tree(3, n=5)
         with pytest.raises(errors.ShapeMismatch):
-            tree_norm(np.zeros((2, 4)), tree, uniform_weights(tree))
+            tree_norm(np.zeros((2, 4)), tree)
 
 
 class TestProxTreeNorm:
     def test_tau_zero_identity(self):
         tree, _ = random_tree(4, n=6)
         S = np.random.default_rng(2).standard_normal((3, 6))
-        out = prox_tree_norm(S, tree, uniform_weights(tree), 0.0, 0.0)
+        out = prox_tree_norm(S, tree, 0.0, 0.0)
         assert np.array_equal(out, S)
 
     def test_single_group_shrinkage(self):
         tree = build_index_tree(np.zeros((3, 1)), k=4, seed=0)
         S = np.random.default_rng(3).standard_normal((4, 3))
         S *= 5.0 / np.linalg.norm(S)
-        out = prox_tree_norm(S, tree, uniform_weights(tree), 1.0, 0.0)
+        out = prox_tree_norm(S, tree, 1.0, 0.0)
         assert np.allclose(out, S * (4.0 / 5.0))
 
     def test_matches_numeric_oracle(self):
@@ -327,34 +325,32 @@ class TestProxTreeNorm:
         for seed in range(20):
             n = int(rng.integers(4, 8))
             tree, _ = random_tree(seed, n=n, k=3)
-            w = uniform_weights(tree)
             S = rng.standard_normal((3, n))
             tau = float(rng.uniform(0.2, 1.0))
             lam = float(rng.choice([0.0, 0.3]))
-            got = prox_tree_norm(S, tree, w, tau, lam)
-            want = prox_tree_oracle(S, tree, w, tau, lam)
+            got = prox_tree_norm(S, tree, tau, lam)
+            want = prox_tree_oracle(S, tree, tau, lam)
             assert np.abs(got - want).max() <= 1e-6
             gap = abs(
-                tree_objective(got, S, tree, w, tau, lam)
-                - tree_objective(want, S, tree, w, tau, lam)
+                tree_objective(got, S, tree, tau, lam)
+                - tree_objective(want, S, tree, tau, lam)
             )
             assert gap <= 1e-5
 
     def test_non_expansive(self):
         tree, _ = random_tree(6, n=7)
-        w = uniform_weights(tree)
         rng = np.random.default_rng(7)
         for _ in range(100):
             A = rng.standard_normal((4, 7))
             B = rng.standard_normal((4, 7))
-            pa = prox_tree_norm(A, tree, w, 0.5, 0.1)
-            pb = prox_tree_norm(B, tree, w, 0.5, 0.1)
+            pa = prox_tree_norm(A, tree, 0.5, 0.1)
+            pb = prox_tree_norm(B, tree, 0.5, 0.1)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(A - B) + 1e-12
 
     def test_negative_tau(self):
         tree, _ = random_tree(8, n=4)
         with pytest.raises(errors.NegativeTau):
-            prox_tree_norm(np.zeros((2, 4)), tree, uniform_weights(tree), -1.0)
+            prox_tree_norm(np.zeros((2, 4)), tree, -1.0)
 
 
 def criterion_5_trees():
@@ -391,24 +387,23 @@ class TestLevelBatchedTreeProx:
         rng = np.random.default_rng(21)
         for i, tree in enumerate(itertools.chain(criterion_5_trees(), indivisible_trees())):
             n = tree.n_columns
-            weights = {nd.id: float(rng.uniform(0.2, 2.0)) for nd in tree.nodes}
             S = rng.standard_normal((5, n)) * rng.uniform(0.1, 3.0, n)
             if i % 2:
                 S = zero_some_blocks(S, tree, rng)
-            yield tree, weights, S, float(rng.uniform(0.1, 1.5)), (0.0, 0.3)[i % 3 == 0]
+            yield tree, S, float(rng.uniform(0.1, 1.5)), (0.0, 0.3)[i % 3 == 0]
         tree = build_index_tree(np.random.default_rng(3).random((20, 2)), 4, 3)
-        yield tree, uniform_weights(tree), np.zeros((4, 20)), 0.5, 0.3
+        yield tree, np.zeros((4, 20)), 0.5, 0.3
 
     def test_tree_norm_matches_reference(self):
-        for tree, weights, S, _tau, _lam in self.cases():
-            want = reference_tree_norm(S, tree, weights)
-            got = tree_norm(S, tree, weights)
+        for tree, S, _tau, _lam in self.cases():
+            want = reference_tree_norm(S, tree)
+            got = tree_norm(S, tree)
             assert abs(got - want) <= 1e-12 * want if want else got == 0.0
 
     def test_prox_matches_reference(self):
-        for tree, weights, S, tau, lam in self.cases():
-            want = reference_prox_tree_norm(S, tree, weights, tau, lam)
-            got = prox_tree_norm(S, tree, weights, tau, lam)
+        for tree, S, tau, lam in self.cases():
+            want = reference_prox_tree_norm(S, tree, tau, lam)
+            got = prox_tree_norm(S, tree, tau, lam)
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(S).max(), 1.0)
             # the same zeros, with the same signs, so written bytes match
             assert np.array_equal(got == 0.0, want == 0.0)
@@ -462,46 +457,46 @@ class TestProxNuclear:
 class TestDecompose:
     def test_zero_input(self):
         tree, _ = random_tree(11, n=8)
-        dec = decompose(np.zeros((6, 8)), tree, uniform_weights(tree))
+        dec = decompose(np.zeros((6, 8)), tree)
         assert np.all(dec.L == 0.0) and np.all(dec.S == 0.0)
         assert dec.converged
 
     def test_huge_mu_s_limit(self):
         tree, _ = random_tree(12, n=8)
         F = np.random.default_rng(12).standard_normal((6, 8))
-        dec = decompose(F, tree, uniform_weights(tree), LsmdParams(mu_L=0.5, mu_S=1e6))
+        dec = decompose(F, tree, LsmdParams(mu_L=0.5, mu_S=1e6))
         assert np.all(dec.S == 0.0)
         assert np.allclose(dec.L, prox_nuclear(F, 0.5))
 
     def test_trace_non_increasing(self):
         tree, _ = random_tree(13, n=12)
         F = np.random.default_rng(13).standard_normal((10, 12))
-        dec = decompose(F, tree, uniform_weights(tree))
+        dec = decompose(F, tree)
         trace = np.array(dec.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
     def test_non_convergence_flagged_not_raised(self):
         tree, _ = random_tree(14, n=10)
         F = np.random.default_rng(14).standard_normal((8, 10))
-        dec = decompose(F, tree, uniform_weights(tree), LsmdParams(max_iter=1, rel_tol=1e-300))
+        dec = decompose(F, tree, LsmdParams(max_iter=1, rel_tol=1e-300))
         assert dec.iterations == 1
         assert not dec.converged
 
     def test_shape_mismatch(self):
         tree, _ = random_tree(15, n=5)
         with pytest.raises(errors.ShapeMismatch):
-            decompose(np.zeros((4, 9)), tree, uniform_weights(tree))
+            decompose(np.zeros((4, 9)), tree)
 
     @staticmethod
-    def assert_matches_reference(data, tree, weights, params):
+    def assert_matches_reference(data, tree, params):
         """decompose stops at an objective no higher than the plain
         alternating loop's (reference_decompose), and no farther than that
         loop from the optimum (L*, S*), which the plain loop reaches at
         rel_tol 1e-13."""
-        dec = decompose(data, tree, weights, params)
-        L, S, trace, _, _ = reference_decompose(data, tree, weights, params)
+        dec = decompose(data, tree, params)
+        L, S, trace, _, _ = reference_decompose(data, tree, params)
         L_opt, S_opt, _, _, converged = reference_decompose(
-            data, tree, weights, dataclasses.replace(params, rel_tol=1e-13)
+            data, tree, dataclasses.replace(params, rel_tol=1e-13)
         )
         assert converged
         obj = dec.objective_trace[-1]
@@ -518,7 +513,7 @@ class TestDecompose:
         L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
         S0 = np.zeros((d, n))
         S0[:, cols] = rng.choice([-1.0, 1.0], size=(d, len(cols)))
-        self.assert_matches_reference(L0 + S0, tree, uniform_weights(tree), LsmdParams())
+        self.assert_matches_reference(L0 + S0, tree, LsmdParams())
 
     def test_detection_frame_matches_reference(self):
         cfg = DetectorConfig()
@@ -528,7 +523,7 @@ class TestDecompose:
         props = extract_proposals(diff, cfg.patch_size, cfg.stride)
         data = feature_matrix(props)
         tree = build_index_tree(clustering_points(props, data, *seq.shape), cfg.tree_k, cfg.seed * 7919 + t)
-        self.assert_matches_reference(data, tree, uniform_weights(tree), cfg.lsmd)
+        self.assert_matches_reference(data, tree, cfg.lsmd)
 
     def test_function_restart_keeps_trace_monotone(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -545,7 +540,7 @@ class TestDecompose:
             return svt(*args, **kwargs)
 
         monkeypatch.setattr(lsmd, "prox_nuclear", counted)
-        dec = decompose(F, tree, uniform_weights(tree))
+        dec = decompose(F, tree)
         # one SVD per iteration, plus one per function restart
         assert len(calls) > dec.iterations
         trace = np.array(dec.objective_trace)
@@ -565,7 +560,7 @@ class TestDecompose:
         L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
         S0 = np.zeros((d, n))
         S0[:, cols] = rng.choice([-1.0, 1.0], size=(d, len(cols)))
-        dec = decompose(L0 + S0, tree, uniform_weights(tree))
+        dec = decompose(L0 + S0, tree)
         assert np.linalg.norm(dec.L - L0) / np.linalg.norm(L0) <= 0.05
         est = np.abs(dec.S) > 1e-6
         true = np.abs(S0) > 0

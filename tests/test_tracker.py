@@ -119,7 +119,7 @@ class TestDiscriminative:
         rng = np.random.default_rng(4)
         for _ in range(20):
             cand = rng.random((16, 16))
-            got = discriminative_confidence(cand, templates, params)
+            got = discriminative_confidence(cand, templates, TrackerConfig(solver=params))
             y = cand.reshape(-1) / np.linalg.norm(cand)
             eps = []
             for dictionary in (templates.holistic_dict, templates.negative_dict):
@@ -202,9 +202,11 @@ class TestBatchedScoring:
     # The square sits in the top-left corner and the templates are cut
     # off-centre, so particles reach past the frame edge (zero blocks
     # against template content) and the templates hold empty blocks
-    # (empty-vs-empty); every accepted MAP updates the templates.
+    # (empty-vs-empty); every accepted MAP updates the templates. sigma_c
+    # and eps_occ are off their defaults, so the reference shows whether
+    # score_particles reads them from cfg.
     cfg = TrackerConfig(
-        n_particles=16, seed=5, tau_update=0.0, occ_gate=1.0,
+        n_particles=16, seed=5, tau_update=0.0, occ_gate=1.0, sigma_c=0.2, eps_occ=0.3,
         motion=MotionModelParams(np.array([6.0, 6.0, 0.05, 0.02, 0.01, 0.005])),
     )
 
@@ -212,10 +214,6 @@ class TestBatchedScoring:
         seq, centers = square_sequence(4, start=(14.0, 14.0))
         init = AffineState(l_x=centers[0][1] + 10.0, l_y=centers[0][0])
         return seq, init, make_template_set(seq.frames[0], init, self.cfg)
-
-    def score(self, obs, states, templates):
-        cfg = self.cfg
-        return score_particles(obs, states, templates, cfg.solver, cfg.sigma_c, cfg.eps_occ, cfg.template_size)
 
     def test_matches_scalar_reference(self):
         cfg = self.cfg
@@ -225,13 +223,12 @@ class TestBatchedScoring:
         for t in range(1, len(seq)):
             obs = seq.frames[t]
             ps = propose_particles(prev, cfg.motion, cfg.n_particles, 100 + t)
-            got = self.score(obs, ps.states, templates)
-            want = reference_particle_scores(
-                obs, ps.states, templates, cfg.solver, cfg.sigma_c, cfg.eps_occ, cfg.template_size
-            )
+            got = score_particles(obs, ps.states, templates, cfg)
+            want = reference_particle_scores(obs, ps.states, templates, cfg)
             # near-zero block residuals are the square root of rounding noise
             assert np.allclose(got.holistic_residuals, want["holistic_residuals"], rtol=0.0, atol=1e-7)
             assert np.allclose(got.block_residuals, want["block_residuals"], rtol=0.0, atol=1e-7)
+            assert np.allclose(got.likelihood, want["likelihood"], rtol=1e-6, atol=0.0)
             assert np.array_equal(got.occluded, want["occluded"])
             assert np.array_equal(got.holistic_sweeps, want["holistic_sweeps"])
             assert np.array_equal(got.block_sweeps, want["block_sweeps"])
@@ -261,9 +258,9 @@ class TestBatchedScoring:
         obs = seq.frames[1]
         # a second block-coding group, ending in a warp chunk of one
         ps = propose_particles(prev, self.cfg.motion, _CD_GROUP + _WARP_CHUNK + 1, 7)
-        got = self.score(obs, ps.states, templates)
+        got = score_particles(obs, ps.states, templates, self.cfg)
         perm = np.random.default_rng(3).permutation(len(ps))
-        again = self.score(obs, ps.states[perm], templates)
+        again = score_particles(obs, ps.states[perm], templates, self.cfg)
         for field in ("likelihood", "occluded", "holistic_residuals", "block_residuals",
                       "holistic_sweeps", "block_sweeps"):
             assert np.array_equal(getattr(again, field), getattr(got, field)[perm]), field
