@@ -26,19 +26,20 @@ accelerated gradient schemes", FoCM 2015):
   so oscillation cannot make one decrease tiny by chance and fire the
   relative-decrease stop early.
 
-An iteration costs one SVD, two after a function restart: the
-objective's ||L||_* is the sum of the singular values that prox_nuclear
-has just thresholded, and its fit term reuses R = F - L, which the
-sparse step needs anyway. decompose looks prox_nuclear, prox_tree_norm
-and tree_norm up through this module's globals at call time, so a
-wrapper set there (perfbench's tracer, a test's call counter) sees every
-call. The tree norm and prox work one depth level at a time
-(IndexTree.levels), deepest first. Nodes of one depth have disjoint
-members, so a level is one segmented sum (np.add.reduceat) over column
-squared norms and one vector of group shrink factors; applying the
-levels children before parents is the exact prox for tree-nested
-groups (Jenatton, Mairal, Obozinski and Bach, "Proximal methods for
-hierarchical sparse coding", JMLR 2011).
+An iteration costs one eigendecomposition of the smaller Gram matrix of
+F - Y (prox_nuclear), two after a function restart: the objective's
+||L||_* is the sum of the singular values that prox_nuclear has just
+thresholded, and its fit term reuses R = F - L, which the sparse step
+needs anyway. decompose looks prox_nuclear, prox_tree_norm and tree_norm
+up through this module's globals at call time, so a wrapper set there
+(perfbench's tracer, a test's call counter) sees every call. The tree
+norm and prox work one depth level at a time (IndexTree.levels),
+deepest first. Nodes of one depth have disjoint members, so a level is
+one segmented sum (np.add.reduceat) over column squared norms and one
+vector of group shrink factors; applying the levels children before
+parents is the exact prox for tree-nested groups (Jenatton, Mairal,
+Obozinski and Bach, "Proximal methods for hierarchical sparse coding",
+JMLR 2011).
 """
 
 from __future__ import annotations
@@ -363,26 +364,69 @@ def nuclear_norm(M: np.ndarray) -> float:
 def prox_nuclear(
     L: np.ndarray, tau: float, *, return_singular_values: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Singular value thresholding.
+    """Singular value thresholding, from the eigendecomposition of the
+    smaller Gram matrix.
+
+    With A = L, or L^T when L is wide, and A^T A = V diag(lam) V^T, the
+    singular values of L are sigma = sqrt(max(lam, 0)). Only the pairs
+    with sigma > tau survive the threshold, so the result is
+    X = (A V_r) diag(1 - tau / sigma_r) V_r^T (transposed back for a
+    wide L): the SVT of Cai, Candes and Shen (SIAM J. Optim. 2010)
+    without a full SVD. A is first divided by the smallest power of two
+    above max|A|. That is exact, as is scaling the result back, and it
+    puts max|A| in [0.5, 1): the Gram entries are then at most
+    max(m, n), so squaring can neither overflow nor flush the spectrum
+    to zero at any finite scale.
+
+    Error: squaring sets the absolute accuracy of the eigenvalues at
+    about eps * sigma_1^2 (eps the unit roundoff), so a singular value
+    near tau is off by about eps * sigma_1^2 / tau. The result differs
+    from an exact SVT by about eps * sigma_1 * max(1, sigma_1 / tau)
+    (a full SVD's error is eps * sigma_1); tests hold it to
+    1e-13 * sigma_1 * max(1, sigma_1 / tau) against numpy's SVD.
 
     With ``return_singular_values`` the result is a pair: the matrix and
-    its singular values (the thresholded ones), whose sum is its nuclear
-    norm.
+    its min(m, n) singular values in descending order (the thresholded
+    ones), whose sum is its nuclear norm.
     """
     L = np.asarray(L, dtype=np.float64)
     if not np.all(np.isfinite(L)):
         raise NonFiniteInput("matrix must be finite")
     if tau < 0:
         raise NegativeTau(f"tau={tau}")
-    U, s, Vt = np.linalg.svd(L, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    X = (U * s) @ Vt
-    return (X, s) if return_singular_values else X
+    wide = L.shape[0] < L.shape[1]
+    A = L.T if wide else L
+    exp = int(np.frexp(np.max(np.abs(A), initial=0.0))[1])
+    A = np.ldexp(A, -exp)
+    t = float(np.ldexp(tau, -exp))
+    lam, V = np.linalg.eigh(A.T @ A)  # ascending
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    k = int(np.searchsorted(sigma, t, side="right"))  # sigma[k:] > t
+    V_r = V[:, k:]
+    W = A @ V_r
+    W *= 1.0 - t / sigma[k:]
+    X = np.ldexp(W @ V_r.T, exp)
+    if wide:
+        X = X.T
+    if not return_singular_values:
+        return X
+    return X, np.ldexp(np.maximum(sigma[::-1] - t, 0.0), exp)
 
 
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
+
+def check_decomposable(F: np.ndarray) -> np.ndarray:
+    """F as a float64 array. Raises NonFiniteInput unless decompose's
+    starting objective, 0.5 ||F||_F^2, is finite: an entry that is not
+    finite, or finite entries whose squares sum past the float range,
+    would make the objective trace inf or nan."""
+    data = np.asarray(F, dtype=np.float64)
+    if not np.isfinite(np.vdot(data, data)):
+        raise NonFiniteInput("matrix must be finite, with a finite sum of squares")
+    return data
+
 
 def decompose(
     F: np.ndarray, tree: IndexTree, params: LsmdParams | None = None
@@ -397,10 +441,11 @@ def decompose(
     objective trace holds one accepted pair per iteration and is
     non-increasing; the loop stops when one iteration lowers it by at
     most rel_tol * max(1, |previous|), or after max_iter iterations.
+    F is validated by check_decomposable.
     """
     if params is None:
         params = LsmdParams()
-    data = np.asarray(F, dtype=np.float64)
+    data = check_decomposable(F)
     _check_tree_shape(data, tree)
 
     def objective(residual: np.ndarray, S: np.ndarray, nuclear: float) -> float:
@@ -415,7 +460,7 @@ def decompose(
     def step(point: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         # the pair (L, S) one proximal gradient step takes from point, and
         # its objective; the prox input data - L becomes the residual in
-        # place, and is freed before the next SVD
+        # place, and is freed before the next prox_nuclear
         L, sv = prox_nuclear(data - point, params.mu_L, return_singular_values=True)
         R = data - L
         S = prox_tree_norm(R, tree, params.mu_S, params.lambda_l1)

@@ -11,9 +11,10 @@ prior work one patch at a time; the tracker's reference scorer scores
 particles one at a time with the scalar kernels; the reference bilinear
 sampler reads each corner through its own clip, gather and mask; the
 reference k-means and index tree are the tree builder as it was before
-its distinct-row count and Lloyd step were made cheaper; and the
-reference tree norm, tree prox and LSMD loop work node by node and take
-a second SVD per iteration for the objective's nuclear norm.
+its distinct-row count and Lloyd step were made cheaper; the reference
+singular value thresholding takes a full SVD; and the reference tree
+norm, tree prox and LSMD loop work node by node and take a second SVD
+per iteration for the objective's nuclear norm.
 """
 
 from __future__ import annotations
@@ -496,8 +497,18 @@ def reference_particle_scores(frame, states, templates, cfg):
 
 
 # ---------------------------------------------------------------------------
-# LSMD: node-by-node tree prox and norm, two SVDs per iteration
+# LSMD: full-SVD thresholding, node-by-node tree prox and norm, two SVDs
+# per iteration
 # ---------------------------------------------------------------------------
+
+def reference_prox_nuclear(L, tau, *, return_singular_values=False):
+    """Singular value thresholding through one full SVD (LAPACK gesdd),
+    with prox_nuclear's arguments and results."""
+    U, s, Vt = np.linalg.svd(np.asarray(L, dtype=np.float64), full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    X = (U * s) @ Vt
+    return (X, s) if return_singular_values else X
+
 
 def reference_tree_norm(S, tree) -> float:
     """sum over nodes G of ||S[:, G]||_F, one node at a time."""
@@ -541,8 +552,7 @@ def reference_decompose(data, tree, params):
     iterations = 0
     for it in range(1, params.max_iter + 1):
         iterations = it
-        U, s, Vt = np.linalg.svd(data - S, full_matrices=False)
-        L = (U * np.maximum(s - params.mu_L, 0.0)) @ Vt
+        L = reference_prox_nuclear(data - S, params.mu_L)
         S = reference_prox_tree_norm(data - L, tree, params.mu_S, params.lambda_l1)
         trace.append(objective(L, S))
         if abs(trace[-2] - trace[-1]) <= params.rel_tol * max(1.0, abs(trace[-2])):

@@ -348,6 +348,16 @@ class TestCliErrors:
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("error: "), res.stderr
 
+    def test_matrix_whose_sum_of_squares_overflows(self, tmp_path):
+        # finite entries, but 0.5 ||F||_F^2 (the objective at L = S = 0) is
+        # inf: rejected before k-means could draw from a NaN distribution
+        features = tmp_path / "features.csv"
+        fileio.write_matrix_csv(features, np.random.default_rng(2).standard_normal((6, 5)) * 1e200)
+        res = run_cli(["decompose", features, "--out-prefix", tmp_path / "dec"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: ") and "Warning" not in res.stderr, res.stderr
+        assert not list(tmp_path.glob("dec_*"))
+
     @pytest.mark.parametrize("field", ["abc", "nan", "inf", "-inf"])
     def test_bad_matrix_field_is_an_input_error(self, tmp_path, capsys, field):
         # 6x12 is wide enough to split, so a non-finite value would reach k-means

@@ -37,6 +37,7 @@ from oracles import (
     reference_decompose,
     reference_index_tree,
     reference_kmeans,
+    reference_prox_nuclear,
     reference_prox_tree_norm,
     reference_tree_norm,
     tree_objective,
@@ -450,9 +451,130 @@ class TestProxNuclear:
             prox_nuclear(M, 0.1)
 
 
+SVT_CASES = {
+    # name: (shape, spectrum, sigma_1 / tau or None for tau = 0, scale)
+    "tall": ((40, 25), "gauss", 10.0, 1.0),
+    "wide": ((25, 40), "gauss", 10.0, 1.0),
+    "square": ((30, 30), "gauss", 10.0, 1.0),
+    "row": ((1, 9), "gauss", 10.0, 1.0),
+    "row-cut": ((1, 9), "gauss", 0.5, 1.0),
+    "column": ((9, 1), "gauss", 10.0, 1.0),
+    "rank-3-tall": ((40, 30), "rank-3", 10.0, 1.0),
+    "rank-3-wide": ((30, 40), "rank-3", 1e6, 1.0),
+    "zero": ((5, 4), "zero", 10.0, 1.0),
+    "zero-tau-zero": ((5, 4), "zero", None, 1.0),
+    "tau-zero-tall": ((40, 25), "gauss", None, 1.0),
+    "tau-zero-wide": ((25, 40), "gauss", None, 1.0),
+    **{f"ratio-1e{k}": ((60, 45), "spread", 10.0**k, 1.0) for k in range(1, 7)},
+    "huge": ((40, 25), "spread", 1e3, 1e300),
+    "huge-wide-rank-3": ((25, 40), "rank-3", 1e6, 1e300),
+    "tiny": ((40, 25), "spread", 1e3, 1e-300),
+    "tiny-wide-rank-3": ((25, 40), "rank-3", 1e6, 1e-300),
+}
+
+
+def svt_case(name):
+    """(L, tau) for one SVT_CASES entry. "spread" has singular values
+    log-spaced from 1 to 1e-8, so some sit near tau at every ratio; a
+    zero matrix takes tau = scale / ratio."""
+    (m, n), spectrum, ratio, scale = SVT_CASES[name]
+    rng = np.random.default_rng(list(SVT_CASES).index(name))
+    if spectrum == "gauss":
+        L = rng.standard_normal((m, n))
+    elif spectrum == "rank-3":
+        L = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    elif spectrum == "spread":
+        k = min(m, n)
+        U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        L = (U * np.logspace(0, -8, k)) @ V.T
+    else:
+        L = np.zeros((m, n))
+    L *= scale
+    s1 = np.linalg.svd(L, compute_uv=False)[0]
+    if ratio is None:
+        return L, 0.0
+    return L, (s1 if s1 > 0 else scale) / ratio
+
+
+class TestGramThresholding:
+    """prox_nuclear (smaller Gram matrix) against reference_prox_nuclear
+    (one full SVD)."""
+
+    @staticmethod
+    def tolerance(sv, tau):
+        """1e-13 * s1 * max(1, s1 / tau), the Gram route's error bound for
+        singular values sv (descending). At tau = 0 nothing is cut, and
+        the smallest singular value, the one nearest the threshold, stands
+        in for tau."""
+        s1 = sv[0]
+        if s1 == 0.0:
+            return 0.0
+        return 1e-13 * s1 * max(1.0, s1 / (tau if tau > 0 else sv[-1]))
+
+    @pytest.mark.parametrize("name", list(SVT_CASES))
+    def test_matches_full_svd(self, name):
+        L, tau = svt_case(name)
+        X, s = prox_nuclear(L, tau, return_singular_values=True)
+        X_ref, s_ref = reference_prox_nuclear(L, tau, return_singular_values=True)
+        tol = self.tolerance(np.linalg.svd(L, compute_uv=False), tau)
+        assert X.shape == L.shape and s.shape == (min(L.shape),)
+        assert np.all(np.isfinite(X)) and np.all(np.isfinite(s))
+        assert np.all(np.diff(s) <= 0.0)
+        assert np.abs(X - X_ref).max() <= tol
+        assert np.abs(s - s_ref).max() <= tol
+
+    def test_one_gram_eigendecomposition_no_svd(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+
+            return counted
+
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        rng = np.random.default_rng(18)
+        for shape in [(30, 20), (20, 30)]:
+            calls.clear()
+            prox_nuclear(rng.standard_normal(shape), 1.0, return_singular_values=True)
+            assert calls == [("eigh", (20, 20))]
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
+
+def criterion_4_instance():
+    """A rank-2 L0 plus five leaves of +-1 columns S0 (64 x 100), and the
+    index tree over the columns."""
+    rng = np.random.default_rng(16)
+    d, n = 64, 100
+    tree = build_index_tree(rng.random((n, 2)) * 10, k=4, seed=16)
+    leaves = [nd for nd in tree.leaves() if len(nd.members) >= 2]
+    cols = np.concatenate([nd.members for nd in leaves[:5]])
+    L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
+    S0 = np.zeros((d, n))
+    S0[:, cols] = rng.choice([-1.0, 1.0], size=(d, len(cols)))
+    return L0, S0, tree
+
+
+def detection_frame_instance():
+    """The feature matrix, index tree and LSMD parameters that
+    run_detection decomposes at frame 8 of a synthetic burst clip."""
+    cfg = DetectorConfig()
+    seq, _truth = synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)
+    t = 8
+    diff = frame_difference(seq.frames[t - 1], seq.frames[t])
+    props = extract_proposals(diff, cfg.patch_size, cfg.stride)
+    data = feature_matrix(props)
+    tree = build_index_tree(clustering_points(props, data, *seq.shape), cfg.tree_k, cfg.seed * 7919 + t)
+    return data, tree, cfg.lsmd
+
 
 class TestDecompose:
     def test_zero_input(self):
@@ -487,6 +609,12 @@ class TestDecompose:
         with pytest.raises(errors.ShapeMismatch):
             decompose(np.zeros((4, 9)), tree)
 
+    def test_overflowing_sum_of_squares(self):
+        tree, _ = random_tree(15, n=5)
+        F = np.random.default_rng(15).standard_normal((6, 5)) * 1e200
+        with pytest.raises(errors.NonFiniteInput):
+            decompose(F, tree)
+
     @staticmethod
     def assert_matches_reference(data, tree, params):
         """decompose stops at an objective no higher than the plain
@@ -505,25 +633,29 @@ class TestDecompose:
         assert np.abs(dec.S - S_opt).max() <= np.abs(S - S_opt).max()
 
     def test_criterion_4_matches_reference(self):
-        rng = np.random.default_rng(16)
-        d, n = 64, 100
-        tree = build_index_tree(rng.random((n, 2)) * 10, k=4, seed=16)
-        leaves = [nd for nd in tree.leaves() if len(nd.members) >= 2]
-        cols = np.concatenate([nd.members for nd in leaves[:5]])
-        L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
-        S0 = np.zeros((d, n))
-        S0[:, cols] = rng.choice([-1.0, 1.0], size=(d, len(cols)))
+        L0, S0, tree = criterion_4_instance()
         self.assert_matches_reference(L0 + S0, tree, LsmdParams())
 
     def test_detection_frame_matches_reference(self):
-        cfg = DetectorConfig()
-        seq, _truth = synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)
-        t = 8
-        diff = frame_difference(seq.frames[t - 1], seq.frames[t])
-        props = extract_proposals(diff, cfg.patch_size, cfg.stride)
-        data = feature_matrix(props)
-        tree = build_index_tree(clustering_points(props, data, *seq.shape), cfg.tree_k, cfg.seed * 7919 + t)
-        self.assert_matches_reference(data, tree, cfg.lsmd)
+        self.assert_matches_reference(*detection_frame_instance())
+
+    @pytest.mark.parametrize("instance", ["criterion-4", "detection-frame"])
+    def test_full_svd_thresholding_gives_the_same_run(self, monkeypatch, instance):
+        # prox_nuclear against the full-SVD reference inside the solver:
+        # the Gram route's last-bit drift must not change the run
+        if instance == "criterion-4":
+            L0, S0, tree = criterion_4_instance()
+            data, params = L0 + S0, LsmdParams()
+        else:
+            data, tree, params = detection_frame_instance()
+        dec = decompose(data, tree, params)
+        monkeypatch.setattr(lsmd, "prox_nuclear", reference_prox_nuclear)
+        ref = decompose(data, tree, params)
+        assert (dec.iterations, dec.converged) == (ref.iterations, ref.converged)
+        obj, want = dec.objective_trace[-1], ref.objective_trace[-1]
+        assert abs(obj - want) <= 1e-12 * abs(want)
+        assert np.abs(dec.L - ref.L).max() <= 1e-9
+        assert np.abs(dec.S - ref.S).max() <= 1e-9
 
     def test_function_restart_keeps_trace_monotone(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -552,14 +684,7 @@ class TestDecompose:
             LsmdParams(max_iter=max_iter)
 
     def test_recovers_planted_structure(self):
-        rng = np.random.default_rng(16)
-        d, n = 64, 100
-        tree = build_index_tree(rng.random((n, 2)) * 10, k=4, seed=16)
-        leaves = [nd for nd in tree.leaves() if len(nd.members) >= 2]
-        cols = np.concatenate([nd.members for nd in leaves[:5]])
-        L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
-        S0 = np.zeros((d, n))
-        S0[:, cols] = rng.choice([-1.0, 1.0], size=(d, len(cols)))
+        L0, S0, tree = criterion_4_instance()
         dec = decompose(L0 + S0, tree)
         assert np.linalg.norm(dec.L - L0) / np.linalg.norm(L0) <= 0.05
         est = np.abs(dec.S) > 1e-6
