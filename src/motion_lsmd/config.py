@@ -73,7 +73,6 @@ SCHEMA: dict[str, tuple[type, object, object, str]] = {
     "detector.tau_on": (float, 0.5, _non_negative, ">= 0"),
     "detector.tau_off": (float, 0.35, _non_negative, ">= 0"),
     "detector.min_len": (int, 5, _positive, "> 0"),
-    "detector.kappa": (float, 0.0, _unit, "in [0,1]"),
     "detector.normalize": (bool, True, _any, "bool"),
     "detector.stride": (int, 1, _positive, "> 0"),
 }
@@ -147,11 +146,9 @@ class Config:
             tau_on=self["detector.tau_on"],
             tau_off=self["detector.tau_off"],
             min_len=self["detector.min_len"],
-            kappa=self["detector.kappa"],
             normalize=self["detector.normalize"],
             temporal_stride=self["detector.stride"],
             seed=self["pipeline.seed"],
-            tracker=self.tracker_config(),
         )
 
 

@@ -38,17 +38,6 @@ from .lsmd import (
 class FrameScore:
     frame: int
     lsmd_energy: float
-    tracker_conf: float = 0.0
-    combined: float = 0.0
-
-
-def make_frame_score(frame: int, lsmd_energy: float, tracker_conf: float, kappa: float) -> FrameScore:
-    return FrameScore(
-        frame=frame,
-        lsmd_energy=lsmd_energy,
-        tracker_conf=tracker_conf,
-        combined=lsmd_energy * (1.0 - tracker_conf * kappa),
-    )
 
 
 @dataclass
@@ -82,6 +71,9 @@ class DetectionReport:
 
 @dataclass
 class DetectorConfig:
+    """Settings of the LSMD detection pipeline: proposal grid, index tree,
+    solver, hysteresis thresholds and temporal stride."""
+
     patch_size: int = 16
     stride: int = 8
     tree_k: int = 4
@@ -89,11 +81,9 @@ class DetectorConfig:
     tau_on: float = 0.5
     tau_off: float = 0.35
     min_len: int = 5
-    kappa: float = 0.0  # > 0 runs the tracker branch
     normalize: bool = True
     temporal_stride: int = 1
     seed: int = 0
-    tracker: object | None = None  # TrackerConfig of the tracker branch
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +103,7 @@ def frame_activity_energy(scores: np.ndarray) -> float:
 def detect_events(
     scores: list[FrameScore], tau_on: float, tau_off: float, min_len: int
 ) -> list[EventInterval]:
-    """Hysteresis thresholding of the combined score."""
+    """Hysteresis thresholding of the per-frame LSMD energy."""
     if tau_off > tau_on:
         raise BadThresholds(f"tau_off {tau_off} > tau_on {tau_on}")
     if min_len < 1:
@@ -123,12 +113,12 @@ def detect_events(
     peak = 0.0
     for sc in scores:
         if open_start is None:
-            if sc.combined >= tau_on:
+            if sc.lsmd_energy >= tau_on:
                 open_start = sc.frame
-                peak = sc.combined
+                peak = sc.lsmd_energy
         else:
-            if sc.combined >= tau_off:
-                peak = max(peak, sc.combined)
+            if sc.lsmd_energy >= tau_off:
+                peak = max(peak, sc.lsmd_energy)
             else:
                 if sc.frame - 1 - open_start + 1 >= min_len:
                     events.append(EventInterval(open_start, sc.frame - 1, peak))
@@ -304,16 +294,6 @@ def _frame_energy(seq: FrameSequence, t: int, cfg: DetectorConfig) -> float:
     return frame_activity_energy(scores)
 
 
-def _first_motion_peak(seq: FrameSequence) -> tuple[int, int] | None:
-    """(row, col) of the largest pixel of the first non-zero frame
-    difference, or None when no two consecutive frames differ."""
-    for t in range(1, len(seq)):
-        diff = frame_difference(seq.frames[t - 1], seq.frames[t]).pixels
-        if diff.max() > 0.0:
-            return np.unravel_index(int(np.argmax(diff)), diff.shape)
-    return None
-
-
 def run_detection(
     seq: FrameSequence, config: DetectorConfig | None = None
 ) -> tuple[list[FrameScore], list[EventInterval]]:
@@ -328,27 +308,15 @@ def run_detection(
 
     by_frame = {t: _frame_energy(seq, t, cfg) for t in range(1, len(seq), cfg.temporal_stride)}
 
-    # with kappa = 0 the tracker's confidence cannot change a combined score,
-    # and a sequence without motion gives it nothing to start on
-    tracker_conf = {t: 0.0 for t in range(1, len(seq))}
-    start = _first_motion_peak(seq) if cfg.kappa > 0 else None
-    if start is not None:
-        from .tracker import AffineState, TrackerConfig, track_sequence
-
-        init = AffineState(l_x=float(start[1]), l_y=float(start[0]))
-        tcfg = cfg.tracker if cfg.tracker is not None else TrackerConfig(seed=cfg.seed)
-        for r in track_sequence(seq, init, tcfg):
-            tracker_conf[r.frame_index] = r.confidence
-
     scores: list[FrameScore] = []
     held = 0.0
     for t in range(1, len(seq)):
         held = by_frame.get(t, held)  # hold energy between temporal strides
-        scores.append(make_frame_score(t, held, tracker_conf[t], cfg.kappa))
+        scores.append(FrameScore(t, held))
 
     tau_on, tau_off = cfg.tau_on, cfg.tau_off
     if cfg.normalize:
-        peak = max((sc.combined for sc in scores), default=0.0)
+        peak = max((sc.lsmd_energy for sc in scores), default=0.0)
         tau_on, tau_off = tau_on * peak, tau_off * peak
         if peak <= 0.0:
             return scores, []

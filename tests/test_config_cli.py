@@ -25,13 +25,10 @@ def run_cli(args):
 
 
 def assert_same_fields(got, want):
-    """Dataclasses equal field by field; a ``tracker`` of None counts as
-    TrackerConfig(), and arrays compare elementwise."""
+    """Dataclasses equal field by field; arrays compare elementwise."""
     assert type(got) is type(want)
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "tracker":
-            a, b = (TrackerConfig() if v is None else v for v in (a, b))
         if dataclasses.is_dataclass(b):
             assert_same_fields(a, b)
         elif isinstance(b, np.ndarray):
@@ -94,6 +91,7 @@ class TestParseConfig:
             "detector.lsmd_input=difference",
             "detector.use_tracker=true",
             "lsmd.group_weight=1.0",
+            "detector.kappa=0.2",
         ],
     )
     def test_removed_keys_are_unknown(self, override):
@@ -173,6 +171,12 @@ class TestCliDetectEval:
         events = tmp_path / "events.csv"
         res = run_cli(["detect", synth_dir, "--out", scores, "--events", events])
         assert res.returncode == 0, res.stderr
+        header, *rows = scores.read_text(encoding="utf-8").splitlines()
+        assert header == "frame,lsmd_energy,tracker_conf,combined"
+        assert len(rows) == 49
+        for row in rows:
+            _frame, energy, tracker_conf, combined = row.split(",")
+            assert tracker_conf == "0.0" and combined == energy, row
         lines = events.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "start,end,peak"
         assert len(lines) == 2  # exactly one event
@@ -357,6 +361,20 @@ class TestCliErrors:
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("error: ") and "Warning" not in res.stderr, res.stderr
         assert not list(tmp_path.glob("dec_*"))
+
+    def test_matrix_whose_kmeans_distances_overflow(self, tmp_path):
+        # ||F||_F^2 is finite, but k-means++'s summed squared distances
+        # between clustering points are not unless k-means rescales them
+        features = tmp_path / "features.csv"
+        fileio.write_matrix_csv(features, np.random.default_rng(2).standard_normal((6, 5)) * 2.3e153)
+        res = run_cli(["decompose", features, "--out-prefix", tmp_path / "dec"])
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr, res.stderr
+        for part in ("L", "S"):
+            assert np.isfinite(fileio.read_matrix_csv(tmp_path / f"dec_{part}.csv")).all()
+        header, *rows = (tmp_path / "dec_obj.csv").read_text(encoding="utf-8").splitlines()
+        assert header == "iteration,objective" and rows
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
 
     @pytest.mark.parametrize("field", ["abc", "nan", "inf", "-inf"])
     def test_bad_matrix_field_is_an_input_error(self, tmp_path, capsys, field):

@@ -13,7 +13,6 @@ from motion_lsmd.detector import (
     aggregate_report,
     detect_events,
     frame_activity_energy,
-    make_frame_score,
     match_events,
     run_detection,
     synth_sequence,
@@ -24,7 +23,7 @@ from report_fixture import ACCURACY, ROWS, TOTAL_CORRECT, TOTAL_EVENTS, TOTAL_FR
 
 
 def scores_from(values, start=0):
-    return [FrameScore(frame=start + i, lsmd_energy=v, combined=v) for i, v in enumerate(values)]
+    return [FrameScore(frame=start + i, lsmd_energy=v) for i, v in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,48 +262,3 @@ class TestRunDetection:
             if (sc.frame - 1) % 3 != 0:
                 prev = scores[sc.frame - 2]  # scores start at frame 1
                 assert sc.lsmd_energy == prev.lsmd_energy
-
-    def test_combined_invariant_with_kappa(self):
-        sc = make_frame_score(4, 0.8, 0.5, kappa=0.5)
-        assert sc.combined == pytest.approx(0.8 * (1 - 0.5 * 0.5))
-
-    def test_tracker_branch_fills_confidences(self):
-        from motion_lsmd.tracker import TrackerConfig
-
-        seq, _ = synth_sequence(SynthSpec(64, 64, 12, [(2, 9, "burst")]), seed=9)
-        cfg = DetectorConfig(
-            kappa=0.2,
-            tracker=TrackerConfig(n_particles=20, seed=1),
-        )
-        scores, _events = run_detection(seq, cfg)
-        assert any(s.tracker_conf > 0.0 for s in scores)
-        for s in scores:
-            assert s.combined == pytest.approx(s.lsmd_energy * (1 - 0.2 * s.tracker_conf))
-
-    @staticmethod
-    def capture_tracker_starts(monkeypatch):
-        """Replace the tracker with a stub that records its starting state."""
-        from motion_lsmd import tracker
-
-        starts = []
-        monkeypatch.setattr(tracker, "track_sequence", lambda seq, init, cfg: starts.append(init) or [])
-        return starts
-
-    def test_tracker_starts_on_first_motion(self, monkeypatch):
-        # frames 0 and 1 are equal, so the first difference is all zero
-        seq, _ = synth_sequence(SynthSpec(64, 64, 24, [(12, 20, "burst")]), seed=0)
-        starts = self.capture_tracker_starts(monkeypatch)
-        run_detection(seq, DetectorConfig(kappa=0.2, temporal_stride=8))
-        assert len(starts) == 1
-        diffs = [np.abs(b.pixels - a.pixels) for a, b in zip(seq.frames, seq.frames[1:])]
-        first = next(d for d in diffs if d.max() > 0.0)
-        assert diffs[0].max() == 0.0
-        assert first[int(starts[0].l_y), int(starts[0].l_x)] == first.max()
-
-    def test_static_sequence_skips_tracker(self, monkeypatch):
-        pixels = np.random.default_rng(1).random((64, 64))
-        seq = FrameSequence([Frame(pixels.copy(), i) for i in range(4)], "static")
-        starts = self.capture_tracker_starts(monkeypatch)
-        scores, _events = run_detection(seq, DetectorConfig(kappa=0.2))
-        assert starts == []
-        assert all(s.tracker_conf == 0.0 for s in scores)
