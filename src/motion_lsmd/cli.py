@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--events", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--name", required=True)
-    p.add_argument("--frames", type=int, default=0, help="total frame count for the row")
+    p.add_argument("--frames", type=int, default=0, help="total frame count for the row (0: derive)")
     p.add_argument("--append", required=True, help="report CSV to create or extend")
 
     return parser
@@ -160,13 +160,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.frames < 0:
+        raise InvalidValue(f"--frames must be >= 0 (0 derives it), got {args.frames}")
     detected = fileio.read_events_csv(args.events)
     truth = fileio.read_events_csv(args.truth)
     correct = match_events(detected, truth)
     report_path = Path(args.append)
     rows = fileio.read_report_rows(report_path) if report_path.exists() else []
     total_frames = args.frames
-    if total_frames <= 0:
+    if total_frames == 0:
         spans = [ev.end for ev in truth + detected]
         total_frames = (max(spans) + 1) if spans else 0
     rows.append(

@@ -46,6 +46,9 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     if len(lines) < 2 + rows:
         raise InvalidValue(f"{path}: expected {rows} data rows")
     body = lines[2 : 2 + rows]
+    for i, line in enumerate(lines[2 + rows :], 3 + rows):
+        if line.strip():
+            raise InvalidValue(f"{path}: line {i}: data after the {rows} declared rows")
     # every row's length is checked before the matrix is allocated, so a
     # dimension line cannot ask for more memory than the file has values
     for r, line in enumerate(body):

@@ -277,10 +277,8 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
             node.indivisible = True
             continue
         keff = min(k, distinct)
+        # keff <= distinct, so kmeans does not return None here
         assign = kmeans(sub, keff, seed=seed * 100003 + nid)
-        if assign is None:
-            node.indivisible = True
-            continue
         for c in range(keff):
             mem = members[assign == c]
             child = TreeNode(

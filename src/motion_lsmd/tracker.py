@@ -9,11 +9,11 @@ masking), take the MAP particle, and update the template set when
 confidence and occlusion gates allow.
 
 A frame's particles are scored as a batch (``score_particles``): batched
-warps, then one vectorised Gram-form coordinate descent per dictionary
-over all holistic problems and over the local-block problems of up to
-_CD_GROUP particles at a time. The batch keeps each problem's arithmetic
-and its order, so a particle's scores equal the ones its own scalar
-solves give and do not depend on the batch it falls in.
+warps, then one vectorised Gram-form coordinate descent per dictionary:
+one over all holistic problems and one over the blocks of the whole
+frame. The batch keeps each problem's arithmetic and its order, so a
+particle's scores equal the ones its own scalar solves give and do not
+depend on the batch it falls in.
 ``observation_likelihood``, ``discriminative_confidence`` and
 ``generative_confidence`` are one-candidate views of the same scorer.
 """
@@ -182,39 +182,32 @@ _LOCAL_LAMBDA = 0.0
 _LOCAL_TOL = 1e-10
 _LOCAL_MAX_ITER = 200
 
-# score_particles warps _WARP_CHUNK particles at a time (the warp holds
-# about 120 kB of temporaries per particle) and block-codes _CD_GROUP at
-# a time (about 5 kB per particle); they bound the working set and
-# change no score
+# score_particles warps _WARP_CHUNK particles at a time: the warp holds
+# about 120 kB of temporaries per particle, and the chunk size changes
+# no score
 _WARP_CHUNK = 4
-_CD_GROUP = 100
 
 
-def _vec_unit(patch: Patch) -> np.ndarray:
-    v = np.asarray(patch, dtype=np.float64).reshape(-1)
-    nrm = np.linalg.norm(v)
-    return v / nrm if nrm > 0 else v
-
-
-def _blocks(patch: Patch) -> np.ndarray:
-    h, w = patch.shape
+def _block_grid(patches: np.ndarray) -> np.ndarray:
+    """(n, h/BLOCK, BLOCK, w/BLOCK, BLOCK) view of (n, h, w) patches."""
+    n, h, w = patches.shape
     b = BLOCK
     if h % b or w % b:
         raise BadBlocking(f"patch {h}x{w} not divisible into {b}x{b} blocks")
-    grid = patch.reshape(h // b, b, w // b, b).swapaxes(1, 2)
-    return grid.reshape(-1, b * b)  # raster order over block positions
+    return patches.reshape(n, h // b, b, w // b, b)
 
 
 def build_local_dict(holistic: list[Patch]) -> np.ndarray:
     """(P, BLOCK*BLOCK, m) dictionary: position p holds the normalized
-    p-th block of every holistic template."""
-    per_template = [_blocks(h) for h in holistic]  # each (P, BLOCK*BLOCK)
-    P = per_template[0].shape[0]
-    out = np.empty((P, BLOCK * BLOCK, len(holistic)))
-    for j, blocks in enumerate(per_template):
-        for p in range(P):
-            out[p, :, j] = _vec_unit(blocks[p])
-    return out
+    p-th block of every holistic template, positions in raster order."""
+    grid = _block_grid(np.asarray(holistic, dtype=np.float64))
+    m, gh, b, gw, _ = grid.shape
+    # one contiguous row per block, so each norm is the dot product
+    # np.linalg.norm takes of that block alone
+    blocks = grid.transpose(1, 3, 0, 2, 4).reshape(gh * gw, m, b * b)
+    nrm = np.sqrt(np.vecdot(blocks, blocks))
+    unit = blocks / np.where(nrm > 0, nrm, 1.0)[..., None]
+    return np.ascontiguousarray(unit.transpose(0, 2, 1))
 
 
 def make_template_set(
@@ -313,17 +306,15 @@ def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
     """(c (A, m), solve (N, P)): D_p'y / ||y|| for each of the A non-empty
     blocks, in raster order, and which blocks those are. The sums run
     pixel by pixel, as ``_kernels.block_residuals`` takes them."""
-    n, h, w = patches.shape
-    b = BLOCK
-    if h % b or w % b:
-        raise BadBlocking(f"patch {h}x{w} not divisible into {b}x{b} blocks")
-    P = (h // b) * (w // b)
+    grid = _block_grid(patches)
+    n, gh, b, gw, _ = grid.shape
+    P = gh * gw
     if P != templates.local_dict.shape[0]:
         raise BadBlocking(
             f"candidate has {P} blocks, local dictionary expects {templates.local_dict.shape[0]}"
         )
     # pixel-major (b*b, n, P): a sum over axis 0 adds one pixel after another
-    y = patches.reshape(n, h // b, b, w // b, b).transpose(2, 4, 0, 1, 3).reshape(b * b, n, P)
+    y = grid.transpose(2, 4, 0, 1, 3).reshape(b * b, n, P)
     acc = (templates.local_dict.transpose(1, 0, 2)[:, None] * y[..., None]).sum(axis=0)
     nrm = np.sqrt((y * y).sum(axis=0))
     solve = nrm > 0.0
@@ -397,16 +388,6 @@ def _scores(holistic, local, templates: TemplateSet, cfg: TrackerConfig) -> Obse
     )
 
 
-def _group_coefficients(frame: Frame, states: np.ndarray, templates: TemplateSet, size: int):
-    """Holistic and block coefficients of particle states (N, 6), warped
-    _WARP_CHUNK at a time."""
-    parts = []
-    for lo in range(0, len(states), _WARP_CHUNK):
-        patches = warp_patches(frame, states[lo : lo + _WARP_CHUNK], size, size)
-        parts.append(_holistic_coefficients(patches, templates) + _block_coefficients(patches, templates))
-    return [np.concatenate(part) for part in zip(*parts)]
-
-
 def score_particles(
     frame: Frame, states: np.ndarray, templates: TemplateSet, cfg: TrackerConfig
 ) -> ObservationScores:
@@ -414,23 +395,19 @@ def score_particles(
 
     The candidates are cfg.template_size square; the holistic codes use
     cfg.solver, and cfg.sigma_c and cfg.eps_occ set the discriminative
-    and generative scores. Groups of _CD_GROUP particles are warped
-    _WARP_CHUNK at a time and their blocks coded by one batched
-    coordinate descent; the holistic codes of all N particles then run
-    as one batch per dictionary.
+    and generative scores. The particles are warped _WARP_CHUNK at a
+    time; then the blocks of all N particles are coded by one batched
+    coordinate descent, and their holistic codes by one batch per
+    dictionary.
     """
-    holistic, local = [], []
-    for lo in range(0, len(states), _CD_GROUP):
-        *coefficients, c_blk, solve = _group_coefficients(
-            frame, states[lo : lo + _CD_GROUP], templates, cfg.template_size
-        )
-        holistic.append(coefficients)
-        local.append(_block_codes(c_blk, solve, templates))
-    return _scores(
-        [np.concatenate(part) for part in zip(*holistic)],
-        [np.concatenate(part) for part in zip(*local)],
-        templates, cfg,
-    )
+    size = cfg.template_size
+    parts = []
+    for lo in range(0, len(states), _WARP_CHUNK):
+        patches = warp_patches(frame, states[lo : lo + _WARP_CHUNK], size, size)
+        parts.append(_holistic_coefficients(patches, templates) + _block_coefficients(patches, templates))
+    *holistic, c_blk, solve = [np.concatenate(part) for part in zip(*parts)]
+    del parts  # the per-chunk copies are not needed during the solves
+    return _scores(holistic, _block_codes(c_blk, solve, templates), templates, cfg)
 
 
 def _one(candidate: Patch) -> np.ndarray:

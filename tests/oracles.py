@@ -4,11 +4,12 @@ The oracles share no code with the implementations under test: the
 non-negative lasso oracle enumerates support sets, the prox oracles run
 projected subgradient descent refined by (a) dual block projections for
 group norms and (b) a smoothed quasi-Newton continuation for the nuclear
-norm, and the warp oracle interpolates one output pixel at a time. Five
+norm, and the warp oracle interpolates one output pixel at a time. Several
 references are exceptions, kept as the exact results the faster code
 must reproduce: the reference proposal grid, feature matrix and motion
 prior work one patch at a time; the tracker's reference scorer scores
-particles one at a time with the scalar kernels; the reference bilinear
+particles one at a time with the scalar kernels, and its reference local
+dictionary normalises one block at a time; the reference bilinear
 sampler reads each corner through its own clip, gather and mask; the
 reference k-means and index tree are the tree builder as it was before
 its distinct-row count and Lloyd step were made cheaper; the reference
@@ -417,6 +418,28 @@ def reference_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> list[
 def residual_norm(X: np.ndarray, t: np.ndarray, gamma: np.ndarray) -> float:
     """l2 norm of the reconstruction residual t - X gamma."""
     return float(np.linalg.norm(t - X @ gamma))
+
+
+def reference_local_dict(holistic) -> np.ndarray:
+    """``tracker.build_local_dict`` one block at a time: cut each template
+    into raster-order blocks and divide each block by its
+    ``np.linalg.norm`` (a zero block stays as it is)."""
+    from motion_lsmd.tracker import BLOCK
+
+    b = BLOCK
+    per_template = []
+    for patch in holistic:
+        h, w = patch.shape
+        grid = np.asarray(patch, dtype=np.float64).reshape(h // b, b, w // b, b).swapaxes(1, 2)
+        per_template.append(grid.reshape(-1, b * b))
+    P = per_template[0].shape[0]
+    out = np.empty((P, b * b, len(holistic)))
+    for j, blocks in enumerate(per_template):
+        for p in range(P):
+            v = blocks[p]
+            nrm = np.linalg.norm(v)
+            out[p, :, j] = v / nrm if nrm > 0 else v
+    return out
 
 
 def reference_particle_scores(frame, states, templates, cfg):

@@ -387,3 +387,31 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert rc == 1, err
         assert err.startswith("error: ") and str(features) in err and "row 3" in err, err
+
+    def test_matrix_with_lines_past_the_declared_rows(self, tmp_path):
+        features = tmp_path / "features.csv"
+        features.write_text(
+            "rows,cols\n2,3\n1,2,3\n4,5,6\n7,8,9\nnot,a,row,at,all\n", encoding="utf-8"
+        )
+        res = run_cli(["decompose", features, "--out-prefix", tmp_path / "dec"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: ") and "line 5" in res.stderr, res.stderr
+        assert not list(tmp_path.glob("dec_*"))
+
+    def test_matrix_with_blank_lines_past_the_declared_rows(self, tmp_path):
+        features = tmp_path / "features.csv"
+        features.write_text("rows,cols\n2,3\n1,2,3\n4,5,6\n\n  \n", encoding="utf-8")
+        assert np.array_equal(fileio.read_matrix_csv(features), [[1, 2, 3], [4, 5, 6]])
+
+    def test_eval_negative_frames(self, tmp_path):
+        events = tmp_path / "e.csv"
+        events.write_text("start,end,kind\n2,8,burst\n", encoding="utf-8")
+        report = tmp_path / "report.csv"
+        args = ["eval", "--events", events, "--truth", events, "--name", "clip", "--append", report]
+        assert run_cli([*args, "--frames", "0"]).returncode == 0
+        before = report.read_bytes()
+        assert b"clip,9,1,1" in before  # 0 derives the count from the last event end
+        res = run_cli([*args, "--frames", "-5"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: --frames"), res.stderr
+        assert report.read_bytes() == before

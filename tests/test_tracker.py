@@ -5,7 +5,6 @@ from motion_lsmd import errors
 from motion_lsmd.ingest import Frame, FrameSequence, warp_patch, warp_sample_grids
 from motion_lsmd.sparse import SolverParams, nn_lasso
 from motion_lsmd.tracker import (
-    _CD_GROUP,
     _WARP_CHUNK,
     AffineState,
     MotionModelParams,
@@ -13,6 +12,7 @@ from motion_lsmd.tracker import (
     TemplateSet,
     TrackerConfig,
     TrackResult,
+    build_local_dict,
     discriminative_confidence,
     discriminative_score,
     generative_confidence,
@@ -25,7 +25,7 @@ from motion_lsmd.tracker import (
     update_templates,
 )
 
-from oracles import reference_particle_scores, residual_norm
+from oracles import reference_local_dict, reference_particle_scores, residual_norm
 
 
 def square_sequence(n_frames, h=64, w=160, size=24, speed=2.0, start=(32.0, 20.0)):
@@ -133,6 +133,29 @@ class TestDiscriminative:
         templates.negatives = []
         with pytest.raises(errors.EmptyDictionary):
             discriminative_confidence(np.ones((16, 16)), templates)
+
+
+class TestLocalDict:
+    @pytest.mark.parametrize("size", [8, 16, 32, 48])
+    def test_bytes_equal_block_by_block_reference(self, size):
+        rng = np.random.default_rng(size)
+        for m in (1, 3, 10):
+            holistic = []
+            for _ in range(m):
+                patch = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-3, 3, (size, size))
+                patch[rng.random((size, size)) < 0.2] = 0.0
+                r, c = rng.integers(0, size // 8, 2)
+                patch[8 * r : 8 * r + 8, 8 * c : 8 * c + 8] = 0.0  # one zero block
+                holistic.append(patch)
+            got = build_local_dict(holistic)
+            want = reference_local_dict(holistic)
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape == ((size // 8) ** 2, 64, m)
+            assert got.tobytes() == want.tobytes()
+
+    def test_bad_blocking(self):
+        with pytest.raises(errors.BadBlocking):
+            build_local_dict([np.ones((16, 12))])
 
 
 class TestGenerative:
@@ -256,8 +279,8 @@ class TestBatchedScoring:
     def test_score_independent_of_batch_position(self):
         seq, prev, templates = self.case()
         obs = seq.frames[1]
-        # a second block-coding group, ending in a warp chunk of one
-        ps = propose_particles(prev, self.cfg.motion, _CD_GROUP + _WARP_CHUNK + 1, 7)
+        # several warp chunks, the last one of a single particle
+        ps = propose_particles(prev, self.cfg.motion, 3 * _WARP_CHUNK + 1, 7)
         got = score_particles(obs, ps.states, templates, self.cfg)
         perm = np.random.default_rng(3).permutation(len(ps))
         again = score_particles(obs, ps.states[perm], templates, self.cfg)
