@@ -166,11 +166,27 @@ def bilinear_sample(pixels, rows, cols):
     padded = np.zeros((h + 4, stride))
     padded[2:-2, 2:-2] = pixels
     flat = padded.reshape(-1)
-    i = ((np.clip(r0, -2, h) + 2) * stride + (np.clip(c0, -2, w) + 2)).astype(np.intp)
-    out = flat[i] * (1.0 - fr) * (1.0 - fc)
-    out = out + flat[i + 1] * (1.0 - fr) * fc
-    out = out + flat[i + stride] * fr * (1.0 - fc)
-    out = out + flat[i + stride + 1] * fr * fc
+    np.clip(r0, -2, h, out=r0)
+    np.clip(c0, -2, w, out=c0)
+    r0 += 2
+    r0 *= stride
+    c0 += 2
+    r0 += c0
+    i = r0.astype(np.intp)
+    gr = np.subtract(1.0, fr, out=r0)  # the floors are spent: reuse them
+    gc = np.subtract(1.0, fc, out=c0)
+    # each corner adds (value * row weight) * column weight, in the order
+    # (r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1); a neighbour
+    # is read through the padded frame's view offset by 1, stride or
+    # stride + 1
+    out = flat[i]
+    out *= gr
+    out *= gc
+    for offset, wr, wc in ((1, gr, fc), (stride, fr, gc), (stride + 1, fr, fc)):
+        t = flat[offset:][i]
+        t *= wr
+        t *= wc
+        out += t
     return out
 
 

@@ -33,10 +33,19 @@ def write_matrix_csv(path: str | Path, mat: np.ndarray) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
+def _holds_non_csv_text(line: str) -> bool:
+    """True for a line with a digit-group underscore ("1_0", which int and
+    float read as 10) or non-ASCII text (float reads non-ASCII digits and
+    spaces): no matrix CSV holds either."""
+    return "_" in line or not line.isascii()
+
+
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 2 or lines[0].strip() != "rows,cols":
         raise InvalidValue(f"{path}: expected 'rows,cols' header")
+    if _holds_non_csv_text(lines[1]):
+        raise InvalidValue(f"{path}: bad dimension line {lines[1]!r}")
     try:
         rows, cols = (int(v) for v in lines[1].split(","))
     except ValueError as exc:
@@ -52,6 +61,8 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     # every row's length is checked before the matrix is allocated, so a
     # dimension line cannot ask for more memory than the file has values
     for r, line in enumerate(body):
+        if _holds_non_csv_text(line):
+            raise InvalidValue(f"{path}: row {r} holds '_' or non-ASCII text")
         if line.count(",") + 1 != cols:
             raise InvalidValue(f"{path}: row {r} has {line.count(',') + 1} values, expected {cols}")
     data = np.empty((rows, cols))

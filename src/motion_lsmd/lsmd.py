@@ -272,13 +272,16 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
         if len(members) < k:
             continue
         sub = pts[members]
-        distinct = _count_distinct_rows(sub)
-        if distinct < 2:
-            node.indivisible = True
-            continue
-        keff = min(k, distinct)
-        # keff <= distinct, so kmeans does not return None here
+        keff = k
         assign = kmeans(sub, keff, seed=seed * 100003 + nid)
+        if assign is None:
+            # fewer than k distinct rows: split into as many clusters as
+            # there are, with the same seed, unless all rows are equal
+            keff = _count_distinct_rows(sub)
+            if keff < 2:
+                node.indivisible = True
+                continue
+            assign = kmeans(sub, keff, seed=seed * 100003 + nid)
         for c in range(keff):
             mem = members[assign == c]
             child = TreeNode(

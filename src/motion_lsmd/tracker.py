@@ -183,9 +183,9 @@ _LOCAL_TOL = 1e-10
 _LOCAL_MAX_ITER = 200
 
 # score_particles warps _WARP_CHUNK particles at a time: the warp holds
-# about 120 kB of temporaries per particle, and the chunk size changes
-# no score
-_WARP_CHUNK = 4
+# about 80 kB of temporaries per 32x32 particle, and the chunk size
+# changes no score
+_WARP_CHUNK = 8
 
 
 def _block_grid(patches: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ group norms and (b) a smoothed quasi-Newton continuation for the nuclear
 norm, and the warp oracle interpolates one output pixel at a time. Several
 references are exceptions, kept as the exact results the faster code
 must reproduce: the reference proposal grid, feature matrix and motion
-prior work one patch at a time; the tracker's reference scorer scores
+prior work one patch at a time; the reference warp grid takes every
+factor over a full meshgrid; the tracker's reference scorer scores
 particles one at a time with the scalar kernels, and its reference local
 dictionary normalises one block at a time; the reference bilinear
 sampler reads each corner through its own clip, gather and mask; the
@@ -272,6 +273,26 @@ def warp_reference(pixels: np.ndarray, state, out_h: int, out_w: int) -> np.ndar
                     acc += pixels[ri, ci] * wgt
             out[u, v] = acc
     return out
+
+
+def reference_warp_sample_grids(states, out_h: int, out_w: int):
+    """``ingest.warp_sample_grids`` as it was before it kept the
+    one-axis factors at reduced shape: every factor is taken over a full
+    (out_h, out_w) meshgrid."""
+    from motion_lsmd.ingest import CANONICAL_HALF, CANONICAL_SIZE
+
+    l_x, l_y, theta, s, alpha, phi = np.asarray(states, dtype=np.float64).T[:, :, None, None]
+    gy = -CANONICAL_HALF + np.arange(out_h) * (CANONICAL_SIZE / out_h)
+    gx = -CANONICAL_HALF + np.arange(out_w) * (CANONICAL_SIZE / out_w)
+    gxx, gyy = np.meshgrid(gx, gy)
+    sx = s * gxx
+    sy = s * alpha * gyy
+    x1 = sx + phi * sy
+    y1 = sy
+    ct, st = np.cos(theta), np.sin(theta)
+    cols = l_x + ct * x1 - st * y1
+    rows = l_y + st * x1 + ct * y1
+    return rows, cols
 
 
 def reference_bilinear_sample(pixels, rows, cols):

@@ -252,6 +252,27 @@ class TestCliTrack:
         assert lines[0] == "frame,l_x,l_y,theta,s,alpha,phi,confidence,occlusion_fraction"
         assert len(lines) == 3  # frames 1 and 2
 
+    def test_track_bytes_equal_golden(self, tmp_path):
+        # the track-square benchmark setting at a fixed start: a 24-px
+        # square moving 2 px per frame on 64x160 frames, 300 particles; a
+        # drift of one bit in the warp or the scorer changes these bytes
+        from motion_lsmd.ingest import write_pgm
+
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        cy, cx0 = 32, 20
+        for t in range(4):
+            img = np.zeros((64, 160))
+            cx = cx0 + 2 * t
+            img[cy - 12 : cy + 12, cx - 12 : cx + 12] = 0.9
+            write_pgm(frames_dir / f"{t:04d}.pgm", img)
+        out = tmp_path / "track.csv"
+        rc = cli.main(["track", str(frames_dir), "--init", f"{cx0},{cy},0,1,1,0", "--out", str(out),
+                       "--set", "tracker.n_particles=300", "--set", "pipeline.seed=7"])
+        assert rc == 0
+        golden = Path(__file__).parent / "data" / "track_golden.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 class TestCliDecompose:
     def test_decompose_outputs(self, tmp_path):
@@ -396,6 +417,19 @@ class TestCliErrors:
         res = run_cli(["decompose", features, "--out-prefix", tmp_path / "dec"])
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("error: ") and "line 5" in res.stderr, res.stderr
+        assert not list(tmp_path.glob("dec_*"))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["rows,cols\n2,2\n1_0,2\n3,4\n", "rows,cols\n2,2\n1,2\n3,\u0664\n", "rows,cols\n0_2,2\n1,2\n3,4\n"],
+        ids=["underscore", "non-ascii-digit", "underscore-in-dimensions"],
+    )
+    def test_matrix_field_that_float_reads_but_csv_never_holds(self, tmp_path, text):
+        features = tmp_path / "features.csv"
+        features.write_text(text, encoding="utf-8")
+        res = run_cli(["decompose", features, "--out-prefix", tmp_path / "dec"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: "), res.stderr
         assert not list(tmp_path.glob("dec_*"))
 
     def test_matrix_with_blank_lines_past_the_declared_rows(self, tmp_path):

@@ -15,6 +15,7 @@ from motion_lsmd.ingest import (
     load_frame_sequence,
     read_pgm,
     warp_patch,
+    warp_sample_grids,
     write_pgm,
 )
 from motion_lsmd.lsmd import motion_prior
@@ -24,6 +25,7 @@ from oracles import (
     reference_extract_proposals,
     reference_feature_matrix,
     reference_motion_prior,
+    reference_warp_sample_grids,
     warp_reference,
 )
 
@@ -216,6 +218,24 @@ class TestWarpPatch:
             got = warp_patch(frame, state, out_h, out_w)
             want = warp_reference(frame.pixels, state, out_h, out_w)
             assert np.allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 37])
+    @pytest.mark.parametrize("out_h, out_w", [(32, 32), (8, 24), (1, 1)])
+    def test_sample_grids_bit_equal_to_meshgrid_reference(self, n, out_h, out_w):
+        rng = np.random.default_rng(1000 * n + 10 * out_h + out_w)
+        states = np.column_stack([
+            rng.uniform(-50.0, 200.0, n),  # l_x
+            rng.uniform(-50.0, 100.0, n),  # l_y
+            rng.uniform(-np.pi, np.pi, n),  # theta
+            rng.uniform(0.2, 3.0, n),  # s
+            rng.uniform(0.3, 3.0, n),  # alpha
+            rng.uniform(-1.0, 1.0, n),  # phi
+        ])
+        got = warp_sample_grids(states, out_h, out_w)
+        want = reference_warp_sample_grids(states, out_h, out_w)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape == (n, out_h, out_w)
+            assert g.tobytes() == r.tobytes()
 
     def test_non_positive_scale(self):
         frame = make_frame(np.zeros((16, 16)))

@@ -73,7 +73,9 @@ class TestBilinearSample:
         far_r, far_c = np.meshgrid(far, far, indexing="ij")
         batch = rng.uniform(-4.0, h + 4.0, (3, 8, 8)), rng.uniform(-4.0, w + 4.0, (3, 8, 8))
         for r, c in ((rows, cols), (far_r, far_c), batch):
+            r_bytes, c_bytes = r.tobytes(), c.tobytes()
             got = _kernels.bilinear_sample(pixels, r, c)
+            assert r.tobytes() == r_bytes and c.tobytes() == c_bytes  # the kernel works in place on its own copies
             want = reference_bilinear_sample(pixels, r, c)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()  # bits, so -0.0 != 0.0

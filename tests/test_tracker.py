@@ -281,6 +281,7 @@ class TestBatchedScoring:
         obs = seq.frames[1]
         # several warp chunks, the last one of a single particle
         ps = propose_particles(prev, self.cfg.motion, 3 * _WARP_CHUNK + 1, 7)
+        assert len(ps) % _WARP_CHUNK == 1
         got = score_particles(obs, ps.states, templates, self.cfg)
         perm = np.random.default_rng(3).permutation(len(ps))
         again = score_particles(obs, ps.states[perm], templates, self.cfg)
