@@ -207,9 +207,10 @@ def _render(bg: np.ndarray, centers: np.ndarray, amps: np.ndarray, sigma: float)
 
 def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[EventInterval]]:
     """Two Gaussian blobs over static noise, as seen by a stationary
-    camera: outside events the scene is static (motion 0 <= 0.5 px/frame),
-    inside events blobs move 4-8 px/frame (burst: one blob oscillates;
-    swap: the blobs trade places). Frames are quantized to the 8-bit grid
+    camera: a frame outside every event is byte-equal to the one before
+    it; inside events blobs move 4-8 px/frame (burst: one blob oscillates;
+    swap: the blobs trade places). Events may come in any order but must
+    not share a frame. Frames are quantized to the 8-bit grid
     the PGM pipeline delivers."""
     margin = 12.0  # blob centres start this far inside the frame
     if spec.h < 2 * margin or 0.45 * spec.w < margin:
@@ -223,6 +224,10 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
             raise EventOutOfRange(f"event ({start}, {end}) outside [0, {spec.n_frames})")
         if kind not in _KINDS:
             raise EventOutOfRange(f"unknown event kind {kind!r}")
+    ordered = sorted(spec.events)
+    for (s0, e0, _k0), (s1, e1, _k1) in zip(ordered, ordered[1:]):
+        if s1 <= e0:
+            raise EventOutOfRange(f"events ({s0}, {e0}) and ({s1}, {e1}) share frame {s1}")
 
     rng = np.random.default_rng(seed)
     bg = 0.08 + 0.02 * rng.random((spec.h, spec.w))
@@ -273,7 +278,7 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
         pos[:, 0] = np.clip(pos[:, 0], 2.0, spec.h - 3.0)
         pos[:, 1] = np.clip(pos[:, 1], 2.0, spec.w - 3.0)
 
-    truth = [EventInterval(s, e) for s, e, _k in sorted(spec.events)]
+    truth = [EventInterval(s, e) for s, e, _k in ordered]
     return FrameSequence(frames=frames, name=f"synth-{seed}"), truth
 
 
@@ -285,6 +290,10 @@ def _frame_energy(seq: FrameSequence, t: int, cfg: DetectorConfig) -> float:
     frame = frame_difference(seq.frames[t - 1], seq.frames[t])
     proposals = extract_proposals(frame, cfg.patch_size, cfg.stride)
     data = feature_matrix(proposals)
+    if not data.any():
+        # F = 0 decomposes to L = S = 0 under any tree, so every score and
+        # the energy are +0.0; skip the tree and the solver
+        return 0.0
     h, w = frame.shape
     tree = build_index_tree(
         clustering_points(proposals, data, h, w), k=cfg.tree_k, seed=cfg.seed * 7919 + t

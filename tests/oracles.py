@@ -14,9 +14,11 @@ dictionary normalises one block at a time; the reference bilinear
 sampler reads each corner through its own clip, gather and mask; the
 reference k-means and index tree are the tree builder as it was before
 its distinct-row count and Lloyd step were made cheaper; the reference
-singular value thresholding takes a full SVD; and the reference tree
+singular value thresholding takes a full SVD; the reference tree
 norm, tree prox and LSMD loop work node by node and take a second SVD
-per iteration for the objective's nuclear norm.
+per iteration for the objective's nuclear norm; and the reference frame
+energy builds a tree and runs LSMD for every frame pair, with or
+without motion.
 """
 
 from __future__ import annotations
@@ -603,3 +605,27 @@ def reference_decompose(data, tree, params):
             converged = True
             break
     return L, S, trace, iterations, converged
+
+
+# ---------------------------------------------------------------------------
+# detection: one frame's energy, always through the tree and LSMD
+# ---------------------------------------------------------------------------
+
+def reference_frame_energy(seq, t, cfg) -> float:
+    """``detector._frame_energy`` before frames without motion skipped the
+    tree and the solver: every frame pair builds its tree, decomposes and
+    scores."""
+    from motion_lsmd.detector import frame_activity_energy
+    from motion_lsmd.ingest import extract_proposals, feature_matrix, frame_difference
+    from motion_lsmd.lsmd import activity_scores, build_index_tree, clustering_points, decompose, motion_prior
+
+    frame = frame_difference(seq.frames[t - 1], seq.frames[t])
+    proposals = extract_proposals(frame, cfg.patch_size, cfg.stride)
+    data = feature_matrix(proposals)
+    h, w = frame.shape
+    tree = build_index_tree(
+        clustering_points(proposals, data, h, w), k=cfg.tree_k, seed=cfg.seed * 7919 + t
+    )
+    dec = decompose(data, tree, cfg.lsmd)
+    scores = activity_scores(dec.S, proposals, motion_prior(proposals))
+    return frame_activity_energy(scores)

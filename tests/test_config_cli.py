@@ -230,6 +230,23 @@ class TestCliDetectEval:
         assert report.read_bytes() == golden.read_bytes()
 
 
+    def test_detect_bytes_equal_golden(self, tmp_path):
+        # a 60-frame clip with a burst and a swap, half its frame pairs
+        # without motion; a drift of one bit in any frame's energy, or a
+        # -0.0 for a frame without motion, changes these bytes
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("h = 64\nw = 64\nn_frames = 60\nevent = 10,22,burst\nevent = 34,46,swap\n",
+                        encoding="utf-8")
+        frames_dir = tmp_path / "frames"
+        assert cli.main(["synth", "--spec", str(spec), "--seed", "9", "--out-dir", str(frames_dir)]) == 0
+        scores = tmp_path / "scores.csv"
+        events = tmp_path / "events.csv"
+        assert cli.main(["detect", str(frames_dir), "--out", str(scores), "--events", str(events)]) == 0
+        data = Path(__file__).parent / "data"
+        assert scores.read_bytes() == (data / "detect_golden_scores.csv").read_bytes()
+        assert events.read_bytes() == (data / "detect_golden_events.csv").read_bytes()
+
+
 class TestCliTrack:
     def test_track_writes_csv(self, tmp_path):
         from motion_lsmd.ingest import write_pgm
@@ -332,6 +349,30 @@ class TestCliErrors:
         res = run_cli(["synth", "--spec", spec, "--seed", "-1", "--out-dir", tmp_path / "frames"])
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("error: "), res.stderr
+
+    @pytest.mark.parametrize("second", ["15,25,swap", "20,25,swap"], ids=["overlap", "shared-frame"])
+    def test_synth_events_sharing_a_frame(self, tmp_path, second):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"n_frames = 30\nevent = 10,20,burst\nevent = {second}\n", encoding="utf-8")
+        out = tmp_path / "frames"
+        res = run_cli(["synth", "--spec", spec, "--out-dir", out])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: ") and "share frame" in res.stderr, res.stderr
+        assert not out.exists()
+
+    def test_patch_too_large_on_frames_without_motion(self, tmp_path):
+        from motion_lsmd.ingest import write_pgm
+
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        still = np.random.default_rng(3).random((64, 64))
+        for t in range(3):
+            write_pgm(frames_dir / f"{t:04d}.pgm", still)
+        res = run_cli(["detect", frames_dir, "--set", "ingest.patch_size=100",
+                       "--out", tmp_path / "s.csv", "--events", tmp_path / "e.csv"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.strip() == "error: patch 100 exceeds frame 64x64", res.stderr
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
         "name", ["TOTAL", "accuracy=1.0", "two\nlines", "cr\rreturn", "sep\u2028line", b"bad\xff"],

@@ -19,6 +19,7 @@ from motion_lsmd.detector import (
 )
 from motion_lsmd.ingest import Frame, FrameSequence
 
+from oracles import reference_frame_energy
 from report_fixture import ACCURACY, ROWS, TOTAL_CORRECT, TOTAL_EVENTS, TOTAL_FRAMES
 
 
@@ -226,6 +227,28 @@ class TestSynthSequence:
         )
         assert [(t.start, t.end) for t in truth] == [(5, 15), (30, 40)]
 
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [(10, 20, "burst"), (15, 25, "swap")],
+            [(10, 20, "burst"), (20, 25, "swap")],
+            [(20, 25, "swap"), (10, 20, "burst")],
+            [(10, 20, "burst"), (10, 12, "swap")],
+        ],
+        ids=["overlap", "shared-end-frame", "unsorted-shared-frame", "shared-start"],
+    )
+    def test_events_sharing_a_frame_rejected(self, events):
+        with pytest.raises(errors.EventOutOfRange, match="share frame"):
+            synth_sequence(SynthSpec(64, 64, 30, events), seed=0)
+
+    def test_frames_outside_events_repeat_their_predecessor(self):
+        events = [(10, 22, "burst"), (34, 46, "swap")]
+        seq, _ = synth_sequence(SynthSpec(64, 64, 60, events), seed=9)
+        inside = {t for s, e, _k in events for t in range(s, e + 1)}
+        for t in range(1, len(seq)):
+            same = seq.frames[t].pixels.tobytes() == seq.frames[t - 1].pixels.tobytes()
+            assert same == (t not in inside), t
+
 
 # ---------------------------------------------------------------------------
 # the full pipeline
@@ -262,3 +285,28 @@ class TestRunDetection:
             if (sc.frame - 1) % 3 != 0:
                 prev = scores[sc.frame - 2]  # scores start at frame 1
                 assert sc.lsmd_energy == prev.lsmd_energy
+
+    @pytest.mark.parametrize("case", ["burst-swap", "noisy", "temporal-stride-3"])
+    def test_energies_equal_full_path_reference(self, case):
+        # frames without motion skip the tree and LSMD; every energy must
+        # still carry the bits (sign of zero included) of the full path
+        seq, _ = synth_sequence(SynthSpec(64, 64, 100, [(20, 35, "burst"), (60, 80, "swap")]), seed=5)
+        cfg = DetectorConfig(temporal_stride=3 if case == "temporal-stride-3" else 1)
+        if case == "noisy":
+            rng = np.random.default_rng(5005)
+            seq = FrameSequence(
+                [Frame(np.clip(f.pixels + rng.normal(0.0, 0.03, f.pixels.shape), 0.0, 1.0), f.index)
+                 for f in seq.frames],
+                "noisy",
+            )
+            assert all(not np.array_equal(a.pixels, b.pixels) for a, b in zip(seq.frames, seq.frames[1:]))
+        else:
+            assert any(np.array_equal(a.pixels, b.pixels) for a, b in zip(seq.frames, seq.frames[1:]))
+        scores, _ = run_detection(seq, cfg)
+        want = []
+        held = 0.0
+        for t in range(1, len(seq)):
+            if (t - 1) % cfg.temporal_stride == 0:
+                held = reference_frame_energy(seq, t, cfg)
+            want.append(held.hex())
+        assert [sc.lsmd_energy.hex() for sc in scores] == want

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motion_lsmd import errors, lsmd
-from motion_lsmd.detector import DetectorConfig, SynthSpec, synth_sequence
-from motion_lsmd.ingest import ProposalSet, extract_proposals, feature_matrix, frame_difference
+from motion_lsmd.detector import DetectorConfig, SynthSpec, frame_activity_energy, synth_sequence
+from motion_lsmd.ingest import Frame, ProposalSet, extract_proposals, feature_matrix, frame_difference
 from motion_lsmd.lsmd import (
     IndexTree,
     LsmdParams,
@@ -582,6 +582,21 @@ class TestDecompose:
         dec = decompose(np.zeros((6, 8)), tree)
         assert np.all(dec.L == 0.0) and np.all(dec.S == 0.0)
         assert dec.converged
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_zero_features_decompose_to_exact_zeros_under_any_tree(self, k):
+        # why detection may score a frame pair without motion as +0.0
+        # without building its tree: the tree never reaches the result
+        proposals = extract_proposals(Frame(np.zeros((64, 64)), 1), 16, 8)
+        F = np.zeros((256, 49))
+        assert np.array_equal(feature_matrix(proposals), F)
+        for seed in range(3):
+            points = np.random.default_rng(100 * k + seed).standard_normal((49, 2 + 256))
+            dec = decompose(F, build_index_tree(points, k=k, seed=seed))
+            assert dec.L.tobytes() == F.tobytes() and dec.S.tobytes() == F.tobytes()
+            assert dec.converged and dec.iterations == 1
+            energy = frame_activity_energy(activity_scores(dec.S, proposals, motion_prior(proposals)))
+            assert energy.hex() == (0.0).hex()
 
     def test_huge_mu_s_limit(self):
         tree, _ = random_tree(12, n=8)
