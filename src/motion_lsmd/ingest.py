@@ -237,17 +237,20 @@ def warp_sample_grids(
     A factor that depends on one grid axis is kept at that axis's shape,
     ``sx`` (n, 1, out_w) and ``sy`` (n, out_h, 1), and broadcast where the
     axes meet: each element still sees the operations of a full meshgrid
-    in the same order, so the coordinates are the same bits.
+    in the same order, so the coordinates are the same bits. A state
+    whose warp overflows yields non-finite coordinates without a numpy
+    warning; the caller rejects them.
     """
     l_x, l_y, theta, s, alpha, phi = np.asarray(states, dtype=np.float64).T[:, :, None, None]
     gy = (-CANONICAL_HALF + np.arange(out_h) * (CANONICAL_SIZE / out_h))[:, None]
     gx = -CANONICAL_HALF + np.arange(out_w) * (CANONICAL_SIZE / out_w)
-    sx = s * gx
-    sy = s * alpha * gy
-    x1 = sx + phi * sy
-    ct, st = np.cos(theta), np.sin(theta)
-    cols = l_x + ct * x1 - st * sy
-    rows = l_y + st * x1 + ct * sy
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx = s * gx
+        sy = s * alpha * gy
+        x1 = sx + phi * sy
+        ct, st = np.cos(theta), np.sin(theta)
+        cols = l_x + ct * x1 - st * sy
+        rows = l_y + st * x1 + ct * sy
     return rows, cols
 
 

@@ -31,6 +31,7 @@ from .errors import (
     EmptyDictionary,
     InitOutOfBounds,
     LikelihoodsUnset,
+    NonFiniteInput,
     TooFewFrames,
 )
 from .ingest import (
@@ -113,7 +114,11 @@ class TemplateSet:
     dictionary is organized per block position: shape (P, BLOCK*BLOCK, m).
     The fields after ``ages`` are derived caches, built by
     ``__post_init__``; the negative ones stay None when there are no
-    negatives.
+    negatives. ``distinct`` holds the slot of the first copy of each
+    distinct template (equal float64 bytes), in slot order, and
+    ``copy_of`` (m,) each slot's position in ``distinct``: a new set holds
+    m copies of one patch, and each update replaces one slot, so block
+    coefficients are formed once per distinct template.
     """
 
     holistic: list[Patch]
@@ -122,6 +127,8 @@ class TemplateSet:
     local_dict: np.ndarray = field(init=False, default=None, repr=False)
     local_grams: np.ndarray = field(init=False, default=None, repr=False)
     local_has_content: np.ndarray = field(init=False, default=None, repr=False)
+    distinct: np.ndarray = field(init=False, default=None, repr=False)
+    copy_of: np.ndarray = field(init=False, default=None, repr=False)
     holistic_dict: np.ndarray = field(init=False, default=None, repr=False)
     holistic_gram: np.ndarray = field(init=False, default=None, repr=False)
     negative_dict: np.ndarray = field(init=False, default=None, repr=False)
@@ -132,6 +139,16 @@ class TemplateSet:
         self.local_dict = build_local_dict(self.holistic)
         self.local_grams = np.einsum("pij,pik->pjk", self.local_dict, self.local_dict)
         self.local_has_content = np.any(self.local_dict != 0.0, axis=(1, 2))
+        position: dict[bytes, int] = {}
+        distinct, copy_of = [], []
+        for slot, h in enumerate(self.holistic):
+            key = np.asarray(h, dtype=np.float64).tobytes()
+            if key not in position:
+                position[key] = len(distinct)
+                distinct.append(slot)
+            copy_of.append(position[key])
+        self.distinct = np.array(distinct, dtype=np.intp)
+        self.copy_of = np.array(copy_of, dtype=np.intp)
         self.holistic_dict = unit_columns(
             np.stack([h.reshape(-1) for h in self.holistic], axis=1)
         )
@@ -228,14 +245,15 @@ def make_template_set(
 
 
 def _ring_negatives(frame: Frame, state: AffineState, cfg: TrackerConfig) -> list[Patch]:
+    """Patches at four centres ring_scale * 32 * s away from the state's."""
     radius = cfg.ring_scale * CANONICAL_SIZE * state.s
     negs = []
     for angle in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
-        shifted = replace(
-            state,
-            l_x=state.l_x + radius * math.cos(angle),
-            l_y=state.l_y + radius * math.sin(angle),
-        )
+        l_x = state.l_x + radius * math.cos(angle)
+        l_y = state.l_y + radius * math.sin(angle)
+        if not (math.isfinite(l_x) and math.isfinite(l_y)):
+            raise NonFiniteInput(f"ring negative centre overflows: radius {radius} at scale s={state.s}")
+        shifted = replace(state, l_x=l_x, l_y=l_y)
         negs.append(warp_patch(frame, shifted, cfg.template_size, cfg.template_size))
     return negs
 
@@ -294,6 +312,8 @@ def _holistic_coefficients(patches: np.ndarray, templates: TemplateSet):
     """D'y for the target and background dictionaries, and y'y, where y
     is each patch scaled to unit norm. The products are taken row by row,
     so a candidate's coefficients do not depend on the batch it is in."""
+    # not coded once per distinct template as the blocks are: vecmat's
+    # bits for a column depend on that column's position in the dictionary
     if not templates.holistic or not templates.negatives:
         raise EmptyDictionary("need non-empty positive and negative dictionaries")
     v = patches.reshape(len(patches), -1)
@@ -305,7 +325,12 @@ def _holistic_coefficients(patches: np.ndarray, templates: TemplateSet):
 def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
     """(c (A, m), solve (N, P)): D_p'y / ||y|| for each of the A non-empty
     blocks, in raster order, and which blocks those are. The sums run
-    pixel by pixel, as ``_kernels.block_residuals`` takes them."""
+    pixel by pixel, as ``_kernels.block_residuals`` takes them.
+
+    Each coefficient is its own sum, so a template's column does not
+    depend on the others: the product is formed over the columns of
+    ``templates.distinct`` only and gathered back to all m slots by
+    ``templates.copy_of``, with the same bits as over all m."""
     grid = _block_grid(patches)
     n, gh, b, gw, _ = grid.shape
     P = gh * gw
@@ -315,7 +340,8 @@ def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
         )
     # pixel-major (b*b, n, P): a sum over axis 0 adds one pixel after another
     y = grid.transpose(2, 4, 0, 1, 3).reshape(b * b, n, P)
-    acc = (templates.local_dict.transpose(1, 0, 2)[:, None] * y[..., None]).sum(axis=0)
+    d = templates.local_dict[:, :, templates.distinct].transpose(1, 0, 2)
+    acc = (d[:, None] * y[..., None]).sum(axis=0)[..., templates.copy_of]
     nrm = np.sqrt((y * y).sum(axis=0))
     solve = nrm > 0.0
     return acc[solve] / nrm[solve][:, None], solve

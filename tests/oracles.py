@@ -9,12 +9,13 @@ references are exceptions, kept as the exact results the faster code
 must reproduce: the reference proposal grid, feature matrix and motion
 prior work one patch at a time; the reference warp grid takes every
 factor over a full meshgrid; the tracker's reference scorer scores
-particles one at a time with the scalar kernels, and its reference local
-dictionary normalises one block at a time; the reference bilinear
-sampler reads each corner through its own clip, gather and mask; the
-reference k-means and index tree are the tree builder as it was before
-its distinct-row count and Lloyd step were made cheaper; the reference
-singular value thresholding takes a full SVD; the reference tree
+particles one at a time with the scalar kernels, its reference local
+dictionary normalises one block at a time, and its reference block
+coefficients code every template slot, copies included; the reference
+bilinear sampler reads each corner through its own clip, gather and mask;
+the reference k-means and index tree are the tree builder as it was
+before its distinct-row count and Lloyd step were made cheaper; the
+reference singular value thresholding takes a full SVD; the reference tree
 norm, tree prox and LSMD loop work node by node and take a second SVD
 per iteration for the objective's nuclear norm; and the reference frame
 energy builds a tree and runs LSMD for every frame pair, with or
@@ -463,6 +464,28 @@ def reference_local_dict(holistic) -> np.ndarray:
             nrm = np.linalg.norm(v)
             out[p, :, j] = v / nrm if nrm > 0 else v
     return out
+
+
+def reference_block_coefficients(patches: np.ndarray, templates):
+    """``tracker._block_coefficients`` as it was before it coded each
+    distinct template once: the product runs over all m template slots,
+    copies included."""
+    from motion_lsmd.errors import BadBlocking
+    from motion_lsmd.tracker import _block_grid
+
+    grid = _block_grid(patches)
+    n, gh, b, gw, _ = grid.shape
+    P = gh * gw
+    if P != templates.local_dict.shape[0]:
+        raise BadBlocking(
+            f"candidate has {P} blocks, local dictionary expects {templates.local_dict.shape[0]}"
+        )
+    # pixel-major (b*b, n, P): a sum over axis 0 adds one pixel after another
+    y = grid.transpose(2, 4, 0, 1, 3).reshape(b * b, n, P)
+    acc = (templates.local_dict.transpose(1, 0, 2)[:, None] * y[..., None]).sum(axis=0)
+    nrm = np.sqrt((y * y).sum(axis=0))
+    solve = nrm > 0.0
+    return acc[solve] / nrm[solve][:, None], solve
 
 
 def reference_particle_scores(frame, states, templates, cfg):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motion_lsmd import cli, errors, fileio
+from motion_lsmd import cli, errors, fileio, tracker
 from motion_lsmd.config import Config, default_config, parse_config
 from motion_lsmd.detector import DetectorConfig, run_detection
 from motion_lsmd.ingest import load_frame_sequence
@@ -269,26 +269,48 @@ class TestCliTrack:
         assert lines[0] == "frame,l_x,l_y,theta,s,alpha,phi,confidence,occlusion_fraction"
         assert len(lines) == 3  # frames 1 and 2
 
-    def test_track_bytes_equal_golden(self, tmp_path):
-        # the track-square benchmark setting at a fixed start: a 24-px
-        # square moving 2 px per frame on 64x160 frames, 300 particles; a
-        # drift of one bit in the warp or the scorer changes these bytes
+    @staticmethod
+    def track_square(tmp_path, n_frames, *overrides):
+        """``track`` of a 24-px square moving 2 px per frame from (20, 32)
+        on 64x160 frames, 300 particles, seed 7; returns the CSV bytes."""
         from motion_lsmd.ingest import write_pgm
 
         frames_dir = tmp_path / "frames"
         frames_dir.mkdir()
         cy, cx0 = 32, 20
-        for t in range(4):
+        for t in range(n_frames):
             img = np.zeros((64, 160))
             cx = cx0 + 2 * t
             img[cy - 12 : cy + 12, cx - 12 : cx + 12] = 0.9
             write_pgm(frames_dir / f"{t:04d}.pgm", img)
         out = tmp_path / "track.csv"
         rc = cli.main(["track", str(frames_dir), "--init", f"{cx0},{cy},0,1,1,0", "--out", str(out),
-                       "--set", "tracker.n_particles=300", "--set", "pipeline.seed=7"])
+                       "--set", "tracker.n_particles=300", "--set", "pipeline.seed=7",
+                       *[arg for kv in overrides for arg in ("--set", kv)]])
         assert rc == 0
+        return out.read_bytes()
+
+    def test_track_bytes_equal_golden(self, tmp_path):
+        # the track-square benchmark setting at a fixed start; a drift of
+        # one bit in the warp or the scorer changes these bytes
         golden = Path(__file__).parent / "data" / "track_golden.csv"
-        assert out.read_bytes() == golden.read_bytes()
+        assert self.track_square(tmp_path, 4) == golden.read_bytes()
+
+    def test_track_with_template_updates_bytes_equal_golden(self, tmp_path, monkeypatch):
+        # every frame's MAP passes both update gates, so each scored frame
+        # has one more distinct template than the one before it
+        counts = []
+        score = tracker.score_particles
+
+        def counting(frame, states, templates, cfg):
+            counts.append(len(templates.distinct))
+            return score(frame, states, templates, cfg)
+
+        monkeypatch.setattr(tracker, "score_particles", counting)
+        got = self.track_square(tmp_path, 8, "tracker.tau_update=0", "tracker.occ_gate=1")
+        assert counts == [1, 2, 3, 4, 5, 6, 7]
+        golden = Path(__file__).parent / "data" / "track_updates_golden.csv"
+        assert got == golden.read_bytes()
 
 
 class TestCliDecompose:
@@ -341,6 +363,25 @@ class TestCliErrors:
         res = run_cli(["track", synth_dir, "--init", init, "--out", tmp_path / "t.csv"])
         assert res.returncode == 1, res.stderr
         assert res.stderr.splitlines()[-1].startswith("error: "), res.stderr  # after any overflow warnings
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--init", "30,30,0,1e307,1,0"], ["--init", "30,30,0,1,1,0", "--set", "tracker.ring_scale=1e308"]],
+        ids=["scale", "ring-scale"],
+    )
+    def test_ring_negatives_that_overflow(self, synth_dir, tmp_path, args):
+        # the first template warps, but the ring radius 1.5 * 32 * s does not fit a float
+        res = run_cli(["track", synth_dir, *args, "--out", tmp_path / "t.csv", "--set", "tracker.n_particles=4"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: ring negative centre overflows"), res.stderr
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_warp_overflow_prints_no_warning(self, synth_dir, tmp_path):
+        res = run_cli(["track", synth_dir, "--init", "30,30,0,1,1,0", "--out", tmp_path / "t.csv",
+                       "--set", "tracker.sigma_s=1e307", "--set", "tracker.n_particles=4"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: affine warp overflows") and "Warning" not in res.stderr, res.stderr
         assert not (tmp_path / "t.csv").exists()
 
     def test_negative_synth_seed(self, tmp_path):

@@ -6,6 +6,7 @@ from motion_lsmd.ingest import Frame, FrameSequence, warp_patch, warp_sample_gri
 from motion_lsmd.sparse import SolverParams, nn_lasso
 from motion_lsmd.tracker import (
     _WARP_CHUNK,
+    _block_coefficients,
     AffineState,
     MotionModelParams,
     ParticleSet,
@@ -25,7 +26,12 @@ from motion_lsmd.tracker import (
     update_templates,
 )
 
-from oracles import reference_local_dict, reference_particle_scores, residual_norm
+from oracles import (
+    reference_block_coefficients,
+    reference_local_dict,
+    reference_particle_scores,
+    residual_norm,
+)
 
 
 def square_sequence(n_frames, h=64, w=160, size=24, speed=2.0, start=(32.0, 20.0)):
@@ -156,6 +162,95 @@ class TestLocalDict:
     def test_bad_blocking(self):
         with pytest.raises(errors.BadBlocking):
             build_local_dict([np.ones((16, 12))])
+
+
+class TestBlockCoefficients:
+    """``_block_coefficients`` codes each distinct template once; its bytes
+    must equal the all-slots reference's."""
+
+    # 32x32 textures, each with one zero block; C is zero at the top left
+    A, B, C, *NEGATIVES = np.random.default_rng(31).random((5, 32, 32))
+    A[8:16, 16:24] = 0.0
+    B[:8, 8:16] = 0.0
+    C[:8, :8] = 0.0
+
+    def by_hand(self, slots):
+        return TemplateSet(holistic=[p.copy() for p in slots], negatives=self.NEGATIVES, ages=np.zeros(len(slots)))
+
+    def by_updates(self, n_updates):
+        """A first-frame set of 10 copies, then ``n_updates`` accepted
+        updates with distinct patches."""
+        rng = np.random.default_rng(32)
+        pixels = rng.random((96, 96))
+        pixels[32:48, 32:40] = 0.0  # zero blocks in every template
+        frame = Frame(pixels, 0)
+        templates = make_template_set(frame, AffineState(l_x=48.0, l_y=48.0), TrackerConfig())
+        for k in range(n_updates):
+            patch = rng.random((32, 32))
+            patch[8:16, 8:16] = 0.0
+            templates = update_templates(templates, tracked(0.9, 0.0, k + 1), patch, frame)
+        return templates
+
+    def candidates(self, n):
+        rng = np.random.default_rng(33 + n)
+        patches = rng.random((n, 32, 32))
+        patches[0, 8:16, :8] = 0.0  # zero blocks in the candidates
+        if n > 1:
+            patches[1] = self.A  # exactly a template
+            patches[-1] = 0.0  # no block to solve
+        return patches
+
+    def assert_matches_reference(self, templates, distinct, copy_of):
+        assert templates.distinct.tolist() == distinct
+        assert templates.copy_of.tolist() == copy_of
+        # equal template bytes give equal local-dictionary columns
+        gathered = templates.local_dict[:, :, templates.distinct][..., templates.copy_of]
+        assert gathered.tobytes() == templates.local_dict.tobytes()
+        for n in (1, 8):
+            patches = self.candidates(n)
+            got_c, got_solve = _block_coefficients(patches, templates)
+            want_c, want_solve = reference_block_coefficients(patches, templates)
+            assert got_solve.tobytes() == want_solve.tobytes()
+            assert not got_solve.all()
+            assert got_c.shape == want_c.shape == (got_solve.sum(), templates.m)
+            assert got_c.tobytes() == want_c.tobytes()
+
+    @pytest.mark.parametrize(
+        "slots, distinct, copy_of",
+        [
+            ("AAAAAAAAAA", [0], [0] * 10),
+            ("ABAAAAAAAB", [0, 1], [0, 1, 0, 0, 0, 0, 0, 0, 0, 1]),
+            ("ACBCAB", [0, 1, 2], [0, 1, 2, 1, 0, 2]),
+            ("A", [0], [0]),
+        ],
+        ids=["1-of-10", "2-of-10", "3-of-6", "1-of-1"],
+    )
+    def test_by_hand_bytes_equal_reference(self, slots, distinct, copy_of):
+        textures = {"A": self.A, "B": self.B, "C": self.C}
+        self.assert_matches_reference(self.by_hand([textures[k] for k in slots]), distinct, copy_of)
+
+    def test_ten_distinct_by_hand(self):
+        rng = np.random.default_rng(34)
+        slots = [self.A, self.B, self.C] + [rng.random((32, 32)) for _ in range(7)]
+        self.assert_matches_reference(self.by_hand(slots), list(range(10)), list(range(10)))
+
+    @pytest.mark.parametrize("n_updates", [0, 1, 2, 9])
+    def test_by_updates_bytes_equal_reference(self, n_updates):
+        templates = self.by_updates(n_updates)
+        k = n_updates + 1
+        self.assert_matches_reference(templates, list(range(k)), list(range(k)) + [0] * (10 - k))
+
+    def test_update_with_a_copy_of_the_anchor(self):
+        templates = self.by_updates(1)
+        frame = Frame(np.zeros((96, 96)), 0)
+        again = update_templates(templates, tracked(0.9, 0.0, 7), templates.holistic[0], frame)
+        self.assert_matches_reference(again, [0, 1], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+
+    def test_signed_zero_counts_as_distinct(self):
+        signed = self.C.copy()
+        signed[0, 0] = -0.0  # C is +0.0 there
+        assert np.array_equal(signed, self.C) and signed.tobytes() != self.C.tobytes()
+        self.assert_matches_reference(self.by_hand([self.C, signed, self.C]), [0, 1], [0, 1, 0])
 
 
 class TestGenerative:
@@ -387,6 +482,14 @@ class TestUpdateTemplates:
         assert np.array_equal(second.holistic[1], self.patch)
         assert np.array_equal(second.holistic[2], second_patch)
         assert np.array_equal(second.holistic[0], self.templates.holistic[0])
+
+    def test_ring_negative_overflow_is_an_input_error(self):
+        # the ring radius 1.5 * 32 * s overflows; the tracked state itself is finite
+        result = TrackResult(
+            state=AffineState(l_x=20.0, l_y=20.0, s=1e307), confidence=0.9, occlusion_fraction=0.0, frame_index=5
+        )
+        with pytest.raises(errors.NonFiniteInput):
+            update_templates(self.templates, result, self.patch, self.frame, self.cfg)
 
     def test_negatives_refreshed_deterministically(self):
         a = update_templates(self.templates, tracked(0.9, 0.0), self.patch, self.frame, self.cfg)
