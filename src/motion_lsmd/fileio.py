@@ -34,20 +34,26 @@ def write_matrix_csv(path: str | Path, mat: np.ndarray) -> None:
 
 
 def _holds_non_csv_text(line: str) -> bool:
-    """True for a line with a digit-group underscore ("1_0", which int and
-    float read as 10) or non-ASCII text (float reads non-ASCII digits and
-    spaces): no matrix CSV holds either."""
+    """True for text with a digit-group underscore ("1_0", which int and
+    float read as 10) or non-ASCII text (int and float read non-ASCII
+    digits and spaces): no number this module writes holds either."""
     return "_" in line or not line.isascii()
+
+
+def _csv_int(field: str) -> int:
+    """int(field), with ValueError also for text that int reads but no
+    CSV this module writes holds."""
+    if _holds_non_csv_text(field):
+        raise ValueError(f"{field!r} is not a CSV integer")
+    return int(field)
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 2 or lines[0].strip() != "rows,cols":
         raise InvalidValue(f"{path}: expected 'rows,cols' header")
-    if _holds_non_csv_text(lines[1]):
-        raise InvalidValue(f"{path}: bad dimension line {lines[1]!r}")
     try:
-        rows, cols = (int(v) for v in lines[1].split(","))
+        rows, cols = (_csv_int(v) for v in lines[1].split(","))
     except ValueError as exc:
         raise InvalidValue(f"{path}: bad dimension line {lines[1]!r}") from exc
     if rows < 1 or cols < 1:
@@ -120,9 +126,11 @@ def read_events_csv(path: str | Path) -> list[EventInterval]:
             continue
         parts = line.split(",")
         try:
-            start, end = int(parts[0]), int(parts[1])
+            start, end = _csv_int(parts[0]), _csv_int(parts[1])
         except (ValueError, IndexError) as exc:
             raise InvalidValue(f"{path}: bad event line {line!r}") from exc
+        if start < 0:
+            raise InvalidValue(f"{path}: event {start},{end} starts before frame 0")
         if start > end:
             raise InvalidValue(f"{path}: event {start},{end} ends before it starts")
         events.append(EventInterval(start=start, end=end))
@@ -206,7 +214,7 @@ def read_report_rows(path: str | Path) -> list[ReportRow]:
         if name == "TOTAL":
             continue
         try:
-            counts = [int(frames), int(events), int(correct)]
+            counts = [_csv_int(frames), _csv_int(events), _csv_int(correct)]
         except ValueError as exc:
             raise InvalidValue(f"{path}: malformed report row {line!r}") from exc
         rows.append(ReportRow(name, *counts))

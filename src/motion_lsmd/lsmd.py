@@ -364,6 +364,8 @@ def prox_tree_norm(
 
 
 def nuclear_norm(M: np.ndarray) -> float:
+    """Sum of the singular values of M, from one SVD. No stage of the
+    program calls it; perfbench's tracer wraps this name, so it stays."""
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 

@@ -2,8 +2,10 @@
 
 Solves min ||t - X g||^2 + lambda1 * ||g||_1 subject to g >= 0, the
 unscaled form (no 1/2 factor), so optimality conditions carry a factor 2.
-``nn_lasso`` runs the Gram-form kernel the tracker's scorer is checked
-against, on X'X, X't and t't.
+``nn_lasso`` codes one instance with the package's one solver, the
+batched Gram-form loop the tracker runs (``_kernels.cd_nn_lasso_gram``
+is its one-problem call), on X'X, X't and t't; the objective and KKT
+residual are then taken against X and t.
 """
 
 from __future__ import annotations

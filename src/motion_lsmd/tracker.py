@@ -9,13 +9,13 @@ masking), take the MAP particle, and update the template set when
 confidence and occlusion gates allow.
 
 A frame's particles are scored as a batch (``score_particles``): batched
-warps, then one vectorised Gram-form coordinate descent per dictionary:
-one over all holistic problems and one over the blocks of the whole
-frame. The batch keeps each problem's arithmetic and its order, so a
-particle's scores equal the ones its own scalar solves give and do not
-depend on the batch it falls in.
+warps, then the package's one coordinate-descent solver,
+``_kernels.cd_nn_lasso_gram_batch``, once per holistic dictionary over
+all particles and once over the blocks of the whole frame. Each problem
+is solved in its own arithmetic order and read at the sweep where it
+stops, so a particle's scores do not depend on the batch it falls in.
 ``observation_likelihood``, ``discriminative_confidence`` and
-``generative_confidence`` are one-candidate views of the same scorer.
+``generative_confidence`` score one candidate through the same code.
 """
 
 from __future__ import annotations
@@ -266,23 +266,34 @@ def propose_particles(
     prev: AffineState, motion: MotionModelParams, n: int, rng_seed: int
 ) -> ParticleSet:
     """Gaussian perturbation of each parameter; draws are consumed
-    particle-major, parameter-minor, so the set is seed-reproducible."""
+    particle-major, parameter-minor, so the set is seed-reproducible.
+
+    A std-dev near the float limit makes states overflow to inf; the warp
+    rejects those. One so small that the normalisers 1/(sigma sqrt(2 pi))
+    take the product of the densities past the float range is rejected
+    here."""
     if n < 1:
         raise ValueError("need at least one particle")
     rng = np.random.default_rng(rng_seed)
     draws = rng.standard_normal((n, 6))
     mean = prev.as_array()
     sigma = motion.sigma
-    states = mean + draws * sigma
+    with np.errstate(over="ignore"):
+        states = mean + draws * sigma
     states[:, 3] = np.maximum(states[:, 3], 1e-3)
     states[:, 4] = np.maximum(states[:, 4], 1e-3)
 
     # product of the six densities; sigma=0 components contribute factor 1
     priors = np.ones(n)
-    for j in range(6):
-        if sigma[j] > 0:
-            z = (states[:, j] - mean[j]) / sigma[j]
-            priors *= np.exp(-0.5 * z * z) / (sigma[j] * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(6):
+            if sigma[j] > 0:
+                z = (states[:, j] - mean[j]) / sigma[j]
+                priors *= np.exp(-0.5 * z * z) / (sigma[j] * math.sqrt(2.0 * math.pi))
+    if not np.isfinite(priors).all():
+        raise NonFiniteInput(
+            f"motion prior overflows: the product of the densities for sigma {sigma.tolist()} is not finite"
+        )
     return ParticleSet(states=states, motion_priors=priors, prev_state=prev)
 
 
@@ -293,7 +304,10 @@ def propose_particles(
 def discriminative_score(eps_pos, eps_neg, sigma_c: float):
     """exp(-(eps_pos - eps_neg)/sigma_c), clamped to [0, 1e6]; elementwise
     on arrays."""
-    return np.clip(np.exp(-(eps_pos - eps_neg) / sigma_c), 0.0, 1e6)
+    # a tiny sigma_c overflows the exponent to +-inf, which the clamp maps
+    # to 1e6 or 0
+    with np.errstate(over="ignore"):
+        return np.clip(np.exp(-(eps_pos - eps_neg) / sigma_c), 0.0, 1e6)
 
 
 @dataclass
@@ -357,8 +371,8 @@ def _discriminative(c_pos, c_neg, tt, templates: TemplateSet, cfg: TrackerConfig
         )
         for gram, c in ((templates.holistic_gram, c_pos), (templates.negative_gram, c_neg))
     ]
-    eps = np.sqrt(np.stack([resid_sq for resid_sq, _s in solves], axis=1))
-    sweeps = np.stack([sw for _r, sw in solves], axis=1)
+    eps = np.sqrt(np.stack([resid_sq for _g, resid_sq, _s in solves], axis=1))
+    sweeps = np.stack([sw for _g, _r, sw in solves], axis=1)
     return discriminative_score(eps[:, 0], eps[:, 1], cfg.sigma_c), eps, sweeps
 
 
@@ -372,7 +386,7 @@ def _block_codes(c_blk, solve, templates: TemplateSet):
     """
     n, P = solve.shape
     which = np.broadcast_to(np.arange(P), (n, P))[solve]
-    resid_sq, sw = _kernels.cd_nn_lasso_gram_batch(
+    _gamma, resid_sq, sw = _kernels.cd_nn_lasso_gram_batch(
         templates.local_grams, which, c_blk, np.ones(len(which)),
         _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER,
     )
@@ -391,7 +405,10 @@ def _generative(residuals: np.ndarray, eps_occ: float):
     by the total block count.
     """
     occluded = residuals > eps_occ
-    terms = 1.0 - residuals / eps_occ
+    # a tiny eps_occ overflows the terms of occluded blocks only, which
+    # the sum leaves out
+    with np.errstate(over="ignore"):
+        terms = 1.0 - residuals / eps_occ
     # one sum per candidate over its unoccluded blocks: a masked sum over
     # all P blocks would group the additions differently in the last bits
     h_g = np.array([t[keep].sum() for t, keep in zip(terms, ~occluded)]) / residuals.shape[1]
@@ -444,7 +461,8 @@ def discriminative_confidence(
     candidate: Patch, templates: TemplateSet, cfg: TrackerConfig | None = None
 ) -> float:
     """Holistic reconstruction-error contrast between target and background
-    dictionaries."""
+    dictionaries. The tracker scores through ``score_particles``;
+    perfbench's tracer wraps this name, so it stays."""
     h_d, _eps, _sweeps = _discriminative(
         *_holistic_coefficients(_one(candidate), templates), templates, cfg or TrackerConfig()
     )
@@ -454,7 +472,9 @@ def discriminative_confidence(
 def generative_confidence(
     candidate: Patch, templates: TemplateSet, cfg: TrackerConfig | None = None
 ) -> tuple[float, np.ndarray]:
-    """Blockwise local coding; returns (score, occlusion mask grid)."""
+    """Blockwise local coding; returns (score, occlusion mask grid). The
+    tracker scores through ``score_particles``; perfbench's tracer wraps
+    this name, so it stays."""
     residuals, _sweeps = _block_codes(*_block_coefficients(_one(candidate), templates), templates)
     h_g, occluded = _generative(residuals, (cfg or TrackerConfig()).eps_occ)
     h, w = np.shape(candidate)
@@ -477,11 +497,15 @@ def observation_likelihood(
 
 def map_estimate(particles: ParticleSet) -> TrackResult:
     """Particle maximizing likelihood * motion prior; ties go to the
-    lowest index. Confidence is the winner's share of total weight."""
+    lowest index. Confidence is the winner's share of total weight, so
+    weights whose total overflows are rejected."""
     if particles.likelihoods is None:
         raise LikelihoodsUnset("weight the particles before MAP estimation")
-    posterior = particles.likelihoods * particles.motion_priors
-    total = float(posterior.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        posterior = particles.likelihoods * particles.motion_priors
+        total = float(posterior.sum())
+    if not math.isfinite(total):
+        raise NonFiniteInput("posterior weights overflow: likelihood x motion prior has no finite sum")
     if total <= 0.0:
         prev = particles.prev_state or particles.state(0)
         return TrackResult(

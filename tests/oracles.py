@@ -8,18 +8,20 @@ norm, and the warp oracle interpolates one output pixel at a time. Several
 references are exceptions, kept as the exact results the faster code
 must reproduce: the reference proposal grid, feature matrix and motion
 prior work one patch at a time; the reference warp grid takes every
-factor over a full meshgrid; the tracker's reference scorer scores
-particles one at a time with the scalar kernels, its reference local
-dictionary normalises one block at a time, and its reference block
-coefficients code every template slot, copies included; the reference
-bilinear sampler reads each corner through its own clip, gather and mask;
-the reference k-means and index tree are the tree builder as it was
-before its distinct-row count and Lloyd step were made cheaper; the
-reference singular value thresholding takes a full SVD; the reference tree
-norm, tree prox and LSMD loop work node by node and take a second SVD
-per iteration for the objective's nuclear norm; and the reference frame
-energy builds a tree and runs LSMD for every frame pair, with or
-without motion.
+factor over a full meshgrid; the reference Gram-form coordinate descent
+is the scalar loop that the package's one batched solver replaced, one
+problem and one coordinate at a time; the tracker's reference scorer
+scores particles one at a time with that loop, so no reference calls
+the package's lasso solver; its reference local dictionary normalises one block at
+a time, and its reference block coefficients code every template slot,
+copies included; the reference bilinear sampler reads each corner
+through its own clip, gather and mask; the reference k-means and index
+tree are the tree builder as it was before its distinct-row count and
+Lloyd step were made cheaper; the reference singular value thresholding
+takes a full SVD; the reference tree norm, tree prox and LSMD loop work
+node by node and take a second SVD per iteration for the objective's
+nuclear norm; and the reference frame energy builds a tree and runs LSMD
+for every frame pair, with or without motion.
 """
 
 from __future__ import annotations
@@ -488,19 +490,46 @@ def reference_block_coefficients(patches: np.ndarray, templates):
     return acc[solve] / nrm[solve][:, None], solve
 
 
+def reference_cd_nn_lasso_gram(G, c, tt, lam, tol, max_iter):
+    """The Gram-form non-negative lasso by cyclic coordinate descent, one
+    problem and one coordinate at a time: ``_kernels.cd_nn_lasso_gram``
+    as it was before every solve ran the batched loop. Returns (gamma,
+    resid_sq, sweeps)."""
+    n = G.shape[0]
+    gamma = np.zeros(n)
+    q = np.zeros(n)
+    sweeps = 0
+    for sweep in range(max_iter):
+        sweeps = sweep + 1
+        max_change = 0.0
+        for k in range(n):
+            gkk = G[k, k]
+            if gkk <= 0.0:
+                continue
+            new = gamma[k] + (2.0 * (c[k] - q[k]) - lam) / (2.0 * gkk)
+            if new < 0.0:
+                new = 0.0
+            delta = new - gamma[k]
+            if delta != 0.0:
+                q += G[:, k] * delta
+                gamma[k] = new
+            if abs(delta) > max_change:
+                max_change = abs(delta)
+        if max_change < tol:
+            break
+    resid_sq = float(tt + gamma @ (q - 2.0 * c))
+    return gamma, max(resid_sq, 0.0), sweeps
+
+
 def reference_particle_scores(frame, states, templates, cfg):
     """Score each particle state of ``score_particles(frame, states,
-    templates, cfg)`` on its own: one ``warp_patch``, two
-    holistic ``_kernels.cd_nn_lasso_gram`` solves and one
-    ``_kernels.block_residuals`` call per particle.
-
-    ``block_residuals`` does not report sweeps, so each non-empty block is
-    solved once more with ``cd_nn_lasso_gram`` on the coefficients
-    ``block_residuals`` forms (sums pixel by pixel). Returns a dict of
-    likelihood (N,), occluded (N, P), holistic_residuals (N, 2),
-    block_residuals (N, P), holistic_sweeps (N, 2) and block_sweeps (N, P).
+    templates, cfg)`` on its own: one ``warp_patch`` and one
+    ``reference_cd_nn_lasso_gram`` solve per holistic dictionary and per
+    non-empty block. Block coefficients are summed pixel by pixel.
+    Returns a dict of likelihood (N,), occluded (N, P),
+    holistic_residuals (N, 2), block_residuals (N, P), holistic_sweeps
+    (N, 2) and block_sweeps (N, P).
     """
-    from motion_lsmd import _kernels
     from motion_lsmd.ingest import warp_patch
     from motion_lsmd.tracker import _LOCAL_LAMBDA, _LOCAL_MAX_ITER, _LOCAL_TOL, BLOCK, AffineState
 
@@ -527,7 +556,7 @@ def reference_particle_scores(frame, states, templates, cfg):
         nrm = np.linalg.norm(v)
         y = v / nrm if nrm > 0 else v
         for j, (dictionary, gram) in enumerate(dictionaries):
-            _g, resid_sq, sweeps = _kernels.cd_nn_lasso_gram(
+            _g, resid_sq, sweeps = reference_cd_nn_lasso_gram(
                 gram, dictionary.T @ y, float(y @ y),
                 float(params.lambda1), float(params.tol), int(params.max_iter),
             )
@@ -538,30 +567,29 @@ def reference_particle_scores(frame, states, templates, cfg):
 
         h, w = cand.shape
         blocks = cand.reshape(h // b, b, w // b, b).swapaxes(1, 2).reshape(-1, b * b)
-        residuals = _kernels.block_residuals(
-            templates.local_grams, templates.local_dict, np.ascontiguousarray(blocks),
-            _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER,
-        )
-        empty = np.linalg.norm(blocks, axis=1) == 0.0
-        residuals = np.where(empty & templates.local_has_content, 1.0, residuals)
-        occluded = residuals > cfg.eps_occ
-        h_g = float(np.sum((1.0 - residuals / cfg.eps_occ)[~occluded]) / P)
-        out["likelihood"][i] = h_d * h_g
-        out["occluded"][i] = occluded
-        out["block_residuals"][i] = residuals
-
-        for p in np.flatnonzero(~empty):
+        # an empty block is not solved: residual 0, or 1 where the
+        # templates have content there
+        residuals = np.where(templates.local_has_content, 1.0, 0.0)
+        for p in range(P):
             blk = blocks[p]
             acc = np.zeros(templates.m)
             sq = 0.0
             for k in range(b * b):
                 acc += templates.local_dict[p, k, :] * blk[k]
                 sq += blk[k] * blk[k]
-            _g, _r, sweeps = _kernels.cd_nn_lasso_gram(
+            if sq <= 0.0:
+                continue
+            _g, resid_sq, sweeps = reference_cd_nn_lasso_gram(
                 templates.local_grams[p], acc / np.sqrt(sq), 1.0,
                 _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER,
             )
+            residuals[p] = np.sqrt(resid_sq)
             out["block_sweeps"][i, p] = sweeps
+        occluded = residuals > cfg.eps_occ
+        h_g = float(np.sum((1.0 - residuals / cfg.eps_occ)[~occluded]) / P)
+        out["likelihood"][i] = h_d * h_g
+        out["occluded"][i] = occluded
+        out["block_residuals"][i] = residuals
     return out
 
 

@@ -1,12 +1,15 @@
-"""The names the benchmark's tracer wraps are still in the package.
+"""The names the benchmark's tracer wraps are still in the package, and
+return what its facts read.
 
 perfbench/tracer.py replaces module globals by name, so a rename or a
 removal in the package would first show up as an AttributeError in a
-traced benchmark run. This test reads the tracer's table as it is.
+traced benchmark run. These tests read the tracer's table as it is.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from motion_lsmd import _kernels
 
@@ -33,3 +36,21 @@ def test_every_wrapped_name_is_a_callable_attribute():
 
 def test_backend_name_runs():
     assert isinstance(_kernels.backend_name(), str)
+
+
+def test_cd_nn_lasso_gram_gives_the_tracer_its_sweeps():
+    # the tracer's fact reads the sweep count r[2] against max_iter a[5]
+    fact = next(f for owner, name, f in load_tracer().WRAPPED
+                if owner is _kernels and name == "cd_nn_lasso_gram")
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((8, 12))
+    t = rng.standard_normal(8)
+    for max_iter in (3, 500):
+        args = (X.T @ X, X.T @ t, float(t @ t), 0.01, 1e-300, max_iter)
+        result = _kernels.cd_nn_lasso_gram(*args)
+        assert isinstance(result, tuple) and len(result) == 3
+        sweeps = result[2]
+        assert type(sweeps) is int and 1 <= sweeps <= max_iter
+        # a tolerance of 1e-300 is never met, so the problem is capped
+        assert sweeps == max_iter
+        assert fact(args, result) == (max_iter, True)

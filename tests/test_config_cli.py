@@ -270,9 +270,9 @@ class TestCliTrack:
         assert len(lines) == 3  # frames 1 and 2
 
     @staticmethod
-    def track_square(tmp_path, n_frames, *overrides):
-        """``track`` of a 24-px square moving 2 px per frame from (20, 32)
-        on 64x160 frames, 300 particles, seed 7; returns the CSV bytes."""
+    def square_frames(tmp_path, n_frames):
+        """A 24-px square moving 2 px per frame from (20, 32) on 64x160
+        frames, written to tmp_path / "frames"."""
         from motion_lsmd.ingest import write_pgm
 
         frames_dir = tmp_path / "frames"
@@ -283,12 +283,58 @@ class TestCliTrack:
             cx = cx0 + 2 * t
             img[cy - 12 : cy + 12, cx - 12 : cx + 12] = 0.9
             write_pgm(frames_dir / f"{t:04d}.pgm", img)
+        return frames_dir
+
+    @classmethod
+    def track_square(cls, tmp_path, n_frames, *overrides):
+        """``track`` of ``square_frames``, 300 particles, seed 7; returns
+        the CSV bytes."""
+        frames_dir = cls.square_frames(tmp_path, n_frames)
         out = tmp_path / "track.csv"
-        rc = cli.main(["track", str(frames_dir), "--init", f"{cx0},{cy},0,1,1,0", "--out", str(out),
+        rc = cli.main(["track", str(frames_dir), "--init", "20,32,0,1,1,0", "--out", str(out),
                        "--set", "tracker.n_particles=300", "--set", "pipeline.seed=7",
                        *[arg for kv in overrides for arg in ("--set", kv)]])
         assert rc == 0
         return out.read_bytes()
+
+    @classmethod
+    def run_square(cls, tmp_path, *overrides):
+        """``track`` of an 8-frame ``square_frames`` with 50 particles, in
+        a subprocess so that numpy's warnings reach its stderr."""
+        return run_cli(["track", cls.square_frames(tmp_path, 8), "--init", "20,32,0,1,1,0",
+                        "--out", tmp_path / "track.csv", "--set", "tracker.n_particles=50",
+                        *[arg for kv in overrides for arg in ("--set", kv)]])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["tracker.sigma_phi=1e-310"],
+            ["tracker.sigma_lx=1e-170", "tracker.sigma_ly=1e-170"],
+            ["tracker.sigma_lx=1e-150", "tracker.sigma_ly=1e-150"],
+        ],
+        ids=["skew-prior", "translation-prior", "posterior-total"],
+    )
+    def test_motion_prior_that_overflows(self, tmp_path, overrides):
+        # each std-dev is >= 0, but the Gaussian normalisers 1/(sigma
+        # sqrt(2 pi)) multiply past the float range: in the prior itself,
+        # or in the posterior weights likelihood x prior
+        res = self.run_square(tmp_path, *overrides)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: ") and "overflow" in res.stderr, res.stderr
+        assert "Warning" not in res.stderr, res.stderr
+        assert not (tmp_path / "track.csv").exists()
+
+    @pytest.mark.parametrize("override", ["tracker.sigma_c=1e-320", "tracker.eps_occ=1e-320"])
+    def test_tiny_score_scale_prints_no_warning(self, tmp_path, override):
+        # the clamp of the discriminative score and the occlusion mask of
+        # the generative one define these scores; the overflow on the way
+        # is not worth a warning
+        res = self.run_square(tmp_path, override)
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr, res.stderr
+        header, *rows = (tmp_path / "track.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 7
+        assert all(np.isfinite([float(v) for v in row.split(",")]).all() for row in rows)
 
     def test_track_bytes_equal_golden(self, tmp_path):
         # the track-square benchmark setting at a fixed start; a drift of
@@ -380,6 +426,13 @@ class TestCliErrors:
     def test_warp_overflow_prints_no_warning(self, synth_dir, tmp_path):
         res = run_cli(["track", synth_dir, "--init", "30,30,0,1,1,0", "--out", tmp_path / "t.csv",
                        "--set", "tracker.sigma_s=1e307", "--set", "tracker.n_particles=4"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: affine warp overflows") and "Warning" not in res.stderr, res.stderr
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_huge_motion_sigma_prints_no_warning(self, synth_dir, tmp_path):
+        res = run_cli(["track", synth_dir, "--init", "30,32,0,1,1,0", "--out", tmp_path / "t.csv",
+                       "--set", "tracker.sigma_theta=1e308", "--set", "tracker.n_particles=4"])
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("error: affine warp overflows") and "Warning" not in res.stderr, res.stderr
         assert not (tmp_path / "t.csv").exists()
@@ -513,6 +566,38 @@ class TestCliErrors:
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("error: "), res.stderr
         assert not list(tmp_path.glob("dec_*"))
+
+    @pytest.mark.parametrize(
+        "events",
+        ["start,end,peak\n1_0,12,0.5\n", "start,end,peak\n\u0661\u0660,12,0.5\n", "start,end,kind\n-5,12,burst\n"],
+        ids=["underscore", "non-ascii-digit", "negative-start"],
+    )
+    def test_event_field_that_int_reads_but_csv_never_holds(self, tmp_path, events):
+        bad = tmp_path / "events.csv"
+        bad.write_text(events, encoding="utf-8")
+        good = tmp_path / "truth.csv"
+        good.write_text("start,end,kind\n2,8,burst\n", encoding="utf-8")
+        report = tmp_path / "report.csv"
+        for detected, truth in ((bad, good), (good, bad)):
+            res = run_cli(["eval", "--events", detected, "--truth", truth, "--name", "clip", "--append", report])
+            assert res.returncode == 1, res.stderr
+            assert res.stderr.startswith("error: ") and str(bad) in res.stderr, res.stderr
+            assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "row", ["clip,1_00,1,1", "clip,\u0661\u0660\u0660,1,1", "clip,100,1_0,1"],
+        ids=["underscore", "non-ascii-digit", "underscore-in-events"],
+    )
+    def test_report_count_that_int_reads_but_csv_never_holds(self, tmp_path, row):
+        events = tmp_path / "e.csv"
+        events.write_text("start,end,kind\n2,8,burst\n", encoding="utf-8")
+        report = tmp_path / "report.csv"
+        report.write_text(f"{fileio.REPORT_HEADER}\n{row}\n", encoding="utf-8")
+        before = report.read_bytes()
+        res = run_cli(["eval", "--events", events, "--truth", events, "--name", "next", "--append", report])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: ") and "malformed report row" in res.stderr, res.stderr
+        assert report.read_bytes() == before
 
     def test_matrix_with_blank_lines_past_the_declared_rows(self, tmp_path):
         features = tmp_path / "features.csv"
