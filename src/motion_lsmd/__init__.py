@@ -49,7 +49,6 @@ from .tracker import (
     discriminative_confidence,
     generative_confidence,
     map_estimate,
-    observation_likelihood,
     propose_particles,
     track_sequence,
     update_templates,

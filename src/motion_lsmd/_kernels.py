@@ -2,10 +2,11 @@
 
 ``cd_nn_lasso_gram_batch`` is the package's one coordinate-descent loop
 for the Gram-form non-negative lasso. The tracker codes every holistic
-and block problem of a frame with it; ``cd_nn_lasso_gram`` (one
-problem, which ``sparse.nn_lasso`` runs) and ``block_residuals`` (one
-candidate's blocks) are calls of it. The tests check it against the
-scalar loop it replaced, kept as ``tests/oracles.py``'s reference.
+and block problem of a frame with it; ``block_residuals`` is its block
+stage, the residuals of all particles' blocks in one batch, and
+``cd_nn_lasso_gram`` is a one-problem call of it, which
+``sparse.nn_lasso`` runs. The tests check it against the scalar loop it
+replaced, kept as ``tests/oracles.py``'s reference.
 ``bilinear_sample`` warps patches.
 """
 
@@ -101,9 +102,9 @@ def cd_nn_lasso_gram(G, c, tt, lam, tol, max_iter):
     """One problem, G (n, n), c (n,) and float tt, through the batch.
     Returns (gamma (n,), float resid_sq, int sweeps).
 
-    ``sparse.nn_lasso`` calls it. perfbench's tracer also wraps this name
-    and reads the sweep count r[2] against max_iter (argument 5), so the
-    name, the signature and the triple stay.
+    ``sparse.nn_lasso`` calls it; no CLI command does. perfbench's tracer
+    also wraps this name and reads the sweep count r[2] against max_iter
+    (argument 5), so the name, the signature and the triple stay.
     """
     gamma, resid_sq, sweeps = cd_nn_lasso_gram_batch(
         np.asarray(G, dtype=np.float64)[None], np.zeros(1, dtype=np.intp),
@@ -116,31 +117,25 @@ def cd_nn_lasso_gram(G, c, tt, lam, tol, max_iter):
 # per-position block coding residuals (generative appearance model)
 # ---------------------------------------------------------------------------
 
-def block_residuals(grams, dicts, blocks, lam, tol, max_iter):
-    """Residual norm of each unit-scaled block y_p coded on its own
-    dictionary D_p, with grams (P, m, m) = D_p'D_p, dicts (P, d, m) and
-    blocks (P, d). A zero block reconstructs exactly: residual 0.
+def block_residuals(grams, c, solve, has_content, lam, tol, max_iter):
+    """(residuals (N, P), sweeps (N, P)) of the blocks of N candidates,
+    each coded on the dictionary of its position p, grams (P, m, m).
 
-    D_p'y and y'y are summed pixel by pixel, the order
-    ``tracker._block_coefficients`` keeps; the non-empty blocks are then
-    coded in one batch. The tracker does not call it: perfbench's tracer
-    wraps this name, so it stays.
+    solve (N, P) marks the non-empty blocks, in raster order, and c (A, m)
+    holds their coefficients D_p'y for unit-scaled y; they are coded in
+    one batch (yy = 1). An empty block is not solved (0 sweeps): it
+    reconstructs exactly, residual 0, unless has_content (P,) says the
+    dictionary has content at its position, where it is a blacked-out
+    region and takes residual 1.
     """
-    P, d, m = dicts.shape
-    c = np.zeros((P, m))
-    sq = np.zeros(P)
-    for i in range(d):
-        c += dicts[:, i, :] * blocks[:, i, None]
-        sq += blocks[:, i] * blocks[:, i]
-    nrm = np.sqrt(sq)
-    solve = nrm > 0.0
-    _gamma, resid_sq, _sweeps = cd_nn_lasso_gram_batch(
-        grams, np.flatnonzero(solve), c[solve] / nrm[solve][:, None], np.ones(np.count_nonzero(solve)),
-        lam, tol, max_iter,
-    )
-    out = np.zeros(P)
-    out[solve] = np.sqrt(resid_sq)
-    return out
+    n, P = solve.shape
+    which = np.broadcast_to(np.arange(P), (n, P))[solve]
+    _gamma, resid_sq, sw = cd_nn_lasso_gram_batch(grams, which, c, np.ones(len(which)), lam, tol, max_iter)
+    residuals = np.tile(np.where(has_content, 1.0, 0.0), (n, 1))
+    residuals[solve] = np.sqrt(resid_sq)
+    sweeps = np.zeros((n, P), dtype=np.int64)
+    sweeps[solve] = sw
+    return residuals, sweeps
 
 
 # ---------------------------------------------------------------------------

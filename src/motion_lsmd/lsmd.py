@@ -369,11 +369,10 @@ def nuclear_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
-def prox_nuclear(
-    L: np.ndarray, tau: float, *, return_singular_values: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def prox_nuclear(L: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Singular value thresholding, from the eigendecomposition of the
-    smaller Gram matrix.
+    smaller Gram matrix. Returns the thresholded matrix and its min(m, n)
+    singular values in descending order, whose sum is its nuclear norm.
 
     With A = L, or L^T when L is wide, and A^T A = V diag(lam) V^T, the
     singular values of L are sigma = sqrt(max(lam, 0)). Only the pairs
@@ -393,9 +392,9 @@ def prox_nuclear(
     (a full SVD's error is eps * sigma_1); tests hold it to
     1e-13 * sigma_1 * max(1, sigma_1 / tau) against numpy's SVD.
 
-    With ``return_singular_values`` the result is a pair: the matrix and
-    its min(m, n) singular values in descending order (the thresholded
-    ones), whose sum is its nuclear norm.
+    When max|A| < 0.5, tau is scaled up with A, and a tau near the float
+    limit becomes inf; that zeroes every singular value, as any threshold
+    above sigma_1 does.
     """
     L = np.asarray(L, dtype=np.float64)
     if not np.all(np.isfinite(L)):
@@ -406,7 +405,8 @@ def prox_nuclear(
     A = L.T if wide else L
     exp = int(np.frexp(np.max(np.abs(A), initial=0.0))[1])
     A = np.ldexp(A, -exp)
-    t = float(np.ldexp(tau, -exp))
+    with np.errstate(over="ignore"):
+        t = float(np.ldexp(tau, -exp))
     lam, V = np.linalg.eigh(A.T @ A)  # ascending
     sigma = np.sqrt(np.maximum(lam, 0.0))
     k = int(np.searchsorted(sigma, t, side="right"))  # sigma[k:] > t
@@ -416,8 +416,6 @@ def prox_nuclear(
     X = np.ldexp(W @ V_r.T, exp)
     if wide:
         X = X.T
-    if not return_singular_values:
-        return X
     return X, np.ldexp(np.maximum(sigma[::-1] - t, 0.0), exp)
 
 
@@ -469,7 +467,7 @@ def decompose(
         # the pair (L, S) one proximal gradient step takes from point, and
         # its objective; the prox input data - L becomes the residual in
         # place, and is freed before the next prox_nuclear
-        L, sv = prox_nuclear(data - point, params.mu_L, return_singular_values=True)
+        L, sv = prox_nuclear(data - point, params.mu_L)
         R = data - L
         S = prox_tree_norm(R, tree, params.mu_S, params.lambda_l1)
         R -= S

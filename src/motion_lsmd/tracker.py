@@ -8,14 +8,17 @@ background) and a generative score (local 8x8 blocks with occlusion
 masking), take the MAP particle, and update the template set when
 confidence and occlusion gates allow.
 
-A frame's particles are scored as a batch (``score_particles``): batched
-warps, then the package's one coordinate-descent solver,
-``_kernels.cd_nn_lasso_gram_batch``, once per holistic dictionary over
-all particles and once over the blocks of the whole frame. Each problem
-is solved in its own arithmetic order and read at the sweep where it
-stops, so a particle's scores do not depend on the batch it falls in.
-``observation_likelihood``, ``discriminative_confidence`` and
-``generative_confidence`` score one candidate through the same code.
+A frame's particles are scored as one batch (``score_particles``), the
+tracker's one scorer: batched warps, then two stages that code every
+particle at once with the package's one coordinate-descent solver,
+``_kernels.cd_nn_lasso_gram_batch``. ``discriminative_confidence`` runs
+it once per holistic dictionary over all particles, and
+``generative_confidence`` once over the blocks of the whole frame,
+through ``_kernels.block_residuals``. Each problem is solved in its own
+arithmetic order and read at the sweep where it stops, so a particle's
+scores do not depend on the batch it falls in. ``score_particles``
+calls both stages through this module's globals, so a wrapper set there
+(perfbench's tracer, a test's call counter) sees every call.
 """
 
 from __future__ import annotations
@@ -339,7 +342,7 @@ def _holistic_coefficients(patches: np.ndarray, templates: TemplateSet):
 def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
     """(c (A, m), solve (N, P)): D_p'y / ||y|| for each of the A non-empty
     blocks, in raster order, and which blocks those are. The sums run
-    pixel by pixel, as ``_kernels.block_residuals`` takes them.
+    pixel by pixel.
 
     Each coefficient is its own sum, so a template's column does not
     depend on the others: the product is formed over the columns of
@@ -361,8 +364,11 @@ def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
     return acc[solve] / nrm[solve][:, None], solve
 
 
-def _discriminative(c_pos, c_neg, tt, templates: TemplateSet, cfg: TrackerConfig):
-    """(H_d (N,), residuals (N, 2), sweeps (N, 2)) of the holistic codes."""
+def discriminative_confidence(c_pos, c_neg, tt, templates: TemplateSet, cfg: TrackerConfig):
+    """(H_d (N,), residuals (N, 2), sweeps (N, 2)): the holistic codes of
+    N candidates from their ``_holistic_coefficients``, one batch per
+    dictionary, and the contrast of their coding residuals on the target
+    and background dictionaries."""
     which = np.zeros(len(tt), dtype=np.intp)
     solves = [
         _kernels.cd_nn_lasso_gram_batch(
@@ -376,59 +382,28 @@ def _discriminative(c_pos, c_neg, tt, templates: TemplateSet, cfg: TrackerConfig
     return discriminative_score(eps[:, 0], eps[:, 1], cfg.sigma_c), eps, sweeps
 
 
-def _block_codes(c_blk, solve, templates: TemplateSet):
-    """Coding residuals (N, P) and coordinate-descent sweeps (N, P) of the
-    local blocks, from ``_block_coefficients``.
-
-    An empty block is not solved: it reconstructs exactly (residual 0, 0
-    sweeps), unless the templates have content there, where it is a
-    blacked-out region and takes residual 1 (empty-vs-empty agrees).
-    """
-    n, P = solve.shape
-    which = np.broadcast_to(np.arange(P), (n, P))[solve]
-    _gamma, resid_sq, sw = _kernels.cd_nn_lasso_gram_batch(
-        templates.local_grams, which, c_blk, np.ones(len(which)),
-        _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER,
-    )
-    residuals = np.tile(np.where(templates.local_has_content, 1.0, 0.0), (n, 1))
-    residuals[solve] = np.sqrt(resid_sq)
-    sweeps = np.zeros((n, P), dtype=np.int64)
-    sweeps[solve] = sw
-    return residuals, sweeps
-
-
-def _generative(residuals: np.ndarray, eps_occ: float):
-    """(H_g (N,), occluded (N, P)) from the block residuals.
+def generative_confidence(c_blk, solve, templates: TemplateSet, cfg: TrackerConfig):
+    """(H_g (N,), occluded (N, P), residuals (N, P), sweeps (N, P)): the
+    local block codes of N candidates from their ``_block_coefficients``,
+    in one batch (``_kernels.block_residuals``).
 
     A block is occluded when its coding residual exceeds eps_occ; the
     score averages (1 - residual/eps_occ) over unoccluded blocks, divided
     by the total block count.
     """
-    occluded = residuals > eps_occ
+    residuals, sweeps = _kernels.block_residuals(
+        templates.local_grams, c_blk, solve, templates.local_has_content,
+        _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER,
+    )
+    occluded = residuals > cfg.eps_occ
     # a tiny eps_occ overflows the terms of occluded blocks only, which
     # the sum leaves out
     with np.errstate(over="ignore"):
-        terms = 1.0 - residuals / eps_occ
+        terms = 1.0 - residuals / cfg.eps_occ
     # one sum per candidate over its unoccluded blocks: a masked sum over
     # all P blocks would group the additions differently in the last bits
     h_g = np.array([t[keep].sum() for t, keep in zip(terms, ~occluded)]) / residuals.shape[1]
-    return h_g, occluded
-
-
-def _scores(holistic, local, templates: TemplateSet, cfg: TrackerConfig) -> ObservationScores:
-    """Scores of N candidates from their holistic coefficients
-    (c_pos, c_neg, tt) and their block codes (residuals, sweeps)."""
-    h_d, eps, hol_sweeps = _discriminative(*holistic, templates, cfg)
-    residuals, blk_sweeps = local
-    h_g, occluded = _generative(residuals, cfg.eps_occ)
-    return ObservationScores(
-        likelihood=h_d * h_g,
-        occluded=occluded,
-        holistic_residuals=eps,
-        block_residuals=residuals,
-        holistic_sweeps=hol_sweeps,
-        block_sweeps=blk_sweeps,
-    )
+    return h_g, occluded, residuals, sweeps
 
 
 def score_particles(
@@ -439,9 +414,9 @@ def score_particles(
     The candidates are cfg.template_size square; the holistic codes use
     cfg.solver, and cfg.sigma_c and cfg.eps_occ set the discriminative
     and generative scores. The particles are warped _WARP_CHUNK at a
-    time; then the blocks of all N particles are coded by one batched
-    coordinate descent, and their holistic codes by one batch per
-    dictionary.
+    time; then ``discriminative_confidence`` codes their holistic
+    coefficients by one batch per dictionary, and
+    ``generative_confidence`` the blocks of all N particles by one batch.
     """
     size = cfg.template_size
     parts = []
@@ -450,45 +425,16 @@ def score_particles(
         parts.append(_holistic_coefficients(patches, templates) + _block_coefficients(patches, templates))
     *holistic, c_blk, solve = [np.concatenate(part) for part in zip(*parts)]
     del parts  # the per-chunk copies are not needed during the solves
-    return _scores(holistic, _block_codes(c_blk, solve, templates), templates, cfg)
-
-
-def _one(candidate: Patch) -> np.ndarray:
-    return np.asarray(candidate, dtype=np.float64)[None]
-
-
-def discriminative_confidence(
-    candidate: Patch, templates: TemplateSet, cfg: TrackerConfig | None = None
-) -> float:
-    """Holistic reconstruction-error contrast between target and background
-    dictionaries. The tracker scores through ``score_particles``;
-    perfbench's tracer wraps this name, so it stays."""
-    h_d, _eps, _sweeps = _discriminative(
-        *_holistic_coefficients(_one(candidate), templates), templates, cfg or TrackerConfig()
+    h_d, eps, hol_sweeps = discriminative_confidence(*holistic, templates, cfg)
+    h_g, occluded, residuals, blk_sweeps = generative_confidence(c_blk, solve, templates, cfg)
+    return ObservationScores(
+        likelihood=h_d * h_g,
+        occluded=occluded,
+        holistic_residuals=eps,
+        block_residuals=residuals,
+        holistic_sweeps=hol_sweeps,
+        block_sweeps=blk_sweeps,
     )
-    return float(h_d[0])
-
-
-def generative_confidence(
-    candidate: Patch, templates: TemplateSet, cfg: TrackerConfig | None = None
-) -> tuple[float, np.ndarray]:
-    """Blockwise local coding; returns (score, occlusion mask grid). The
-    tracker scores through ``score_particles``; perfbench's tracer wraps
-    this name, so it stays."""
-    residuals, _sweeps = _block_codes(*_block_coefficients(_one(candidate), templates), templates)
-    h_g, occluded = _generative(residuals, (cfg or TrackerConfig()).eps_occ)
-    h, w = np.shape(candidate)
-    return float(h_g[0]), occluded[0].reshape(h // BLOCK, w // BLOCK)
-
-
-def observation_likelihood(
-    candidate: Patch, templates: TemplateSet, cfg: TrackerConfig | None = None
-) -> float:
-    """Collaborative likelihood H_d * H_g."""
-    patch = _one(candidate)
-    holistic = _holistic_coefficients(patch, templates)
-    local = _block_codes(*_block_coefficients(patch, templates), templates)
-    return float(_scores(holistic, local, templates, cfg or TrackerConfig()).likelihood[0])
 
 
 # ---------------------------------------------------------------------------

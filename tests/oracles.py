@@ -11,11 +11,13 @@ prior work one patch at a time; the reference warp grid takes every
 factor over a full meshgrid; the reference Gram-form coordinate descent
 is the scalar loop that the package's one batched solver replaced, one
 problem and one coordinate at a time; the tracker's reference scorer
-scores particles one at a time with that loop, so no reference calls
-the package's lasso solver; its reference local dictionary normalises one block at
-a time, and its reference block coefficients code every template slot,
-copies included; the reference bilinear sampler reads each corner
-through its own clip, gather and mask; the reference k-means and index
+is its one batch scorer taken apart, one particle at a time: one warp,
+then that loop once per holistic dictionary and once per non-empty
+block, so no reference calls the package's lasso solver; its reference
+local dictionary normalises one block at a time, and its reference
+block coefficients code every template slot, copies included; the
+reference bilinear sampler reads each corner through its own clip,
+gather and mask; the reference k-means and index
 tree are the tree builder as it was before its distinct-row count and
 Lloyd step were made cheaper; the reference singular value thresholding
 takes a full SVD; the reference tree norm, tree prox and LSMD loop work
@@ -598,13 +600,14 @@ def reference_particle_scores(frame, states, templates, cfg):
 # per iteration
 # ---------------------------------------------------------------------------
 
-def reference_prox_nuclear(L, tau, *, return_singular_values=False):
+def reference_prox_nuclear(L, tau):
     """Singular value thresholding through one full SVD (LAPACK gesdd),
-    with prox_nuclear's arguments and results."""
+    with prox_nuclear's arguments and results: the matrix and its
+    thresholded singular values."""
     U, s, Vt = np.linalg.svd(np.asarray(L, dtype=np.float64), full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     X = (U * s) @ Vt
-    return (X, s) if return_singular_values else X
+    return X, s
 
 
 def reference_tree_norm(S, tree) -> float:
@@ -649,7 +652,7 @@ def reference_decompose(data, tree, params):
     iterations = 0
     for it in range(1, params.max_iter + 1):
         iterations = it
-        L = reference_prox_nuclear(data - S, params.mu_L)
+        L, _sv = reference_prox_nuclear(data - S, params.mu_L)
         S = reference_prox_tree_norm(data - L, tree, params.mu_S, params.lambda_l1)
         trace.append(objective(L, S))
         if abs(trace[-2] - trace[-1]) <= params.rel_tol * max(1.0, abs(trace[-2])):

@@ -97,7 +97,7 @@ def test_criterion_3_prox_oracle_suite():
             m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             V = rng.standard_normal((m, n))
             tau = float(rng.uniform(0.2, 1.5))
-            got = prox_nuclear(V, tau)
+            got, _sv = prox_nuclear(V, tau)
             want = prox_nuclear_oracle(V, tau)
             gap = abs(nuclear_objective(got, V, tau) - nuclear_objective(want, V, tau))
             assert gap <= 1e-5
@@ -117,7 +117,7 @@ def test_criterion_3_prox_oracle_suite():
         tree = build_index_tree(rng.random((6, 2)) * 10, k=4, seed=0)
         for _ in range(100):
             A, B = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
-            assert np.linalg.norm(prox_nuclear(A, 0.8) - prox_nuclear(B, 0.8)) <= np.linalg.norm(A - B) + 1e-12
+            assert np.linalg.norm(prox_nuclear(A, 0.8)[0] - prox_nuclear(B, 0.8)[0]) <= np.linalg.norm(A - B) + 1e-12
             pa = prox_tree_norm(A, tree, 0.5, 0.1)
             pb = prox_tree_norm(B, tree, 0.5, 0.1)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(A - B) + 1e-12

@@ -1,5 +1,5 @@
-"""The names the benchmark's tracer wraps are still in the package, and
-return what its facts read.
+"""The names the benchmark's tracer wraps are still in the package, are
+the stages that run, and return what its facts read.
 
 perfbench/tracer.py replaces module globals by name, so a rename or a
 removal in the package would first show up as an AttributeError in a
@@ -7,6 +7,7 @@ traced benchmark run. These tests read the tracer's table as it is.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -54,3 +55,33 @@ def test_cd_nn_lasso_gram_gives_the_tracer_its_sweeps():
         # a tolerance of 1e-300 is never met, so the problem is capped
         assert sweeps == max_iter
         assert fact(args, result) == (max_iter, True)
+
+
+def test_the_wrapped_tracker_stages_run_once_per_frame(tmp_path, monkeypatch):
+    # the tracer counts a stage only when the tracker calls it through the
+    # module global it wraps
+    from motion_lsmd import cli, tracker
+    from motion_lsmd.ingest import write_pgm
+
+    calls = Counter()
+
+    def counting(name, stage):
+        def counted(*args):
+            calls[name] += 1
+            return stage(*args)
+
+        return counted
+
+    for owner, name in ((tracker, "discriminative_confidence"), (tracker, "generative_confidence"),
+                        (_kernels, "block_residuals")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for t in range(4):
+        img = np.zeros((64, 160))
+        img[20:44, 8 + 2 * t : 32 + 2 * t] = 0.9
+        write_pgm(frames / f"{t:04d}.pgm", img)
+    rc = cli.main(["track", str(frames), "--init", "20,32,0,1,1,0", "--out", str(tmp_path / "t.csv"),
+                   "--set", "tracker.n_particles=50"])
+    assert rc == 0
+    assert calls == {"discriminative_confidence": 3, "generative_confidence": 3, "block_residuals": 3}

@@ -437,6 +437,18 @@ class TestCliErrors:
         assert res.stderr.startswith("error: affine warp overflows") and "Warning" not in res.stderr, res.stderr
         assert not (tmp_path / "t.csv").exists()
 
+    def test_huge_mu_l_prints_no_warning(self, synth_dir, tmp_path):
+        # max|F| < 0.5 scales the threshold up past the float range; an
+        # infinite threshold zeroes every singular value, the right result
+        features = tmp_path / "features.csv"
+        fileio.write_matrix_csv(features, 0.1 * np.random.default_rng(0).standard_normal((6, 12)))
+        for args in (["detect", synth_dir, "--out", tmp_path / "s.csv", "--events", tmp_path / "e.csv"],
+                     ["decompose", features, "--out-prefix", tmp_path / "dec"]):
+            res = run_cli([*args, "--set", "lsmd.mu_L=1e308"])
+            assert res.returncode == 0, res.stderr
+            assert res.stderr == "", res.stderr
+        assert np.all(fileio.read_matrix_csv(tmp_path / "dec_L.csv") == 0.0)
+
     def test_negative_synth_seed(self, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text("n_frames = 4\n", encoding="utf-8")

@@ -1,6 +1,6 @@
-"""The batched Gram-form solver and its one-problem and one-candidate
-views against the scalar reference loop, and the bilinear sampler
-against its reference."""
+"""The batched Gram-form solver, its one-problem view and the block
+stage that calls it against the scalar reference loop, and the bilinear
+sampler against its reference."""
 
 import numpy as np
 import pytest
@@ -41,21 +41,28 @@ class TestScalarKernels:
         dicts /= np.linalg.norm(dicts, axis=1, keepdims=True)
         grams = np.einsum("pij,pik->pjk", dicts, dicts)
         blocks = np.abs(rng.standard_normal((4, 16)))
-        blocks[2] = 0.0  # a zero block reconstructs exactly
-        got = _kernels.block_residuals(grams, dicts, blocks, 0.0, 1e-10, 200)
-        assert got[2] == 0.0
-        for p in (0, 1, 3):
-            y = blocks[p] / np.linalg.norm(blocks[p])
-            _g, rsq, _s = reference_cd_nn_lasso_gram(grams[p], dicts[p].T @ y, 1.0, 0.0, 1e-10, 200)
-            assert got[p] == pytest.approx(np.sqrt(rsq), rel=1e-9)
-            # on the coefficients it forms, summed pixel by pixel, the bits
-            c = np.zeros(5)
+        blocks[2] = 0.0  # an empty block is not solved
+        # each block's coefficients, summed pixel by pixel
+        solve = np.array([[True, True, False, True]])
+        c = np.zeros((3, 5))
+        for a, p in enumerate((0, 1, 3)):
             sq = 0.0
             for i in range(16):
-                c += dicts[p, i, :] * blocks[p, i]
+                c[a] += dicts[p, i, :] * blocks[p, i]
                 sq += blocks[p, i] * blocks[p, i]
-            _g, rsq, _s = reference_cd_nn_lasso_gram(grams[p], c / np.sqrt(sq), 1.0, 0.0, 1e-10, 200)
-            assert_same_bytes(got[p], np.sqrt(rsq))
+            c[a] /= np.sqrt(sq)
+        got, sweeps = _kernels.block_residuals(grams, c, solve, np.ones(4, dtype=bool), 0.0, 1e-10, 200)
+        assert got.shape == sweeps.shape == (1, 4)
+        # not solved; the dictionary has content there, so it is blacked out
+        assert got[0, 2] == 1.0 and sweeps[0, 2] == 0
+        for a, p in enumerate((0, 1, 3)):
+            y = blocks[p] / np.linalg.norm(blocks[p])
+            _g, rsq, _s = reference_cd_nn_lasso_gram(grams[p], dicts[p].T @ y, 1.0, 0.0, 1e-10, 200)
+            assert got[0, p] == pytest.approx(np.sqrt(rsq), rel=1e-9)
+            # on the coefficients it is given, the bits
+            _g, rsq, want_sweeps = reference_cd_nn_lasso_gram(grams[p], c[a], 1.0, 0.0, 1e-10, 200)
+            assert_same_bytes(got[0, p], np.sqrt(rsq))
+            assert sweeps[0, p] == want_sweeps
 
     def test_zero_column_pinned(self):
         X = np.array([[1.0, 0.0], [0.5, 0.0]])

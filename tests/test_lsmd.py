@@ -414,12 +414,12 @@ class TestLevelBatchedTreeProx:
 class TestProxNuclear:
     def test_tau_zero_identity(self):
         M = np.random.default_rng(8).standard_normal((4, 5))
-        assert np.allclose(prox_nuclear(M, 0.0), M, atol=1e-9)
+        assert np.allclose(prox_nuclear(M, 0.0)[0], M, atol=1e-9)
 
     def test_diagonal_example(self):
-        out = prox_nuclear(np.diag([3.0, 1.0]), 1.0)
+        out, _sv = prox_nuclear(np.diag([3.0, 1.0]), 1.0)
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
-        again, sv = prox_nuclear(np.diag([3.0, 1.0]), 1.0, return_singular_values=True)
+        again, sv = prox_nuclear(np.diag([3.0, 1.0]), 1.0)
         assert np.array_equal(again, out) and sv.tolist() == [2.0, 0.0]
 
     def test_matches_numeric_oracle(self):
@@ -430,7 +430,7 @@ class TestProxNuclear:
             m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             V = rng.standard_normal((m, n))
             tau = float(rng.uniform(0.2, 1.5))
-            got = prox_nuclear(V, tau)
+            got, _sv = prox_nuclear(V, tau)
             want = prox_nuclear_oracle(V, tau)
             assert abs(nuclear_objective(got, V, tau) - nuclear_objective(want, V, tau)) <= 1e-5
             assert np.abs(got - want).max() <= 1e-5
@@ -440,7 +440,7 @@ class TestProxNuclear:
         for _ in range(100):
             A = rng.standard_normal((3, 4))
             B = rng.standard_normal((3, 4))
-            assert np.linalg.norm(prox_nuclear(A, 0.7) - prox_nuclear(B, 0.7)) <= np.linalg.norm(
+            assert np.linalg.norm(prox_nuclear(A, 0.7)[0] - prox_nuclear(B, 0.7)[0]) <= np.linalg.norm(
                 A - B
             ) + 1e-12
 
@@ -515,8 +515,8 @@ class TestGramThresholding:
     @pytest.mark.parametrize("name", list(SVT_CASES))
     def test_matches_full_svd(self, name):
         L, tau = svt_case(name)
-        X, s = prox_nuclear(L, tau, return_singular_values=True)
-        X_ref, s_ref = reference_prox_nuclear(L, tau, return_singular_values=True)
+        X, s = prox_nuclear(L, tau)
+        X_ref, s_ref = reference_prox_nuclear(L, tau)
         tol = self.tolerance(np.linalg.svd(L, compute_uv=False), tau)
         assert X.shape == L.shape and s.shape == (min(L.shape),)
         assert np.all(np.isfinite(X)) and np.all(np.isfinite(s))
@@ -541,7 +541,7 @@ class TestGramThresholding:
         rng = np.random.default_rng(18)
         for shape in [(30, 20), (20, 30)]:
             calls.clear()
-            prox_nuclear(rng.standard_normal(shape), 1.0, return_singular_values=True)
+            prox_nuclear(rng.standard_normal(shape), 1.0)
             assert calls == [("eigh", (20, 20))]
 
 
@@ -603,7 +603,7 @@ class TestDecompose:
         F = np.random.default_rng(12).standard_normal((6, 8))
         dec = decompose(F, tree, LsmdParams(mu_L=0.5, mu_S=1e6))
         assert np.all(dec.S == 0.0)
-        assert np.allclose(dec.L, prox_nuclear(F, 0.5))
+        assert np.allclose(dec.L, prox_nuclear(F, 0.5)[0])
 
     def test_trace_non_increasing(self):
         tree, _ = random_tree(13, n=12)

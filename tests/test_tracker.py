@@ -7,6 +7,8 @@ from motion_lsmd.sparse import SolverParams, nn_lasso
 from motion_lsmd.tracker import (
     _WARP_CHUNK,
     _block_coefficients,
+    _holistic_coefficients,
+    BLOCK,
     AffineState,
     MotionModelParams,
     ParticleSet,
@@ -19,7 +21,6 @@ from motion_lsmd.tracker import (
     generative_confidence,
     make_template_set,
     map_estimate,
-    observation_likelihood,
     propose_particles,
     score_particles,
     track_sequence,
@@ -52,6 +53,28 @@ def textured_templates(seed=0, size=16, m=4, q=3):
     holistic = [rng.random((size, size)) for _ in range(m)]
     negatives = [rng.random((size, size)) for _ in range(q)]
     return TemplateSet(holistic=holistic, negatives=negatives, ages=np.zeros(m))
+
+
+def holistic_scores(cands, templates, cfg=None):
+    """``discriminative_confidence`` of a batch of candidates (n, h, w):
+    (H_d (n,), residuals (n, 2), sweeps (n, 2))."""
+    c_pos, c_neg, tt = _holistic_coefficients(np.asarray(cands, dtype=np.float64), templates)
+    return discriminative_confidence(c_pos, c_neg, tt, templates, cfg or TrackerConfig())
+
+
+def local_scores(cands, templates, cfg=None):
+    """``generative_confidence`` of a batch of candidates (n, h, w):
+    (H_g (n,), occlusion masks (n, h/BLOCK, w/BLOCK))."""
+    cands = np.asarray(cands, dtype=np.float64)
+    n, h, w = cands.shape
+    c_blk, solve = _block_coefficients(cands, templates)
+    h_g, occluded, _residuals, _sweeps = generative_confidence(c_blk, solve, templates, cfg or TrackerConfig())
+    return h_g, occluded.reshape(n, h // BLOCK, w // BLOCK)
+
+
+def likelihoods(cands, templates, cfg=None):
+    """H_d * H_g of a batch of candidates, from the two stages."""
+    return holistic_scores(cands, templates, cfg)[0] * local_scores(cands, templates, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +130,9 @@ class TestDiscriminative:
     def test_template_scores_above_noise(self):
         templates = textured_templates(seed=1)
         rng = np.random.default_rng(2)
-        on_target = discriminative_confidence(templates.holistic[0], templates)
-        off_target = discriminative_confidence(rng.random((16, 16)), templates)
+        (on_target, off_target), _eps, _sweeps = holistic_scores(
+            [templates.holistic[0], rng.random((16, 16))], templates
+        )
         assert on_target > off_target
 
     def test_equal_residuals_give_one(self):
@@ -123,9 +147,9 @@ class TestDiscriminative:
         templates = textured_templates(seed=3)
         params = SolverParams(lambda1=0.01, tol=1e-12, max_iter=3000)
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            cand = rng.random((16, 16))
-            got = discriminative_confidence(cand, templates, TrackerConfig(solver=params))
+        cands = rng.random((20, 16, 16))
+        h_d, _eps, _sweeps = holistic_scores(cands, templates, TrackerConfig(solver=params))
+        for cand, got in zip(cands, h_d):
             y = cand.reshape(-1) / np.linalg.norm(cand)
             eps = []
             for dictionary in (templates.holistic_dict, templates.negative_dict):
@@ -138,7 +162,7 @@ class TestDiscriminative:
         templates = textured_templates(seed=5)
         templates.negatives = []
         with pytest.raises(errors.EmptyDictionary):
-            discriminative_confidence(np.ones((16, 16)), templates)
+            holistic_scores(np.ones((1, 16, 16)), templates)
 
 
 class TestLocalDict:
@@ -264,14 +288,14 @@ class TestGenerative:
             cand[br * 8 : br * 8 + 8, bc * 8 : bc * 8 + 8] = src[
                 br * 8 : br * 8 + 8, bc * 8 : bc * 8 + 8
             ]
-        score, mask = generative_confidence(cand, templates)
+        (score,), (mask,) = local_scores([cand], templates)
         assert score == pytest.approx(1.0, abs=1e-6)
         assert not mask.any()
 
     def test_all_blocks_occluded(self):
         # black candidate against templates with content everywhere
         templates = textured_templates(seed=7)
-        score, mask = generative_confidence(np.zeros((16, 16)), templates)
+        (score,), (mask,) = local_scores(np.zeros((1, 16, 16)), templates)
         assert score == 0.0
         assert mask.all()
 
@@ -279,7 +303,7 @@ class TestGenerative:
         templates = textured_templates(seed=8)
         cand = templates.holistic[0].copy()
         cand[:, 8:] = 0.0  # zero out the right half: 2 of 4 blocks
-        _score, mask = generative_confidence(cand, templates)
+        _score, (mask,) = local_scores([cand], templates)
         assert mask.mean() == pytest.approx(0.5, abs=0.25)  # one block granularity
 
     def test_empty_against_empty_is_fine(self):
@@ -288,27 +312,26 @@ class TestGenerative:
         for h in holistic:
             h[:8, :8] = 0.5
         templates = TemplateSet(holistic=holistic, negatives=[np.ones((16, 16))], ages=np.zeros(3))
-        score, mask = generative_confidence(holistic[0], templates)
+        (score,), (mask,) = local_scores([holistic[0]], templates)
         assert not mask.any()
         assert score == pytest.approx(1.0, abs=1e-6)
 
     def test_bad_blocking(self):
         templates = textured_templates(seed=9)
         with pytest.raises(errors.BadBlocking):
-            generative_confidence(np.ones((12, 12)), templates)
+            local_scores(np.ones((1, 12, 12)), templates)
 
 
 class TestObservationLikelihood:
     def test_zero_generative_zeroes_product(self):
         templates = textured_templates(seed=10)
-        like = observation_likelihood(np.zeros((16, 16)), templates)
+        (like,) = likelihoods(np.zeros((1, 16, 16)), templates)
         assert like == 0.0
 
     def test_non_negative(self):
         templates = textured_templates(seed=11)
         rng = np.random.default_rng(12)
-        for _ in range(10):
-            assert observation_likelihood(rng.random((16, 16)), templates) >= 0.0
+        assert np.all(likelihoods(rng.random((10, 16, 16)), templates) >= 0.0)
 
     def test_monotone_in_positive_residual(self):
         grid = np.linspace(0.0, 2.0, 41)
@@ -545,22 +568,22 @@ class TestTrackSequence:
             track_sequence(seq, AffineState(l_x=20.0, l_y=32.0), TrackerConfig(n_particles=2))
 
     def test_weighting_order_independent(self):
-        # likelihoods are pure per-particle functions: any evaluation order
-        # stores identical arrays
+        # likelihoods are pure per-particle functions: scoring the particles
+        # one at a time, forward or reversed, stores the arrays that scoring
+        # them as one batch gives
         seq, centers = square_sequence(3)
         obs = seq.frames[1]
         cfg = TrackerConfig(n_particles=16, seed=4)
         templates = make_template_set(seq.frames[0], AffineState(l_x=centers[0][1], l_y=centers[0][0]), cfg)
         ps = propose_particles(AffineState(l_x=centers[0][1], l_y=centers[0][0]), cfg.motion, 16, 77)
-        from motion_lsmd.ingest import warp_patch
 
         def weigh(order):
             likes = np.empty(16)
             for i in order:
-                cand = warp_patch(obs, ps.state(i), 32, 32)
-                likes[i] = observation_likelihood(cand, templates)
+                likes[i] = score_particles(obs, ps.states[i : i + 1], templates, cfg).likelihood[0]
             return likes
 
         forward = weigh(range(16))
         backward = weigh(reversed(range(16)))
         assert np.array_equal(forward, backward)
+        assert np.array_equal(forward, score_particles(obs, ps.states, templates, cfg).likelihood)
