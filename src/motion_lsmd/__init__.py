@@ -1,7 +1,7 @@
 """Action-activity detection via low-rank plus tree-structured-sparse
 decomposition of frame differences, with a particle-filter tracker."""
 
-from .config import Config, default_config, parse_config
+from .config import Config, parse_config
 from .detector import (
     DetectionReport,
     DetectorConfig,
@@ -42,7 +42,6 @@ from .sparse import SolverParams, SparseCode, kkt_residual, nn_lasso, soft_thres
 from .tracker import (
     AffineState,
     MotionModelParams,
-    ParticleSet,
     TemplateSet,
     TrackerConfig,
     TrackResult,

@@ -214,7 +214,3 @@ def parse_config(
     if verbose:
         cfg.echo()
     return cfg
-
-
-def default_config() -> Config:
-    return Config()

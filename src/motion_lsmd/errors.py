@@ -78,10 +78,6 @@ class BadBlocking(InputError):
     pass
 
 
-class LikelihoodsUnset(InputError):
-    pass
-
-
 class InitOutOfBounds(InputError):
     pass
 

@@ -19,6 +19,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_lines(path: str | Path, header: str, lines) -> None:
+    """Write the header, then each of the lines, as UTF-8 with a "\n"
+    after each; lines may be a generator, so no whole file is built."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 # ---------------------------------------------------------------------------
 # matrices ("rows,cols" header, then one CSV line per matrix row)
 # ---------------------------------------------------------------------------
@@ -26,11 +35,7 @@ def _fmt(x: float) -> str:
 def write_matrix_csv(path: str | Path, mat: np.ndarray) -> None:
     mat = np.asarray(mat, dtype=np.float64)
     rows, cols = mat.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rows,cols\n")
-        fh.write(f"{rows},{cols}\n")
-        for row in mat.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    _write_lines(path, f"rows,cols\n{rows},{cols}", (",".join(map(repr, row)) for row in mat.tolist()))
 
 
 def _holds_non_csv_text(line: str) -> bool:
@@ -84,10 +89,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
 
 
 def write_trace_csv(path: str | Path, trace: list[float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,objective\n")
-        for i, v in enumerate(trace):
-            fh.write(f"{i},{_fmt(v)}\n")
+    _write_lines(path, "iteration,objective", (f"{i},{_fmt(v)}" for i, v in enumerate(trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +97,17 @@ def write_trace_csv(path: str | Path, trace: list[float]) -> None:
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(path: str | Path, scores: list[FrameScore]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # perfbench's detect-clips check pins this four-column header, so
-        # tracker_conf stays 0.0 and combined repeats the energy
-        fh.write("frame,lsmd_energy,tracker_conf,combined\n")
-        for sc in scores:
-            energy = _fmt(sc.lsmd_energy)
-            fh.write(f"{sc.frame},{energy},0.0,{energy}\n")
+    # perfbench's detect-clips check pins this four-column header, so
+    # tracker_conf stays 0.0 and combined repeats the energy
+    _write_lines(
+        path,
+        "frame,lsmd_energy,tracker_conf,combined",
+        (f"{sc.frame},{energy},0.0,{energy}" for sc in scores for energy in [_fmt(sc.lsmd_energy)]),
+    )
 
 
 def write_events_csv(path: str | Path, events: list[EventInterval]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("start,end,peak\n")
-        for ev in events:
-            fh.write(f"{ev.start},{ev.end},{_fmt(ev.peak)}\n")
+    _write_lines(path, "start,end,peak", (f"{ev.start},{ev.end},{_fmt(ev.peak)}" for ev in events))
 
 
 def read_events_csv(path: str | Path) -> list[EventInterval]:
@@ -138,10 +137,7 @@ def read_events_csv(path: str | Path) -> list[EventInterval]:
 
 
 def write_truth_csv(path: str | Path, events: list[tuple[int, int, str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("start,end,kind\n")
-        for start, end, kind in events:
-            fh.write(f"{start},{end},{kind}\n")
+    _write_lines(path, "start,end,kind", (f"{start},{end},{kind}" for start, end, kind in events))
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +145,14 @@ def write_truth_csv(path: str | Path, events: list[tuple[int, int, str]]) -> Non
 # ---------------------------------------------------------------------------
 
 def write_track_csv(path: str | Path, results: list[TrackResult]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame,l_x,l_y,theta,s,alpha,phi,confidence,occlusion_fraction\n")
-        for r in results:
-            st = r.state
-            cells = [
-                str(r.frame_index),
-                _fmt(st.l_x),
-                _fmt(st.l_y),
-                _fmt(st.theta),
-                _fmt(st.s),
-                _fmt(st.alpha),
-                _fmt(st.phi),
-                _fmt(r.confidence),
-                _fmt(r.occlusion_fraction),
-            ]
-            fh.write(",".join(cells) + "\n")
+    _write_lines(
+        path,
+        "frame,l_x,l_y,theta,s,alpha,phi,confidence,occlusion_fraction",
+        (
+            ",".join([str(r.frame_index), *map(_fmt, (*r.state.as_array(), r.confidence, r.occlusion_fraction))])
+            for r in results
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +174,9 @@ def write_report_csv(path: str | Path, report: DetectionReport) -> None:
             name.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise InvalidValue(f"report row name {name!r} is not valid text") from exc
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for row in report.rows:
-            fh.write(
-                f"{row.name},{row.total_frames},{row.num_events},{row.correct_detections}\n"
-            )
-        t = report.totals
-        fh.write(f"{t.name},{t.total_frames},{t.num_events},{t.correct_detections}\n")
-        acc = "n/a" if report.accuracy is None else f"{report.accuracy:.4f}"
-        fh.write(f"accuracy={acc}\n")
+    acc = "n/a" if report.accuracy is None else f"{report.accuracy:.4f}"
+    rows = (f"{r.name},{r.total_frames},{r.num_events},{r.correct_detections}" for r in [*report.rows, report.totals])
+    _write_lines(path, REPORT_HEADER, [*rows, f"accuracy={acc}"])
 
 
 def read_report_rows(path: str | Path) -> list[ReportRow]:

@@ -64,10 +64,6 @@ class TreeNode:
     depth: int
     indivisible: bool = False
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 class TreeLevel(NamedTuple):
     """The non-empty nodes of one depth, laid out for segmented sums.
@@ -84,14 +80,12 @@ class TreeLevel(NamedTuple):
 
 @dataclass
 class IndexTree:
-    """Hierarchy over feature-matrix columns; ids are breadth-first."""
+    """Hierarchy over feature-matrix columns; ids are breadth-first, so
+    ``nodes[0]`` is the root and ``nodes[i].id == i``. A node with no
+    children is a leaf."""
 
     nodes: list[TreeNode]
-    root: int = 0
     k: int = 4
-
-    def node(self, nid: int) -> TreeNode:
-        return self.nodes[nid]
 
     @cached_property
     def levels(self) -> list[TreeLevel]:
@@ -114,13 +108,7 @@ class IndexTree:
 
     @property
     def n_columns(self) -> int:
-        return len(self.nodes[self.root].members)
-
-    def leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes if n.is_leaf]
-
-    def depth(self) -> int:
-        return max(n.depth for n in self.nodes)
+        return len(self.nodes[0].members)
 
 
 @dataclass
@@ -290,7 +278,7 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
             nodes.append(child)
             node.children.append(child.id)
             queue.append(child.id)
-    return IndexTree(nodes=nodes, root=0, k=k)
+    return IndexTree(nodes=nodes, k=k)
 
 
 def clustering_points(
@@ -455,12 +443,14 @@ def decompose(
     _check_tree_shape(data, tree)
 
     def objective(residual: np.ndarray, S: np.ndarray, nuclear: float) -> float:
-        # residual = data - L - S; nuclear = ||L||_*
+        # residual = data - L - S; nuclear = ||L||_*. An all-zero S adds 0
+        # to the l1 term, also where mu_S * lambda_l1 overflows to inf
+        l1 = float(np.abs(S).sum())
         return (
             0.5 * float(np.linalg.norm(residual) ** 2)
             + params.mu_L * nuclear
             + params.mu_S * tree_norm(S, tree)
-            + params.mu_S * params.lambda_l1 * float(np.abs(S).sum())
+            + (params.mu_S * params.lambda_l1 * l1 if l1 else 0.0)
         )
 
     def step(point: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

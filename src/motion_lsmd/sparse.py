@@ -44,12 +44,14 @@ class SparseCode:
 
 
 def objective_value(X: np.ndarray, t: np.ndarray, lambda1: float, gamma: np.ndarray) -> float:
+    """The objective at gamma; criterion 2 reads it, no CLI command does."""
     resid = t - X @ gamma
     return float(resid @ resid + lambda1 * np.sum(gamma))
 
 
 def kkt_residual(X: np.ndarray, t: np.ndarray, lambda1: float, gamma: np.ndarray) -> float:
-    """Max violation of the first-order conditions at a feasible gamma.
+    """Max violation of the first-order conditions at a feasible gamma;
+    criterion 2 checks the solver by it, no CLI command runs it.
 
     With g_k = -2 x_k.(t - X gamma) + lambda1, a coordinate contributes
     |min(g_k, 0)| when gamma_k = 0 and |g_k| otherwise.
@@ -67,7 +69,8 @@ def kkt_residual(X: np.ndarray, t: np.ndarray, lambda1: float, gamma: np.ndarray
 
 
 def nn_lasso(X: np.ndarray, t: np.ndarray, params: SolverParams | None = None) -> SparseCode:
-    """Cyclic coordinate descent for the non-negative lasso."""
+    """Cyclic coordinate descent for the non-negative lasso: the public
+    solver entry that criterion 2 checks; no CLI command runs it."""
     if params is None:
         params = SolverParams()
     X = np.ascontiguousarray(X, dtype=np.float64)

@@ -1,12 +1,12 @@
 """Particle-filter tracking with a collaborative sparse appearance model.
 
 The appearance model scores raw frames: the templates are cut from
-frame 0, and frame t is observed as it is. Per frame: propose particles
-from a six-parameter Gaussian motion model, weight each candidate patch
-by the product of a discriminative score (holistic templates vs
-background) and a generative score (local 8x8 blocks with occlusion
-masking), take the MAP particle, and update the template set when
-confidence and occlusion gates allow.
+frame 0, and frame t is observed as it is. Per frame, over arrays:
+propose particle states and their prior densities from a six-parameter
+Gaussian motion model, weight each candidate patch by the product of a
+discriminative score (holistic templates vs background) and a
+generative score (local 8x8 blocks with occlusion masking), take the
+MAP particle, and update the template set when gates allow.
 
 A frame's particles are scored as one batch (``score_particles``), the
 tracker's one scorer: batched warps, then two stages that code every
@@ -16,9 +16,9 @@ it once per holistic dictionary over all particles, and
 ``generative_confidence`` once over the blocks of the whole frame,
 through ``_kernels.block_residuals``. Each problem is solved in its own
 arithmetic order and read at the sweep where it stops, so a particle's
-scores do not depend on the batch it falls in. ``score_particles``
-calls both stages through this module's globals, so a wrapper set there
-(perfbench's tracer, a test's call counter) sees every call.
+scores do not depend on the batch it falls in. Every stage is called
+through this module's globals, so a wrapper set there (perfbench's
+tracer, a test's call counter) sees every call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     BadBlocking,
     EmptyDictionary,
     InitOutOfBounds,
-    LikelihoodsUnset,
     NonFiniteInput,
     TooFewFrames,
 )
@@ -47,8 +46,6 @@ from .ingest import (
     warp_patches,
 )
 from .sparse import SolverParams
-
-STATE_FIELDS = ("l_x", "l_y", "theta", "s", "alpha", "phi")
 
 
 @dataclass
@@ -79,7 +76,7 @@ class AffineState:
 
 @dataclass
 class MotionModelParams:
-    """Per-parameter Gaussian std-devs, ordered like STATE_FIELDS."""
+    """Per-parameter Gaussian std-devs, ordered like AffineState's fields."""
 
     sigma: np.ndarray = field(
         default_factory=lambda: np.array([4.0, 4.0, 0.02, 0.01, 0.002, 0.001])
@@ -89,24 +86,6 @@ class MotionModelParams:
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
         if self.sigma.shape != (6,) or np.any(self.sigma < 0):
             raise ValueError("sigma must be 6 non-negative reals")
-
-
-@dataclass
-class ParticleSet:
-    """N candidate states with proposal densities and (later) likelihoods."""
-
-    states: np.ndarray  # (N, 6), columns ordered like STATE_FIELDS
-    motion_priors: np.ndarray  # (N,)
-    likelihoods: np.ndarray | None = None
-    occlusions: np.ndarray | None = None
-    prev_state: AffineState | None = None
-    frame_index: int = -1
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    def state(self, i: int) -> AffineState:
-        return AffineState.from_array(self.states[i])
 
 
 @dataclass
@@ -161,10 +140,6 @@ class TemplateSet:
                 np.stack([g.reshape(-1) for g in self.negatives], axis=1)
             )
             self.negative_gram = self.negative_dict.T @ self.negative_dict
-
-    @property
-    def m(self) -> int:
-        return len(self.holistic)
 
 
 @dataclass
@@ -267,9 +242,10 @@ def _ring_negatives(frame: Frame, state: AffineState, cfg: TrackerConfig) -> lis
 
 def propose_particles(
     prev: AffineState, motion: MotionModelParams, n: int, rng_seed: int
-) -> ParticleSet:
-    """Gaussian perturbation of each parameter; draws are consumed
-    particle-major, parameter-minor, so the set is seed-reproducible.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(states (N, 6), priors (N,)): Gaussian perturbations of prev and
+    their densities; draws are consumed particle-major, parameter-minor,
+    so the set is seed-reproducible.
 
     A std-dev near the float limit makes states overflow to inf; the warp
     rejects those. One so small that the normalisers 1/(sigma sqrt(2 pi))
@@ -297,7 +273,7 @@ def propose_particles(
         raise NonFiniteInput(
             f"motion prior overflows: the product of the densities for sigma {sigma.tolist()} is not finite"
         )
-    return ParticleSet(states=states, motion_priors=priors, prev_state=prev)
+    return states, priors
 
 
 # ---------------------------------------------------------------------------
@@ -441,33 +417,32 @@ def score_particles(
 # MAP selection and template update
 # ---------------------------------------------------------------------------
 
-def map_estimate(particles: ParticleSet) -> TrackResult:
-    """Particle maximizing likelihood * motion prior; ties go to the
-    lowest index. Confidence is the winner's share of total weight, so
-    weights whose total overflows are rejected."""
-    if particles.likelihoods is None:
-        raise LikelihoodsUnset("weight the particles before MAP estimation")
+def map_estimate(
+    states: np.ndarray, priors: np.ndarray, scores: ObservationScores, prev: AffineState, frame_index: int
+) -> TrackResult:
+    """The state maximizing scores.likelihood * priors, ties to the lowest
+    index; its occlusion is its share of occluded blocks. Confidence is
+    its share of total weight, so a total that overflows is rejected; a
+    total of 0 is degenerate and keeps prev."""
     with np.errstate(over="ignore", invalid="ignore"):
-        posterior = particles.likelihoods * particles.motion_priors
+        posterior = scores.likelihood * priors
         total = float(posterior.sum())
     if not math.isfinite(total):
         raise NonFiniteInput("posterior weights overflow: likelihood x motion prior has no finite sum")
     if total <= 0.0:
-        prev = particles.prev_state or particles.state(0)
         return TrackResult(
             state=replace(prev),
             confidence=0.0,
             occlusion_fraction=0.0,
-            frame_index=particles.frame_index,
+            frame_index=frame_index,
             degenerate=True,
         )
     winner = int(np.argmax(posterior))
-    occ = float(particles.occlusions[winner]) if particles.occlusions is not None else 0.0
     return TrackResult(
-        state=particles.state(winner),
+        state=AffineState.from_array(states[winner]),
         confidence=float(posterior[winner] / total),
-        occlusion_fraction=occ,
-        frame_index=particles.frame_index,
+        occlusion_fraction=float(scores.occluded[winner].mean()),
+        frame_index=frame_index,
     )
 
 
@@ -514,12 +489,9 @@ def track_sequence(
     results: list[TrackResult] = []
     for t in range(1, len(seq)):
         frame = seq.frames[t]
-        particles = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
-        particles.frame_index = t
-        scores = score_particles(frame, particles.states, templates, cfg)
-        particles.likelihoods = scores.likelihood
-        particles.occlusions = scores.occluded.mean(axis=1)
-        result = map_estimate(particles)
+        states, priors = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
+        scores = score_particles(frame, states, templates, cfg)
+        result = map_estimate(states, priors, scores, prev, t)
         patch = warp_patch(frame, result.state, size, size)
         templates = update_templates(templates, result, patch, frame, cfg)
         prev = result.state

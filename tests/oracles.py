@@ -574,7 +574,7 @@ def reference_particle_scores(frame, states, templates, cfg):
         residuals = np.where(templates.local_has_content, 1.0, 0.0)
         for p in range(P):
             blk = blocks[p]
-            acc = np.zeros(templates.m)
+            acc = np.zeros(len(templates.holistic))
             sq = 0.0
             for k in range(b * b):
                 acc += templates.local_dict[p, k, :] * blk[k]

@@ -128,7 +128,7 @@ def test_criterion_4_lsmd_recovery():
         rng = np.random.default_rng(16)
         d, n = 64, 100
         tree = build_index_tree(rng.random((n, 2)) * 10, k=4, seed=16)
-        leaves = [nd for nd in tree.leaves() if len(nd.members) >= 2]
+        leaves = [nd for nd in tree.nodes if not nd.children and len(nd.members) >= 2]
         cols = np.concatenate([nd.members for nd in leaves[:5]])
         L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
         S0 = np.zeros((d, n))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from motion_lsmd import cli, errors, fileio, tracker
-from motion_lsmd.config import Config, default_config, parse_config
+from motion_lsmd.config import Config, parse_config
 from motion_lsmd.detector import DetectorConfig, run_detection
 from motion_lsmd.ingest import load_frame_sequence
 from motion_lsmd.lsmd import LsmdParams
@@ -104,7 +104,7 @@ class TestParseConfig:
 
     def test_unknown_key_lookup(self):
         with pytest.raises(errors.UnknownKey):
-            default_config()["nope.nope"]
+            Config()["nope.nope"]
 
     def test_verbose_echo(self, tmp_path, capsys):
         parse_config(None, overrides=["pipeline.seed=3"], verbose=True)
@@ -112,7 +112,7 @@ class TestParseConfig:
         assert "pipeline.seed = 3" in err
 
     def test_default_views_equal_dataclass_defaults(self):
-        cfg = default_config()
+        cfg = Config()
         assert_same_fields(cfg.detector_config(), DetectorConfig())
         assert_same_fields(cfg.tracker_config(), TrackerConfig())
         assert_same_fields(cfg.lsmd_params(), LsmdParams())
@@ -198,7 +198,7 @@ class TestCliDetectEval:
         assert res.returncode == 0, res.stderr
 
         seq = load_frame_sequence(synth_dir)
-        scores, events = run_detection(seq, default_config().detector_config())
+        scores, events = run_detection(seq, Config().detector_config())
         lib_scores = tmp_path / "lib_scores.csv"
         lib_events = tmp_path / "lib_events.csv"
         fileio.write_scores_csv(lib_scores, scores)
@@ -374,6 +374,21 @@ class TestCliDecompose:
         assert obj_lines[0] == "iteration,objective"
         vals = [float(line.split(",")[1]) for line in obj_lines[1:]]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+    def test_huge_sparse_weights_keep_the_trace_finite(self, tmp_path):
+        # mu_S * lambda_l1 overflows to inf, and S stays 0: its l1 term is
+        # 0, not inf * 0 = nan, so the stop rule can fire
+        features = tmp_path / "features.csv"
+        fileio.write_matrix_csv(features, np.random.default_rng(0).standard_normal((20, 30)))
+        res = run_cli(["decompose", features, "--out-prefix", tmp_path / "dec",
+                       "--set", "lsmd.mu_S=1e308", "--set", "lsmd.lambda_l1=1e308"])
+        assert res.returncode == 0, res.stderr
+        obj_lines = (tmp_path / "dec_obj.csv").read_text(encoding="utf-8").splitlines()
+        vals = [float(line.split(",")[1]) for line in obj_lines[1:]]
+        assert np.all(np.isfinite(vals)), vals
+        assert all(a >= b for a, b in zip(vals, vals[1:])), vals
+        assert len(vals) - 1 < LsmdParams().max_iter
+        assert np.all(fileio.read_matrix_csv(tmp_path / "dec_S.csv") == 0.0)
 
 
 class TestCliErrors:

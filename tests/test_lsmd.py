@@ -45,13 +45,13 @@ from oracles import (
 
 
 def check_tree_invariants(tree: IndexTree, n: int):
-    root = tree.node(tree.root)
+    root = tree.nodes[0]
     assert sorted(root.members.tolist()) == list(range(n))
     assert sum(1 for nd in tree.nodes if nd.parent is None) == 1
     for node in tree.nodes:
         assert len(node.children) <= tree.k
         if node.children:
-            child_members = np.concatenate([tree.node(c).members for c in node.children])
+            child_members = np.concatenate([tree.nodes[c].members for c in node.children])
             assert sorted(child_members.tolist()) == sorted(node.members.tolist())
             assert len(set(child_members.tolist())) == len(child_members)
         else:
@@ -138,7 +138,7 @@ class TestBuildIndexTree:
     def test_three_points_single_leaf(self):
         tree, _ = random_tree(0, n=3)
         assert len(tree.nodes) == 1
-        assert tree.node(0).is_leaf
+        assert not tree.nodes[0].children
 
     def test_branching_at_most_four(self):
         for seed in range(10):
@@ -149,14 +149,14 @@ class TestBuildIndexTree:
         base = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
         pts = np.vstack([base, base + [0.3, 0.0]])
         tree = build_index_tree(pts, k=4, seed=1)
-        root = tree.node(0)
+        root = tree.nodes[0]
         assert len(root.children) == 4
         got = frozenset(
-            frozenset(tree.node(c).members.tolist()) for c in root.children
+            frozenset(tree.nodes[c].members.tolist()) for c in root.children
         )
         _sse, best = optimal_sse_partition(pts, 4)
         assert got == best
-        assert all(tree.node(c).is_leaf for c in root.children)
+        assert all(not tree.nodes[c].children for c in root.children)
 
     def test_partition_invariants_random(self):
         for seed in range(100):
@@ -177,10 +177,11 @@ class TestBuildIndexTree:
             n = 20 + seed
             tree, _ = random_tree(seed, n=n)
             bound = int(np.ceil(np.log(n) / np.log(4))) + 2
-            if tree.depth() > bound:
+            depth = max(nd.depth for nd in tree.nodes)
+            if depth > bound:
                 logging.getLogger("motion_lsmd.tests").warning(
                     "tree depth %d exceeds sanity bound %d for n=%d",
-                    tree.depth(), bound, n,
+                    depth, bound, n,
                 )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -191,7 +192,7 @@ class TestBuildIndexTree:
     def test_duplicated_points_terminate(self):
         pts = np.zeros((17, 2))
         tree = build_index_tree(pts, k=4, seed=0)
-        assert tree.node(0).indivisible
+        assert tree.nodes[0].indivisible
         check_tree_invariants(tree, 17)
 
     def test_clustering_points_layout(self):
@@ -374,7 +375,7 @@ def indivisible_trees():
 
 def zero_some_blocks(S, tree, rng):
     """Zero the columns of a random leaf and of a random subtree."""
-    leaves = tree.leaves()
+    leaves = [nd for nd in tree.nodes if not nd.children]
     S[:, leaves[rng.integers(len(leaves))].members] = 0.0
     S[:, tree.nodes[rng.integers(len(tree.nodes))].members] = 0.0
     return S
@@ -555,7 +556,7 @@ def criterion_4_instance():
     rng = np.random.default_rng(16)
     d, n = 64, 100
     tree = build_index_tree(rng.random((n, 2)) * 10, k=4, seed=16)
-    leaves = [nd for nd in tree.leaves() if len(nd.members) >= 2]
+    leaves = [nd for nd in tree.nodes if not nd.children and len(nd.members) >= 2]
     cols = np.concatenate([nd.members for nd in leaves[:5]])
     L0 = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
     S0 = np.zeros((d, n))

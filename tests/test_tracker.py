@@ -11,7 +11,7 @@ from motion_lsmd.tracker import (
     BLOCK,
     AffineState,
     MotionModelParams,
-    ParticleSet,
+    ObservationScores,
     TemplateSet,
     TrackerConfig,
     TrackResult,
@@ -84,42 +84,42 @@ def likelihoods(cands, templates, cfg=None):
 class TestProposeParticles:
     def test_zero_sigma_degenerate(self):
         prev = AffineState(l_x=10.0, l_y=20.0, theta=0.1, s=1.2, alpha=0.9, phi=0.01)
-        ps = propose_particles(prev, MotionModelParams(np.zeros(6)), 7, rng_seed=3)
-        assert np.allclose(ps.states, prev.as_array())
-        assert np.all(ps.motion_priors == 1.0)  # sigma=0 factors contribute 1
+        states, priors = propose_particles(prev, MotionModelParams(np.zeros(6)), 7, rng_seed=3)
+        assert np.allclose(states, prev.as_array())
+        assert np.all(priors == 1.0)  # sigma=0 factors contribute 1
 
     def test_same_seed_identical(self):
         prev = AffineState(l_x=5.0, l_y=5.0)
-        a = propose_particles(prev, MotionModelParams(), 50, rng_seed=11)
-        b = propose_particles(prev, MotionModelParams(), 50, rng_seed=11)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.motion_priors, b.motion_priors)
+        a_states, a_priors = propose_particles(prev, MotionModelParams(), 50, rng_seed=11)
+        b_states, b_priors = propose_particles(prev, MotionModelParams(), 50, rng_seed=11)
+        assert np.array_equal(a_states, b_states)
+        assert np.array_equal(a_priors, b_priors)
 
     def test_sample_mean_within_three_sigma(self):
         n = 100_000
         prev = AffineState(l_x=100.0, l_y=50.0)
-        ps = propose_particles(prev, MotionModelParams(), n, rng_seed=123)
+        states, _priors = propose_particles(prev, MotionModelParams(), n, rng_seed=123)
         bound = 3.0 * 4.0 / np.sqrt(n)
-        assert abs(ps.states[:, 0].mean() - 100.0) <= bound
+        assert abs(states[:, 0].mean() - 100.0) <= bound
 
     def test_scale_clamped_positive(self):
         prev = AffineState(l_x=0.0, l_y=0.0, s=0.001, alpha=0.001)
-        ps = propose_particles(prev, MotionModelParams(np.array([0, 0, 0, 5.0, 5.0, 0])), 200, 5)
-        assert np.all(ps.states[:, 3] >= 1e-3)
-        assert np.all(ps.states[:, 4] >= 1e-3)
+        states, _priors = propose_particles(prev, MotionModelParams(np.array([0, 0, 0, 5.0, 5.0, 0])), 200, 5)
+        assert np.all(states[:, 3] >= 1e-3)
+        assert np.all(states[:, 4] >= 1e-3)
 
     def test_priors_are_density_products(self):
         prev = AffineState(l_x=3.0, l_y=-1.0, theta=0.2, s=1.1, alpha=0.8, phi=0.05)
         motion = MotionModelParams()
-        ps = propose_particles(prev, motion, 25, rng_seed=8)
+        states, priors = propose_particles(prev, motion, 25, rng_seed=8)
         mean = prev.as_array()
         for i in range(25):
             want = 1.0
             for j in range(6):
                 sig = motion.sigma[j]
-                z = (ps.states[i, j] - mean[j]) / sig
+                z = (states[i, j] - mean[j]) / sig
                 want *= np.exp(-0.5 * z * z) / (sig * np.sqrt(2 * np.pi))
-            assert ps.motion_priors[i] == pytest.approx(want, rel=1e-12)
+            assert priors[i] == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ class TestBlockCoefficients:
             want_c, want_solve = reference_block_coefficients(patches, templates)
             assert got_solve.tobytes() == want_solve.tobytes()
             assert not got_solve.all()
-            assert got_c.shape == want_c.shape == (got_solve.sum(), templates.m)
+            assert got_c.shape == want_c.shape == (got_solve.sum(), len(templates.holistic))
             assert got_c.tobytes() == want_c.tobytes()
 
     @pytest.mark.parametrize(
@@ -363,9 +363,9 @@ class TestBatchedScoring:
         seen = dict.fromkeys(("outside", "blacked_out", "empty_vs_empty", "iterated", "updated"), 0)
         for t in range(1, len(seq)):
             obs = seq.frames[t]
-            ps = propose_particles(prev, cfg.motion, cfg.n_particles, 100 + t)
-            got = score_particles(obs, ps.states, templates, cfg)
-            want = reference_particle_scores(obs, ps.states, templates, cfg)
+            states, priors = propose_particles(prev, cfg.motion, cfg.n_particles, 100 + t)
+            got = score_particles(obs, states, templates, cfg)
+            want = reference_particle_scores(obs, states, templates, cfg)
             # near-zero block residuals are the square root of rounding noise
             assert np.allclose(got.holistic_residuals, want["holistic_residuals"], rtol=0.0, atol=1e-7)
             assert np.allclose(got.block_residuals, want["block_residuals"], rtol=0.0, atol=1e-7)
@@ -373,21 +373,16 @@ class TestBatchedScoring:
             assert np.array_equal(got.occluded, want["occluded"])
             assert np.array_equal(got.holistic_sweeps, want["holistic_sweeps"])
             assert np.array_equal(got.block_sweeps, want["block_sweeps"])
-            assert np.argmax(got.likelihood * ps.motion_priors) == np.argmax(
-                want["likelihood"] * ps.motion_priors
-            )
+            assert np.argmax(got.likelihood * priors) == np.argmax(want["likelihood"] * priors)
 
-            rows, cols = warp_sample_grids(ps.states, 32, 32)
+            rows, cols = warp_sample_grids(states, 32, 32)
             seen["outside"] += int(((rows < 0) | (cols < 0) | (rows > h - 1) | (cols > w - 1)).any(axis=(1, 2)).sum())
             empty = got.block_sweeps == 0
             seen["blacked_out"] += int((empty & templates.local_has_content).sum())
             seen["empty_vs_empty"] += int((empty & ~templates.local_has_content).sum())
             seen["iterated"] += int((got.block_sweeps > 2).sum())
 
-            ps.likelihoods = got.likelihood
-            ps.occlusions = got.occluded.mean(axis=1)
-            ps.frame_index = t
-            result = map_estimate(ps)
+            result = map_estimate(states, priors, got, prev, t)
             patch = warp_patch(obs, result.state, 32, 32)
             updated = update_templates(templates, result, patch, obs, cfg)
             seen["updated"] += updated is not templates
@@ -398,11 +393,11 @@ class TestBatchedScoring:
         seq, prev, templates = self.case()
         obs = seq.frames[1]
         # several warp chunks, the last one of a single particle
-        ps = propose_particles(prev, self.cfg.motion, 3 * _WARP_CHUNK + 1, 7)
-        assert len(ps) % _WARP_CHUNK == 1
-        got = score_particles(obs, ps.states, templates, self.cfg)
-        perm = np.random.default_rng(3).permutation(len(ps))
-        again = score_particles(obs, ps.states[perm], templates, self.cfg)
+        states, _priors = propose_particles(prev, self.cfg.motion, 3 * _WARP_CHUNK + 1, 7)
+        assert len(states) % _WARP_CHUNK == 1
+        got = score_particles(obs, states, templates, self.cfg)
+        perm = np.random.default_rng(3).permutation(len(states))
+        again = score_particles(obs, states[perm], templates, self.cfg)
         for field in ("likelihood", "occluded", "holistic_residuals", "block_residuals",
                       "holistic_sweeps", "block_sweeps"):
             assert np.array_equal(getattr(again, field), getattr(got, field)[perm]), field
@@ -412,50 +407,66 @@ class TestBatchedScoring:
 # MAP estimate
 # ---------------------------------------------------------------------------
 
-def particle_set(weights, priors=None):
+PREV = AffineState(l_x=1.0, l_y=2.0)
+
+
+def map_of(weights, priors=None, occluded=None, frame_index=3):
+    """map_estimate over len(weights) distinct states whose scores have
+    the given likelihoods and (n, 16) occlusion masks (none occluded by
+    default), after PREV."""
     n = len(weights)
-    states = np.tile(AffineState(l_x=1.0, l_y=2.0).as_array(), (n, 1))
+    states = np.tile(PREV.as_array(), (n, 1))
     states[:, 0] += np.arange(n)  # distinct states
-    return ParticleSet(
-        states=states,
-        motion_priors=np.ones(n) if priors is None else np.asarray(priors, float),
-        likelihoods=np.asarray(weights, dtype=np.float64),
-        prev_state=AffineState(l_x=1.0, l_y=2.0),
-        frame_index=3,
+    scores = ObservationScores(
+        likelihood=np.asarray(weights, dtype=np.float64),
+        occluded=np.zeros((n, 16), dtype=bool) if occluded is None else occluded,
+        holistic_residuals=np.zeros((n, 2)),
+        block_residuals=np.zeros((n, 16)),
+        holistic_sweeps=np.zeros((n, 2), dtype=np.int64),
+        block_sweeps=np.zeros((n, 16), dtype=np.int64),
     )
+    priors = np.ones(n) if priors is None else np.asarray(priors, float)
+    return map_estimate(states, priors, scores, PREV, frame_index)
 
 
 class TestMapEstimate:
     def test_single_particle(self):
-        res = map_estimate(particle_set([0.7]))
+        res = map_of([0.7])
         assert res.confidence == 1.0
         assert res.state.l_x == 1.0
 
     def test_tie_breaks_to_lowest_index(self):
-        res = map_estimate(particle_set([0.1, 0.9, 0.9]))
+        res = map_of([0.1, 0.9, 0.9])
         assert res.state.l_x == 2.0  # particle index 1
 
     def test_rescaling_invariance(self):
-        base = map_estimate(particle_set([0.2, 0.5, 0.3]))
-        scaled = map_estimate(particle_set([2.0, 5.0, 3.0]))
+        base = map_of([0.2, 0.5, 0.3])
+        scaled = map_of([2.0, 5.0, 3.0])
         assert scaled.state == base.state
         assert scaled.confidence == pytest.approx(base.confidence)
 
     def test_motion_prior_weighting(self):
-        res = map_estimate(particle_set([0.5, 0.5], priors=[0.1, 0.9]))
+        res = map_of([0.5, 0.5], priors=[0.1, 0.9])
         assert res.state.l_x == 2.0
 
-    def test_unset_likelihoods(self):
-        ps = particle_set([1.0])
-        ps.likelihoods = None
-        with pytest.raises(errors.LikelihoodsUnset):
-            map_estimate(ps)
+    def test_occlusion_is_the_winners_share_of_occluded_blocks(self):
+        occluded = np.zeros((3, 16), dtype=bool)
+        occluded[0, :12] = True
+        occluded[1, [0, 3, 7, 8, 15]] = True
+        occluded[2] = True
+        res = map_of([0.1, 0.8, 0.1], occluded=occluded, frame_index=6)
+        assert res.state.l_x == 2.0  # particle 2 of 3
+        assert res.occlusion_fraction == 5 / 16
+        assert res.frame_index == 6
+        assert not res.degenerate
 
     def test_all_zero_weights_degenerate(self):
-        res = map_estimate(particle_set([0.0, 0.0]))
+        res = map_of([0.0, 0.0], frame_index=7)
         assert res.degenerate
         assert res.confidence == 0.0
-        assert res.state == AffineState(l_x=1.0, l_y=2.0)
+        assert res.occlusion_fraction == 0.0
+        assert res.state == PREV
+        assert res.frame_index == 7
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +586,15 @@ class TestTrackSequence:
         obs = seq.frames[1]
         cfg = TrackerConfig(n_particles=16, seed=4)
         templates = make_template_set(seq.frames[0], AffineState(l_x=centers[0][1], l_y=centers[0][0]), cfg)
-        ps = propose_particles(AffineState(l_x=centers[0][1], l_y=centers[0][0]), cfg.motion, 16, 77)
+        states, _priors = propose_particles(AffineState(l_x=centers[0][1], l_y=centers[0][0]), cfg.motion, 16, 77)
 
         def weigh(order):
             likes = np.empty(16)
             for i in order:
-                likes[i] = score_particles(obs, ps.states[i : i + 1], templates, cfg).likelihood[0]
+                likes[i] = score_particles(obs, states[i : i + 1], templates, cfg).likelihood[0]
             return likes
 
         forward = weigh(range(16))
         backward = weigh(reversed(range(16)))
         assert np.array_equal(forward, backward)
-        assert np.array_equal(forward, score_particles(obs, ps.states, templates, cfg).likelihood)
+        assert np.array_equal(forward, score_particles(obs, states, templates, cfg).likelihood)
