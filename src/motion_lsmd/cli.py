@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .config import iter_kv_lines, parse_config
+from .config import holds_foreign_number_text, iter_kv_lines, parse_config
 from .detector import ReportRow, SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
 from .errors import InputError, InvalidValue, UsageError
 from .ingest import load_frame_sequence, write_pgm
@@ -82,6 +82,8 @@ def _parse_init(text: str) -> AffineState:
     parts = text.split(",")
     if len(parts) != 6:
         raise InvalidValue(f'--init needs 6 comma-separated values, got {text!r}')
+    if holds_foreign_number_text(text):
+        raise InvalidValue(f"--init {text!r} holds '_' or non-ASCII text")
     try:
         return AffineState(*[float(v) for v in parts])
     except ValueError as exc:  # unparseable, non-finite or s, alpha <= 0
@@ -127,6 +129,10 @@ def _parse_synth_spec(path: str | Path) -> SynthSpec:
     spec = SynthSpec(events=[])
     seen: dict[str, str] = {}
     for lineno, key, raw in iter_kv_lines(lines, source=str(path)):
+        if key not in ("event", "h", "w", "n_frames"):
+            raise InvalidValue(f"{path}:{lineno}: unknown synth key {key!r}")
+        if holds_foreign_number_text(raw):
+            raise InvalidValue(f"{path}:{lineno}: {key} = {raw!r} holds '_' or non-ASCII text")
         if key == "event":
             parts = [p.strip() for p in raw.split(",")]
             if len(parts) != 3:
@@ -135,10 +141,8 @@ def _parse_synth_spec(path: str | Path) -> SynthSpec:
                 spec.events.append((int(parts[0]), int(parts[1]), parts[2]))
             except ValueError as exc:
                 raise InvalidValue(f"{path}:{lineno}: {exc}") from exc
-        elif key in ("h", "w", "n_frames"):
-            seen[key] = raw
         else:
-            raise InvalidValue(f"{path}:{lineno}: unknown synth key {key!r}")
+            seen[key] = raw
     try:
         spec.h = int(seen.get("h", spec.h))
         spec.w = int(seen.get("w", spec.w))

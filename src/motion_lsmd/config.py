@@ -152,9 +152,20 @@ class Config:
         )
 
 
+def holds_foreign_number_text(text: str) -> bool:
+    """True for text with a digit-group underscore ("1_0", which int and
+    float read as 10) or non-ASCII text (int and float read non-ASCII
+    digits and spaces). No number the package writes or documents holds
+    either, so the config, synth-spec, ``--init`` and CSV readers refuse
+    both."""
+    return "_" in text or not text.isascii()
+
+
 def _convert(key: str, raw: str):
     typ, _default, check, legal = SCHEMA[key]
     raw = raw.strip()
+    if holds_foreign_number_text(raw):
+        raise InvalidValue(f"{key} = {raw!r} holds '_' or non-ASCII text")
     try:
         if typ is bool:
             val = _parse_bool(raw)

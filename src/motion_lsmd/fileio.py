@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import holds_foreign_number_text
 from .detector import DetectionReport, EventInterval, FrameScore, ReportRow
 from .errors import InvalidValue
 from .tracker import TrackResult
@@ -38,17 +39,10 @@ def write_matrix_csv(path: str | Path, mat: np.ndarray) -> None:
     _write_lines(path, f"rows,cols\n{rows},{cols}", (",".join(map(repr, row)) for row in mat.tolist()))
 
 
-def _holds_non_csv_text(line: str) -> bool:
-    """True for text with a digit-group underscore ("1_0", which int and
-    float read as 10) or non-ASCII text (int and float read non-ASCII
-    digits and spaces): no number this module writes holds either."""
-    return "_" in line or not line.isascii()
-
-
 def _csv_int(field: str) -> int:
     """int(field), with ValueError also for text that int reads but no
     CSV this module writes holds."""
-    if _holds_non_csv_text(field):
+    if holds_foreign_number_text(field):
         raise ValueError(f"{field!r} is not a CSV integer")
     return int(field)
 
@@ -72,7 +66,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     # every row's length is checked before the matrix is allocated, so a
     # dimension line cannot ask for more memory than the file has values
     for r, line in enumerate(body):
-        if _holds_non_csv_text(line):
+        if holds_foreign_number_text(line):
             raise InvalidValue(f"{path}: row {r} holds '_' or non-ASCII text")
         if line.count(",") + 1 != cols:
             raise InvalidValue(f"{path}: row {r} has {line.count(',') + 1} values, expected {cols}")

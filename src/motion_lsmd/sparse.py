@@ -1,11 +1,13 @@
-"""Non-negative l1-regularized least squares by cyclic coordinate descent.
+"""Non-negative l1-regularized least squares by an active-set method.
 
 Solves min ||t - X g||^2 + lambda1 * ||g||_1 subject to g >= 0, the
 unscaled form (no 1/2 factor), so optimality conditions carry a factor 2.
 ``nn_lasso`` codes one instance with the package's one solver, the
-batched Gram-form loop the tracker runs (``_kernels.cd_nn_lasso_gram``
-is its one-problem call), on X'X, X't and t't; the objective and KKT
-residual are then taken against X and t.
+batched Gram-form active-set kernel the tracker runs
+(``_kernels.cd_nn_lasso_gram`` is its one-problem call), on X'X, X't and
+t't; the objective and KKT residual are then taken against X and t.
+``SolverParams.max_iter`` caps the active-set steps, and ``tol`` is the
+KKT violation above which a zero coordinate is added.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class SparseCode:
 
     gamma: np.ndarray
     objective: float
-    iterations: int
+    iterations: int  # active-set steps, max_iter when capped
     kkt_residual: float
 
 
@@ -69,8 +71,8 @@ def kkt_residual(X: np.ndarray, t: np.ndarray, lambda1: float, gamma: np.ndarray
 
 
 def nn_lasso(X: np.ndarray, t: np.ndarray, params: SolverParams | None = None) -> SparseCode:
-    """Cyclic coordinate descent for the non-negative lasso: the public
-    solver entry that criterion 2 checks; no CLI command runs it."""
+    """The non-negative lasso by the active-set kernel: the public solver
+    entry that criterion 2 checks; no CLI command runs it."""
     if params is None:
         params = SolverParams()
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -81,13 +83,13 @@ def nn_lasso(X: np.ndarray, t: np.ndarray, params: SolverParams | None = None) -
         raise BadShape(f"t has shape {t.shape}, expected ({X.shape[0]},)")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(t))):
         raise NonFiniteInput("X and t must be finite")
-    gamma, _resid_sq, sweeps = _kernels.cd_nn_lasso_gram(
+    gamma, _resid_sq, steps = _kernels.cd_nn_lasso_gram(
         X.T @ X, X.T @ t, float(t @ t), float(params.lambda1), float(params.tol), int(params.max_iter)
     )
     return SparseCode(
         gamma=gamma,
         objective=objective_value(X, t, params.lambda1, gamma),
-        iterations=sweeps,
+        iterations=steps,
         kkt_residual=kkt_residual(X, t, params.lambda1, gamma),
     )
 

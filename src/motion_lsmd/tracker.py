@@ -10,15 +10,17 @@ MAP particle, and update the template set when gates allow.
 
 A frame's particles are scored as one batch (``score_particles``), the
 tracker's one scorer: batched warps, then two stages that code every
-particle at once with the package's one coordinate-descent solver,
-``_kernels.cd_nn_lasso_gram_batch``. ``discriminative_confidence`` runs
-it once per holistic dictionary over all particles, and
-``generative_confidence`` once over the blocks of the whole frame,
-through ``_kernels.block_residuals``. Each problem is solved in its own
-arithmetic order and read at the sweep where it stops, so a particle's
-scores do not depend on the batch it falls in. Every stage is called
-through this module's globals, so a wrapper set there (perfbench's
-tracer, a test's call counter) sees every call.
+particle at once with the package's one non-negative lasso solver, the
+active-set kernel ``_kernels.nn_lasso_gram_batch``, which solves each
+code exactly. ``discriminative_confidence`` runs it once per holistic
+dictionary over all particles, and ``generative_confidence`` once over
+the blocks of the whole frame, through ``_kernels.block_residuals``.
+Since the codes are exact, a copy of a template column changes no
+residual, so both stages code the distinct templates only
+(``TemplateSet.distinct``). Each problem is solved in its own arithmetic
+order, so a particle's scores do not depend on the batch it falls in.
+Every stage is called through this module's globals, so a wrapper set
+there (perfbench's tracer, a test's call counter) sees every call.
 """
 
 from __future__ import annotations
@@ -92,15 +94,16 @@ class MotionModelParams:
 class TemplateSet:
     """Holistic template dictionary plus per-position local block dictionary.
 
-    Slot 0 holds the first-frame template and is never replaced. The local
-    dictionary is organized per block position: shape (P, BLOCK*BLOCK, m).
-    The fields after ``ages`` are derived caches, built by
-    ``__post_init__``; the negative ones stay None when there are no
-    negatives. ``distinct`` holds the slot of the first copy of each
-    distinct template (equal float64 bytes), in slot order, and
-    ``copy_of`` (m,) each slot's position in ``distinct``: a new set holds
-    m copies of one patch, and each update replaces one slot, so block
-    coefficients are formed once per distinct template.
+    Slot 0 holds the first-frame template and is never replaced. The
+    fields after ``ages`` are derived caches, built by ``__post_init__``;
+    the negative ones stay None when there are no negatives. ``distinct``
+    holds the slot of the first copy of each distinct template (equal
+    float64 bytes), in slot order. A new set holds m copies of one patch,
+    and each update replaces one slot; a copy adds a column that changes
+    no exact code's residual, so the holistic and local dictionaries and
+    their Grams hold the distinct templates only, in that order. The local
+    dictionary is organized per block position: shape (P, BLOCK*BLOCK,
+    len(distinct)).
     """
 
     holistic: list[Patch]
@@ -110,7 +113,6 @@ class TemplateSet:
     local_grams: np.ndarray = field(init=False, default=None, repr=False)
     local_has_content: np.ndarray = field(init=False, default=None, repr=False)
     distinct: np.ndarray = field(init=False, default=None, repr=False)
-    copy_of: np.ndarray = field(init=False, default=None, repr=False)
     holistic_dict: np.ndarray = field(init=False, default=None, repr=False)
     holistic_gram: np.ndarray = field(init=False, default=None, repr=False)
     negative_dict: np.ndarray = field(init=False, default=None, repr=False)
@@ -118,22 +120,19 @@ class TemplateSet:
 
     def __post_init__(self):
         self.ages = np.asarray(self.ages, dtype=np.int64)
-        self.local_dict = build_local_dict(self.holistic)
-        self.local_grams = np.einsum("pij,pik->pjk", self.local_dict, self.local_dict)
-        self.local_has_content = np.any(self.local_dict != 0.0, axis=(1, 2))
-        position: dict[bytes, int] = {}
-        distinct, copy_of = [], []
+        seen: set[bytes] = set()
+        distinct = []
         for slot, h in enumerate(self.holistic):
             key = np.asarray(h, dtype=np.float64).tobytes()
-            if key not in position:
-                position[key] = len(distinct)
+            if key not in seen:
+                seen.add(key)
                 distinct.append(slot)
-            copy_of.append(position[key])
         self.distinct = np.array(distinct, dtype=np.intp)
-        self.copy_of = np.array(copy_of, dtype=np.intp)
-        self.holistic_dict = unit_columns(
-            np.stack([h.reshape(-1) for h in self.holistic], axis=1)
-        )
+        templates = [self.holistic[slot] for slot in distinct]
+        self.local_dict = build_local_dict(templates)
+        self.local_grams = np.einsum("pij,pik->pjk", self.local_dict, self.local_dict)
+        self.local_has_content = np.any(self.local_dict != 0.0, axis=(1, 2))
+        self.holistic_dict = unit_columns(np.stack([h.reshape(-1) for h in templates], axis=1))
         self.holistic_gram = self.holistic_dict.T @ self.holistic_dict
         if self.negatives:
             self.negative_dict = unit_columns(
@@ -172,7 +171,8 @@ class TrackerConfig:
 BLOCK = 8
 
 # local block coding runs unregularized so an exactly representable block
-# reports zero residual
+# reports zero residual; the active-set solver adds a coordinate while its
+# KKT violation exceeds _LOCAL_TOL, for at most _LOCAL_MAX_ITER steps
 _LOCAL_LAMBDA = 0.0
 _LOCAL_TOL = 1e-10
 _LOCAL_MAX_ITER = 200
@@ -297,16 +297,15 @@ class ObservationScores:
     occluded: np.ndarray  # (N, P) bool, blocks in raster order
     holistic_residuals: np.ndarray  # (N, 2) target and background coding residuals
     block_residuals: np.ndarray  # (N, P)
-    holistic_sweeps: np.ndarray  # (N, 2) coordinate-descent sweeps
-    block_sweeps: np.ndarray  # (N, P); 0 for an empty block, which is not solved
+    holistic_steps: np.ndarray  # (N, 2) active-set steps
+    block_steps: np.ndarray  # (N, P); 0 for an empty block, which is not solved
 
 
 def _holistic_coefficients(patches: np.ndarray, templates: TemplateSet):
-    """D'y for the target and background dictionaries, and y'y, where y
-    is each patch scaled to unit norm. The products are taken row by row,
-    so a candidate's coefficients do not depend on the batch it is in."""
-    # not coded once per distinct template as the blocks are: vecmat's
-    # bits for a column depend on that column's position in the dictionary
+    """D'y for the target dictionary (the distinct templates) and the
+    background dictionary, and y'y, where y is each patch scaled to unit
+    norm. The products are taken row by row, so a candidate's
+    coefficients do not depend on the batch it is in."""
     if not templates.holistic or not templates.negatives:
         raise EmptyDictionary("need non-empty positive and negative dictionaries")
     v = patches.reshape(len(patches), -1)
@@ -316,14 +315,11 @@ def _holistic_coefficients(patches: np.ndarray, templates: TemplateSet):
 
 
 def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
-    """(c (A, m), solve (N, P)): D_p'y / ||y|| for each of the A non-empty
-    blocks, in raster order, and which blocks those are. The sums run
-    pixel by pixel.
-
-    Each coefficient is its own sum, so a template's column does not
-    depend on the others: the product is formed over the columns of
-    ``templates.distinct`` only and gathered back to all m slots by
-    ``templates.copy_of``, with the same bits as over all m."""
+    """(c (A, len(templates.distinct)), solve (N, P)): D_p'y / ||y|| for
+    each of the A non-empty blocks, in raster order, on the distinct
+    templates, and which blocks those are. The sums run pixel by pixel,
+    and each coefficient is its own sum, so a template's column has the
+    same bits as in a product over every slot."""
     grid = _block_grid(patches)
     n, gh, b, gw, _ = grid.shape
     P = gh * gw
@@ -333,33 +329,32 @@ def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
         )
     # pixel-major (b*b, n, P): a sum over axis 0 adds one pixel after another
     y = grid.transpose(2, 4, 0, 1, 3).reshape(b * b, n, P)
-    d = templates.local_dict[:, :, templates.distinct].transpose(1, 0, 2)
-    acc = (d[:, None] * y[..., None]).sum(axis=0)[..., templates.copy_of]
+    acc = (templates.local_dict.transpose(1, 0, 2)[:, None] * y[..., None]).sum(axis=0)
     nrm = np.sqrt((y * y).sum(axis=0))
     solve = nrm > 0.0
     return acc[solve] / nrm[solve][:, None], solve
 
 
 def discriminative_confidence(c_pos, c_neg, tt, templates: TemplateSet, cfg: TrackerConfig):
-    """(H_d (N,), residuals (N, 2), sweeps (N, 2)): the holistic codes of
+    """(H_d (N,), residuals (N, 2), steps (N, 2)): the holistic codes of
     N candidates from their ``_holistic_coefficients``, one batch per
     dictionary, and the contrast of their coding residuals on the target
     and background dictionaries."""
     which = np.zeros(len(tt), dtype=np.intp)
     solves = [
-        _kernels.cd_nn_lasso_gram_batch(
+        _kernels.nn_lasso_gram_batch(
             gram[None], which, c, tt,
             float(cfg.solver.lambda1), float(cfg.solver.tol), int(cfg.solver.max_iter),
         )
         for gram, c in ((templates.holistic_gram, c_pos), (templates.negative_gram, c_neg))
     ]
     eps = np.sqrt(np.stack([resid_sq for _g, resid_sq, _s in solves], axis=1))
-    sweeps = np.stack([sw for _g, _r, sw in solves], axis=1)
-    return discriminative_score(eps[:, 0], eps[:, 1], cfg.sigma_c), eps, sweeps
+    steps = np.stack([st for _g, _r, st in solves], axis=1)
+    return discriminative_score(eps[:, 0], eps[:, 1], cfg.sigma_c), eps, steps
 
 
 def generative_confidence(c_blk, solve, templates: TemplateSet, cfg: TrackerConfig):
-    """(H_g (N,), occluded (N, P), residuals (N, P), sweeps (N, P)): the
+    """(H_g (N,), occluded (N, P), residuals (N, P), steps (N, P)): the
     local block codes of N candidates from their ``_block_coefficients``,
     in one batch (``_kernels.block_residuals``).
 
@@ -367,7 +362,7 @@ def generative_confidence(c_blk, solve, templates: TemplateSet, cfg: TrackerConf
     score averages (1 - residual/eps_occ) over unoccluded blocks, divided
     by the total block count.
     """
-    residuals, sweeps = _kernels.block_residuals(
+    residuals, steps = _kernels.block_residuals(
         templates.local_grams, c_blk, solve, templates.local_has_content,
         _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER,
     )
@@ -379,7 +374,7 @@ def generative_confidence(c_blk, solve, templates: TemplateSet, cfg: TrackerConf
     # one sum per candidate over its unoccluded blocks: a masked sum over
     # all P blocks would group the additions differently in the last bits
     h_g = np.array([t[keep].sum() for t, keep in zip(terms, ~occluded)]) / residuals.shape[1]
-    return h_g, occluded, residuals, sweeps
+    return h_g, occluded, residuals, steps
 
 
 def score_particles(
@@ -401,15 +396,15 @@ def score_particles(
         parts.append(_holistic_coefficients(patches, templates) + _block_coefficients(patches, templates))
     *holistic, c_blk, solve = [np.concatenate(part) for part in zip(*parts)]
     del parts  # the per-chunk copies are not needed during the solves
-    h_d, eps, hol_sweeps = discriminative_confidence(*holistic, templates, cfg)
-    h_g, occluded, residuals, blk_sweeps = generative_confidence(c_blk, solve, templates, cfg)
+    h_d, eps, hol_steps = discriminative_confidence(*holistic, templates, cfg)
+    h_g, occluded, residuals, blk_steps = generative_confidence(c_blk, solve, templates, cfg)
     return ObservationScores(
         likelihood=h_d * h_g,
         occluded=occluded,
         holistic_residuals=eps,
         block_residuals=residuals,
-        holistic_sweeps=hol_sweeps,
-        block_sweeps=blk_sweeps,
+        holistic_steps=hol_steps,
+        block_steps=blk_steps,
     )
 
 
@@ -446,17 +441,25 @@ def map_estimate(
     )
 
 
+def _gates_open(result: TrackResult, cfg: TrackerConfig) -> bool:
+    """The template update gates: confidence at least tau_update and
+    occlusion at most occ_gate."""
+    return not (result.confidence < cfg.tau_update or result.occlusion_fraction > cfg.occ_gate)
+
+
 def update_templates(
     templates: TemplateSet,
     result: TrackResult,
-    result_patch: Patch,
+    result_patch: Patch | None,
     frame: Frame,
     config: TrackerConfig | None = None,
 ) -> TemplateSet:
     """Occlusion-gated replacement of the oldest non-anchor slot, with a
-    refresh of the ring negatives; slot 0 is never touched."""
+    refresh of the ring negatives; slot 0 is never touched. The patch is
+    read only when the gates are open, so ``track_sequence`` passes None
+    while they are shut and warps no patch for it."""
     cfg = config or TrackerConfig()
-    if result.confidence < cfg.tau_update or result.occlusion_fraction > cfg.occ_gate:
+    if not _gates_open(result, cfg):
         return templates
     ages = templates.ages.copy()
     slot = 1 + int(np.argmin(ages[1:]))  # oldest replaceable, ties -> lowest
@@ -492,7 +495,7 @@ def track_sequence(
         states, priors = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
         scores = score_particles(frame, states, templates, cfg)
         result = map_estimate(states, priors, scores, prev, t)
-        patch = warp_patch(frame, result.state, size, size)
+        patch = warp_patch(frame, result.state, size, size) if _gates_open(result, cfg) else None
         templates = update_templates(templates, result, patch, frame, cfg)
         prev = result.state
         results.append(result)

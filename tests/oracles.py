@@ -8,22 +8,21 @@ norm, and the warp oracle interpolates one output pixel at a time. Several
 references are exceptions, kept as the exact results the faster code
 must reproduce: the reference proposal grid, feature matrix and motion
 prior work one patch at a time; the reference warp grid takes every
-factor over a full meshgrid; the reference Gram-form coordinate descent
-is the scalar loop that the package's one batched solver replaced, one
-problem and one coordinate at a time; the tracker's reference scorer
-is its one batch scorer taken apart, one particle at a time: one warp,
-then that loop once per holistic dictionary and once per non-empty
-block, so no reference calls the package's lasso solver; its reference
-local dictionary normalises one block at a time, and its reference
-block coefficients code every template slot, copies included; the
-reference bilinear sampler reads each corner through its own clip,
-gather and mask; the reference k-means and index
-tree are the tree builder as it was before its distinct-row count and
-Lloyd step were made cheaper; the reference singular value thresholding
-takes a full SVD; the reference tree norm, tree prox and LSMD loop work
-node by node and take a second SVD per iteration for the objective's
-nuclear norm; and the reference frame energy builds a tree and runs LSMD
-for every frame pair, with or without motion.
+factor over a full meshgrid; the tracker's reference scorer is its one
+batch scorer taken apart, one particle at a time: one warp, then the
+support enumeration once per holistic dictionary and once per non-empty
+block, on each dictionary's distinct columns, so no reference calls the
+package's lasso solver; its reference local dictionary normalises one
+block at a time, and its reference block coefficients code every
+template slot, copies included; the reference bilinear sampler reads
+each corner through its own clip, gather and mask; the reference
+k-means and index tree are the tree builder as it was before its
+distinct-row count and Lloyd step were made cheaper; the reference
+singular value thresholding takes a full SVD; the reference tree norm,
+tree prox and LSMD loop work node by node and take a second SVD per
+iteration for the objective's nuclear norm; and the reference frame
+energy builds a tree and runs LSMD for every frame pair, with or without
+motion.
 """
 
 from __future__ import annotations
@@ -473,97 +472,65 @@ def reference_local_dict(holistic) -> np.ndarray:
 def reference_block_coefficients(patches: np.ndarray, templates):
     """``tracker._block_coefficients`` as it was before it coded each
     distinct template once: the product runs over all m template slots,
-    copies included."""
-    from motion_lsmd.errors import BadBlocking
+    copies included, on ``reference_local_dict``."""
     from motion_lsmd.tracker import _block_grid
 
+    local_dict = reference_local_dict(templates.holistic)
     grid = _block_grid(patches)
     n, gh, b, gw, _ = grid.shape
     P = gh * gw
-    if P != templates.local_dict.shape[0]:
-        raise BadBlocking(
-            f"candidate has {P} blocks, local dictionary expects {templates.local_dict.shape[0]}"
-        )
     # pixel-major (b*b, n, P): a sum over axis 0 adds one pixel after another
     y = grid.transpose(2, 4, 0, 1, 3).reshape(b * b, n, P)
-    acc = (templates.local_dict.transpose(1, 0, 2)[:, None] * y[..., None]).sum(axis=0)
+    acc = (local_dict.transpose(1, 0, 2)[:, None] * y[..., None]).sum(axis=0)
     nrm = np.sqrt((y * y).sum(axis=0))
     solve = nrm > 0.0
     return acc[solve] / nrm[solve][:, None], solve
 
 
-def reference_cd_nn_lasso_gram(G, c, tt, lam, tol, max_iter):
-    """The Gram-form non-negative lasso by cyclic coordinate descent, one
-    problem and one coordinate at a time: ``_kernels.cd_nn_lasso_gram``
-    as it was before every solve ran the batched loop. Returns (gamma,
-    resid_sq, sweeps)."""
-    n = G.shape[0]
-    gamma = np.zeros(n)
-    q = np.zeros(n)
-    sweeps = 0
-    for sweep in range(max_iter):
-        sweeps = sweep + 1
-        max_change = 0.0
-        for k in range(n):
-            gkk = G[k, k]
-            if gkk <= 0.0:
-                continue
-            new = gamma[k] + (2.0 * (c[k] - q[k]) - lam) / (2.0 * gkk)
-            if new < 0.0:
-                new = 0.0
-            delta = new - gamma[k]
-            if delta != 0.0:
-                q += G[:, k] * delta
-                gamma[k] = new
-            if abs(delta) > max_change:
-                max_change = abs(delta)
-        if max_change < tol:
-            break
-    resid_sq = float(tt + gamma @ (q - 2.0 * c))
-    return gamma, max(resid_sq, 0.0), sweeps
+def exhaustive_residual(X: np.ndarray, t: np.ndarray, lam: float) -> float:
+    """||t - X g|| at the ``active_set_nn_lasso`` optimum over the
+    distinct columns of X: a copy of a column changes no optimum, and
+    enumerating the supports of copies costs 2^m solves."""
+    cols = np.unique(X, axis=1)
+    g, _obj = active_set_nn_lasso(cols, t, lam)
+    return residual_norm(cols, t, g)
 
 
 def reference_particle_scores(frame, states, templates, cfg):
     """Score each particle state of ``score_particles(frame, states,
-    templates, cfg)`` on its own: one ``warp_patch`` and one
-    ``reference_cd_nn_lasso_gram`` solve per holistic dictionary and per
-    non-empty block. Block coefficients are summed pixel by pixel.
+    templates, cfg)`` on its own: one ``warp_patch``, then one
+    ``exhaustive_residual`` per holistic dictionary, on every template
+    slot, and per non-empty block, on the slots' ``reference_local_dict``.
     Returns a dict of likelihood (N,), occluded (N, P),
-    holistic_residuals (N, 2), block_residuals (N, P), holistic_sweeps
-    (N, 2) and block_sweeps (N, P).
+    holistic_residuals (N, 2) and block_residuals (N, P).
     """
-    from motion_lsmd.ingest import warp_patch
-    from motion_lsmd.tracker import _LOCAL_LAMBDA, _LOCAL_MAX_ITER, _LOCAL_TOL, BLOCK, AffineState
+    from motion_lsmd.ingest import unit_columns, warp_patch
+    from motion_lsmd.tracker import _LOCAL_LAMBDA, BLOCK, AffineState
 
-    params, size = cfg.solver, cfg.template_size
+    lam, size = cfg.solver.lambda1, cfg.template_size
     n = len(states)
     b = BLOCK
-    P = templates.local_dict.shape[0]
+    local_dict = reference_local_dict(templates.holistic)
+    P = local_dict.shape[0]
+    has_content = np.any(local_dict != 0.0, axis=(1, 2))
     out = {
         "likelihood": np.empty(n),
         "occluded": np.empty((n, P), dtype=bool),
         "holistic_residuals": np.empty((n, 2)),
         "block_residuals": np.empty((n, P)),
-        "holistic_sweeps": np.empty((n, 2), dtype=np.int64),
-        "block_sweeps": np.zeros((n, P), dtype=np.int64),
     }
-    dictionaries = (
-        (templates.holistic_dict, templates.holistic_gram),
-        (templates.negative_dict, templates.negative_gram),
-    )
+    dictionaries = [
+        unit_columns(np.stack([h.reshape(-1) for h in patches], axis=1))
+        for patches in (templates.holistic, templates.negatives)
+    ]
     for i in range(n):
         cand = warp_patch(frame, AffineState.from_array(states[i]), size, size)
 
         v = cand.reshape(-1)
         nrm = np.linalg.norm(v)
         y = v / nrm if nrm > 0 else v
-        for j, (dictionary, gram) in enumerate(dictionaries):
-            _g, resid_sq, sweeps = reference_cd_nn_lasso_gram(
-                gram, dictionary.T @ y, float(y @ y),
-                float(params.lambda1), float(params.tol), int(params.max_iter),
-            )
-            out["holistic_residuals"][i, j] = np.sqrt(resid_sq)
-            out["holistic_sweeps"][i, j] = sweeps
+        for j, dictionary in enumerate(dictionaries):
+            out["holistic_residuals"][i, j] = exhaustive_residual(dictionary, y, lam)
         eps_pos, eps_neg = out["holistic_residuals"][i]
         h_d = float(np.clip(np.exp(-(eps_pos - eps_neg) / cfg.sigma_c), 0.0, 1e6))
 
@@ -571,22 +538,11 @@ def reference_particle_scores(frame, states, templates, cfg):
         blocks = cand.reshape(h // b, b, w // b, b).swapaxes(1, 2).reshape(-1, b * b)
         # an empty block is not solved: residual 0, or 1 where the
         # templates have content there
-        residuals = np.where(templates.local_has_content, 1.0, 0.0)
+        residuals = np.where(has_content, 1.0, 0.0)
         for p in range(P):
-            blk = blocks[p]
-            acc = np.zeros(len(templates.holistic))
-            sq = 0.0
-            for k in range(b * b):
-                acc += templates.local_dict[p, k, :] * blk[k]
-                sq += blk[k] * blk[k]
-            if sq <= 0.0:
-                continue
-            _g, resid_sq, sweeps = reference_cd_nn_lasso_gram(
-                templates.local_grams[p], acc / np.sqrt(sq), 1.0,
-                _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER,
-            )
-            residuals[p] = np.sqrt(resid_sq)
-            out["block_sweeps"][i, p] = sweeps
+            nrm = np.linalg.norm(blocks[p])
+            if nrm > 0.0:
+                residuals[p] = exhaustive_residual(local_dict[p], blocks[p] / nrm, _LOCAL_LAMBDA)
         occluded = residuals > cfg.eps_occ
         h_g = float(np.sum((1.0 - residuals / cfg.eps_occ)[~occluded]) / P)
         out["likelihood"][i] = h_d * h_g

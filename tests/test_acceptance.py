@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motion_lsmd import fileio
+from motion_lsmd import fileio, tracker
 from motion_lsmd.detector import (
     DetectorConfig,
     ReportRow,
@@ -165,7 +165,18 @@ def test_criterion_5_index_tree_invariants():
                 assert a.parent == b.parent and np.array_equal(a.members, b.members)
 
 
-def test_criterion_6_tracker_synthetic_accuracy():
+def test_criterion_6_tracker_synthetic_accuracy(monkeypatch):
+    # every frame's codes are solved, none stopped at its step cap
+    cap_hits = []
+    score = tracker.score_particles
+
+    def counting(frame, states, templates, cfg):
+        scores = score(frame, states, templates, cfg)
+        cap_hits.append(int((scores.holistic_steps >= cfg.solver.max_iter).sum()
+                            + (scores.block_steps >= tracker._LOCAL_MAX_ITER).sum()))
+        return scores
+
+    monkeypatch.setattr(tracker, "score_particles", counting)
     with criterion("criterion 6: tracker synthetic accuracy", budget_s=60.0):
         h, w, size, speed = 64, 160, 24, 2.0
         cy, cx = 32.0, 20.0
@@ -186,6 +197,7 @@ def test_criterion_6_tracker_synthetic_accuracy():
             for r in results
         ]
         assert np.mean(errs) <= 3.0
+        assert cap_hits == [0] * 49
 
         # degenerate sigma=0 case: state exactly constant
         static = FrameSequence([Frame(frames[0].pixels.copy(), i) for i in range(5)], "static")

@@ -344,17 +344,22 @@ class TestCliTrack:
 
     def test_track_with_template_updates_bytes_equal_golden(self, tmp_path, monkeypatch):
         # every frame's MAP passes both update gates, so each scored frame
-        # has one more distinct template than the one before it
-        counts = []
+        # has one more distinct template than the one before it; no code
+        # stops at its step cap
+        counts, cap_hits = [], []
         score = tracker.score_particles
 
         def counting(frame, states, templates, cfg):
             counts.append(len(templates.distinct))
-            return score(frame, states, templates, cfg)
+            scores = score(frame, states, templates, cfg)
+            cap_hits.append(int((scores.holistic_steps >= cfg.solver.max_iter).sum()
+                                + (scores.block_steps >= tracker._LOCAL_MAX_ITER).sum()))
+            return scores
 
         monkeypatch.setattr(tracker, "score_particles", counting)
         got = self.track_square(tmp_path, 8, "tracker.tau_update=0", "tracker.occ_gate=1")
         assert counts == [1, 2, 3, 4, 5, 6, 7]
+        assert cap_hits == [0] * 7
         golden = Path(__file__).parent / "data" / "track_updates_golden.csv"
         assert got == golden.read_bytes()
 
@@ -424,6 +429,46 @@ class TestCliErrors:
         res = run_cli(["track", synth_dir, "--init", init, "--out", tmp_path / "t.csv"])
         assert res.returncode == 1, res.stderr
         assert res.stderr.splitlines()[-1].startswith("error: "), res.stderr  # after any overflow warnings
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["h = 6_4", "w = \u0666\u0664", "n_frames = 3_0", "event = 1_0,1_2,burst"],
+        ids=["underscore-h", "non-ascii-digits-w", "underscore-n-frames", "underscore-event"],
+    )
+    def test_synth_number_that_int_reads_but_a_spec_never_holds(self, tmp_path, capsys, line):
+        # int reads "6_4" as 64 and the Arabic-Indic digits as 64
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"h = 64\nw = 64\nn_frames = 30\n{line}\n", encoding="utf-8")
+        out = tmp_path / "frames"
+        rc = cli.main(["synth", "--spec", str(spec), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith(f"error: {spec}:4: ") and "'_' or non-ASCII" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, kv",
+        [("--set", "pipeline.seed=1_0"), ("--set", "detector.tau_on=\u0660.5"), ("--config", "lsmd.k = 1_0")],
+        ids=["underscore", "non-ascii-digit", "config-file"],
+    )
+    def test_config_number_that_int_or_float_reads_but_a_config_never_holds(self, synth_dir, tmp_path, capsys,
+                                                                            where, kv):
+        if where == "--config":
+            (tmp_path / "c.txt").write_text(kv + "\n", encoding="utf-8")
+            kv = str(tmp_path / "c.txt")
+        rc = cli.main(["detect", str(synth_dir), "--out", str(tmp_path / "s.csv"),
+                       "--events", str(tmp_path / "e.csv"), where, kv])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and "'_' or non-ASCII" in err, err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_init_number_that_float_reads_but_an_init_never_holds(self, synth_dir, tmp_path, capsys):
+        rc = cli.main(["track", str(synth_dir), "--init", "3_2,32,0,1,1,0", "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: --init") and "'_' or non-ASCII" in err, err
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize(

@@ -60,14 +60,14 @@ class TestNnLasso:
     def test_objective_monotone_over_sweeps(self):
         X, t = random_instance(3, 8, 12)
         prev = np.inf
-        for sweeps in range(1, 30):
-            code = nn_lasso(X, t, SolverParams(lambda1=0.05, max_iter=sweeps, tol=1e-300))
+        for steps in range(1, 30):
+            code = nn_lasso(X, t, SolverParams(lambda1=0.05, max_iter=steps, tol=1e-300))
             assert code.objective <= prev + 1e-12
             prev = code.objective
 
     def test_converged_instances_certify(self):
-        # every instance that stops on the coordinate-change tolerance
-        # (rather than the sweep cap) carries a tight certificate
+        # every instance that stops on the KKT tolerance (rather than the
+        # step cap) carries a tight certificate
         converged = 0
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
@@ -78,6 +78,20 @@ class TestNnLasso:
                 converged += 1
                 assert code.kkt_residual <= 1e-6
         assert converged >= 90
+
+    @pytest.mark.parametrize("lam", [0.1, 0.01])
+    def test_criterion_2_instances_solved_exactly(self, lam):
+        # the overcomplete 8x12 Gaussian instances of criterion 2 at weaker
+        # regularization: coordinate descent left 6 (lambda 0.1) and 14
+        # (lambda 0.01) of them at its 500-sweep cap, with KKT residuals up
+        # to 8.9e-3 and 1.5e-2; the active-set steps solve every one
+        for seed in range(100):
+            rng = np.random.default_rng(1000 + seed)
+            X = rng.standard_normal((8, 12))
+            t = rng.standard_normal(8)
+            code = nn_lasso(X, t, SolverParams(lambda1=lam, tol=1e-8, max_iter=500))
+            assert code.kkt_residual <= 1e-9
+            assert code.iterations < 500
 
     def test_scaling_covariance(self):
         X, t = random_instance(4, 6, 9)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from motion_lsmd import errors
-from motion_lsmd.ingest import Frame, FrameSequence, warp_patch, warp_sample_grids
+from motion_lsmd import _kernels, errors
+from motion_lsmd.ingest import Frame, FrameSequence, unit_columns, warp_patch, warp_sample_grids
 from motion_lsmd.sparse import SolverParams, nn_lasso
 from motion_lsmd.tracker import (
+    _LOCAL_LAMBDA,
+    _LOCAL_MAX_ITER,
+    _LOCAL_TOL,
     _WARP_CHUNK,
     _block_coefficients,
     _holistic_coefficients,
@@ -57,7 +60,7 @@ def textured_templates(seed=0, size=16, m=4, q=3):
 
 def holistic_scores(cands, templates, cfg=None):
     """``discriminative_confidence`` of a batch of candidates (n, h, w):
-    (H_d (n,), residuals (n, 2), sweeps (n, 2))."""
+    (H_d (n,), residuals (n, 2), steps (n, 2))."""
     c_pos, c_neg, tt = _holistic_coefficients(np.asarray(cands, dtype=np.float64), templates)
     return discriminative_confidence(c_pos, c_neg, tt, templates, cfg or TrackerConfig())
 
@@ -68,7 +71,7 @@ def local_scores(cands, templates, cfg=None):
     cands = np.asarray(cands, dtype=np.float64)
     n, h, w = cands.shape
     c_blk, solve = _block_coefficients(cands, templates)
-    h_g, occluded, _residuals, _sweeps = generative_confidence(c_blk, solve, templates, cfg or TrackerConfig())
+    h_g, occluded, _residuals, _steps = generative_confidence(c_blk, solve, templates, cfg or TrackerConfig())
     return h_g, occluded.reshape(n, h // BLOCK, w // BLOCK)
 
 
@@ -130,7 +133,7 @@ class TestDiscriminative:
     def test_template_scores_above_noise(self):
         templates = textured_templates(seed=1)
         rng = np.random.default_rng(2)
-        (on_target, off_target), _eps, _sweeps = holistic_scores(
+        (on_target, off_target), _eps, _steps = holistic_scores(
             [templates.holistic[0], rng.random((16, 16))], templates
         )
         assert on_target > off_target
@@ -148,7 +151,7 @@ class TestDiscriminative:
         params = SolverParams(lambda1=0.01, tol=1e-12, max_iter=3000)
         rng = np.random.default_rng(4)
         cands = rng.random((20, 16, 16))
-        h_d, _eps, _sweeps = holistic_scores(cands, templates, TrackerConfig(solver=params))
+        h_d, _eps, _steps = holistic_scores(cands, templates, TrackerConfig(solver=params))
         for cand, got in zip(cands, h_d):
             y = cand.reshape(-1) / np.linalg.norm(cand)
             eps = []
@@ -190,7 +193,8 @@ class TestLocalDict:
 
 class TestBlockCoefficients:
     """``_block_coefficients`` codes each distinct template once; its bytes
-    must equal the all-slots reference's."""
+    must equal the all-slots reference's on those templates, and the
+    codes on the distinct templates must give the all-slots residuals."""
 
     # 32x32 textures, each with one zero block; C is zero at the top left
     A, B, C, *NEGATIVES = np.random.default_rng(31).random((5, 32, 32))
@@ -225,19 +229,21 @@ class TestBlockCoefficients:
         return patches
 
     def assert_matches_reference(self, templates, distinct, copy_of):
+        # copy_of[s] is slot s's position in distinct: each slot holds the
+        # bytes of the distinct template it is a copy of
         assert templates.distinct.tolist() == distinct
-        assert templates.copy_of.tolist() == copy_of
-        # equal template bytes give equal local-dictionary columns
-        gathered = templates.local_dict[:, :, templates.distinct][..., templates.copy_of]
-        assert gathered.tobytes() == templates.local_dict.tobytes()
+        for slot, pos in enumerate(copy_of):
+            assert templates.holistic[slot].tobytes() == templates.holistic[distinct[pos]].tobytes()
+        assert templates.local_dict.tobytes() == reference_local_dict(templates.holistic)[..., distinct].tobytes()
         for n in (1, 8):
             patches = self.candidates(n)
             got_c, got_solve = _block_coefficients(patches, templates)
             want_c, want_solve = reference_block_coefficients(patches, templates)
             assert got_solve.tobytes() == want_solve.tobytes()
             assert not got_solve.all()
-            assert got_c.shape == want_c.shape == (got_solve.sum(), len(templates.holistic))
-            assert got_c.tobytes() == want_c.tobytes()
+            assert got_c.shape == (got_solve.sum(), len(distinct))
+            assert want_c.shape == (got_solve.sum(), len(templates.holistic))
+            assert got_c.tobytes() == want_c[:, distinct].tobytes()
 
     @pytest.mark.parametrize(
         "slots, distinct, copy_of",
@@ -269,6 +275,35 @@ class TestBlockCoefficients:
         frame = Frame(np.zeros((96, 96)), 0)
         again = update_templates(templates, tracked(0.9, 0.0, 7), templates.holistic[0], frame)
         self.assert_matches_reference(again, [0, 1], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("n_updates", [0, 2, 5])
+    def test_distinct_solve_equals_all_slots_solve(self, n_updates):
+        # a copy of a template column changes no exact code: coding the
+        # distinct templates gives the residuals of coding all 10 slots
+        templates = self.by_updates(n_updates)
+        assert len(templates.distinct) == n_updates + 1
+        patches = self.candidates(8)
+        cfg = TrackerConfig()
+        c_blk, solve = _block_coefficients(patches, templates)
+        _h_g, _occ, got, _steps = generative_confidence(c_blk, solve, templates, cfg)
+        all_c, _solve = reference_block_coefficients(patches, templates)
+        all_dict = reference_local_dict(templates.holistic)
+        all_grams = np.einsum("pij,pik->pjk", all_dict, all_dict)
+        want, _steps = _kernels.block_residuals(
+            all_grams, all_c, solve, templates.local_has_content, _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER
+        )
+        assert np.abs(got**2 - want**2).max() <= 1e-12
+
+        _h_d, got, _steps = holistic_scores(patches, templates, cfg)
+        v = patches.reshape(8, -1)
+        nrm = np.linalg.norm(v, axis=1, keepdims=True)
+        y = v / np.where(nrm > 0, nrm, 1.0)  # the last candidate is all zero
+        all_dict = unit_columns(np.stack([h.reshape(-1) for h in templates.holistic], axis=1))
+        _g, want_sq, _steps = _kernels.nn_lasso_gram_batch(
+            (all_dict.T @ all_dict)[None], np.zeros(8, dtype=np.intp), y @ all_dict, np.vecdot(y, y),
+            cfg.solver.lambda1, cfg.solver.tol, cfg.solver.max_iter,
+        )
+        assert np.abs(got[:, 0] ** 2 - want_sq).max() <= 1e-12
 
     def test_signed_zero_counts_as_distinct(self):
         signed = self.C.copy()
@@ -371,16 +406,16 @@ class TestBatchedScoring:
             assert np.allclose(got.block_residuals, want["block_residuals"], rtol=0.0, atol=1e-7)
             assert np.allclose(got.likelihood, want["likelihood"], rtol=1e-6, atol=0.0)
             assert np.array_equal(got.occluded, want["occluded"])
-            assert np.array_equal(got.holistic_sweeps, want["holistic_sweeps"])
-            assert np.array_equal(got.block_sweeps, want["block_sweeps"])
+            assert (got.holistic_steps >= 1).all() and (got.holistic_steps < cfg.solver.max_iter).all()
+            assert (got.block_steps < _LOCAL_MAX_ITER).all()
             assert np.argmax(got.likelihood * priors) == np.argmax(want["likelihood"] * priors)
 
             rows, cols = warp_sample_grids(states, 32, 32)
             seen["outside"] += int(((rows < 0) | (cols < 0) | (rows > h - 1) | (cols > w - 1)).any(axis=(1, 2)).sum())
-            empty = got.block_sweeps == 0
+            empty = got.block_steps == 0
             seen["blacked_out"] += int((empty & templates.local_has_content).sum())
             seen["empty_vs_empty"] += int((empty & ~templates.local_has_content).sum())
-            seen["iterated"] += int((got.block_sweeps > 2).sum())
+            seen["iterated"] += int((got.block_steps > 2).sum())
 
             result = map_estimate(states, priors, got, prev, t)
             patch = warp_patch(obs, result.state, 32, 32)
@@ -399,7 +434,7 @@ class TestBatchedScoring:
         perm = np.random.default_rng(3).permutation(len(states))
         again = score_particles(obs, states[perm], templates, self.cfg)
         for field in ("likelihood", "occluded", "holistic_residuals", "block_residuals",
-                      "holistic_sweeps", "block_sweeps"):
+                      "holistic_steps", "block_steps"):
             assert np.array_equal(getattr(again, field), getattr(got, field)[perm]), field
 
 
@@ -422,8 +457,8 @@ def map_of(weights, priors=None, occluded=None, frame_index=3):
         occluded=np.zeros((n, 16), dtype=bool) if occluded is None else occluded,
         holistic_residuals=np.zeros((n, 2)),
         block_residuals=np.zeros((n, 16)),
-        holistic_sweeps=np.zeros((n, 2), dtype=np.int64),
-        block_sweeps=np.zeros((n, 16), dtype=np.int64),
+        holistic_steps=np.zeros((n, 2), dtype=np.int64),
+        block_steps=np.zeros((n, 16), dtype=np.int64),
     )
     priors = np.ones(n) if priors is None else np.asarray(priors, float)
     return map_estimate(states, priors, scores, PREV, frame_index)
