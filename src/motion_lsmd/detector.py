@@ -2,8 +2,9 @@
 aggregation, and synthetic sequence generation.
 
 Per frame the pipeline is: difference image -> proposal grid -> feature
-matrix -> index tree -> low-rank/sparse decomposition -> per-proposal
-activity scores -> one scalar energy. Hysteresis over the per-frame
+matrix -> low-rank/sparse decomposition under the clip's index tree ->
+per-proposal activity scores -> one scalar energy. The tree is built
+once per clip, over the proposal centres. Hysteresis over the per-frame
 energies yields event intervals.
 """
 
@@ -286,27 +287,14 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
 # the end-to-end detection pipeline
 # ---------------------------------------------------------------------------
 
-def _frame_energy(seq: FrameSequence, t: int, cfg: DetectorConfig) -> float:
-    frame = frame_difference(seq.frames[t - 1], seq.frames[t])
-    proposals = extract_proposals(frame, cfg.patch_size, cfg.stride)
-    data = feature_matrix(proposals)
-    if not data.any():
-        # F = 0 decomposes to L = S = 0 under any tree, so every score and
-        # the energy are +0.0; skip the tree and the solver
-        return 0.0
-    h, w = frame.shape
-    tree = build_index_tree(
-        clustering_points(proposals, data, h, w), k=cfg.tree_k, seed=cfg.seed * 7919 + t
-    )
-    dec = decompose(data, tree, cfg.lsmd)
-    scores = activity_scores(dec.S, proposals, motion_prior(proposals))
-    return frame_activity_energy(scores)
-
-
 def run_detection(
     seq: FrameSequence, config: DetectorConfig | None = None
 ) -> tuple[list[FrameScore], list[EventInterval]]:
     """Score frames 1..T-1 and extract events by hysteresis.
+
+    One index tree over the proposal centres is built at the first frame
+    pair with motion and reused by every later one; a clip without motion
+    builds none.
 
     Thresholds are interpreted in normalized-energy units (relative to
     the sequence maximum) unless config.normalize is off.
@@ -315,7 +303,25 @@ def run_detection(
     if len(seq) < 2:
         raise TooFewFrames("need at least two frames")
 
-    by_frame = {t: _frame_energy(seq, t, cfg) for t in range(1, len(seq), cfg.temporal_stride)}
+    h, w = seq.shape
+    tree = None
+    by_frame: dict[int, float] = {}
+    for t in range(1, len(seq), cfg.temporal_stride):
+        proposals = extract_proposals(
+            frame_difference(seq.frames[t - 1], seq.frames[t]), cfg.patch_size, cfg.stride
+        )
+        data = feature_matrix(proposals)
+        if not data.any():
+            # F = 0 decomposes to L = S = 0 under any tree, so every score and
+            # the energy are +0.0; skip the tree and the solver
+            by_frame[t] = 0.0
+            continue
+        if tree is None:
+            # every frame pair has the same proposal grid, so one tree over
+            # its centres serves the whole clip
+            tree = build_index_tree(clustering_points(proposals, h, w), k=cfg.tree_k, seed=cfg.seed)
+        dec = decompose(data, tree, cfg.lsmd)
+        by_frame[t] = frame_activity_energy(activity_scores(dec.S, proposals, motion_prior(proposals)))
 
     scores: list[FrameScore] = []
     held = 0.0

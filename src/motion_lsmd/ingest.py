@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, config
 from .errors import (
     DimensionMismatch,
     EmptyProposals,
@@ -144,10 +144,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
     magic = next_token()
     if magic != b"P5":
         raise MalformedPgm(f"{path}: bad magic {magic!r}, expected P5")
+    # latin-1 keeps one character per byte, so non-ASCII bytes reach the check
+    fields = [next_token().decode("latin-1") for _ in range(3)]
+    if any(config.holds_foreign_number_text(field) for field in fields):
+        raise MalformedPgm(f"{path}: header field holds '_' or non-ASCII text")
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
+        width, height, maxval = (int(field) for field in fields)
     except ValueError as exc:
         raise MalformedPgm(f"{path}: non-numeric header field") from exc
     if width <= 0 or height <= 0:

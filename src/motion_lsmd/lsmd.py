@@ -1,7 +1,13 @@
 """Low-rank + tree-structured-sparse decomposition of a feature matrix.
 
 The column index tree comes from divisive hierarchical k-means (quad
-tree, k = 4). The decomposition minimises
+tree, k = 4). Detection builds it once per clip over the proposal
+centres (clustering_points), so its groups are spatial neighbourhoods of
+the proposal grid. That departs from the feature-driven tree of
+structured matrix decomposition (Peng et al., TPAMI 2017), which the
+`decompose` command keeps: it clusters each column's position and
+feature vector. Either way the prox below is exact, as it is for any
+tree-nested groups. The decomposition minimises
 
     0.5 ||F - L - S||_F^2 + mu_L ||L||_* + mu_S Omega(S) + mu_S l1 ||S||_1
 
@@ -281,15 +287,11 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
     return IndexTree(nodes=nodes, k=k)
 
 
-def clustering_points(
-    proposals: ProposalSet, data: np.ndarray, height: int, width: int
-) -> np.ndarray:
-    """Per-proposal clustering vector [row/height, col/width, feature],
-    from the proposals' centres and their feature matrix ``data``."""
-    if len(proposals) != data.shape[1]:
-        raise ShapeMismatch("coords do not match feature columns")
-    scaled = proposals.coords / np.array([height, width], dtype=np.float64)
-    return np.hstack([scaled, data.T])
+def clustering_points(proposals: ProposalSet, height: int, width: int) -> np.ndarray:
+    """Per-proposal clustering vector [row/height, col/width]: the
+    proposal centres scaled to the frame, over which detection builds its
+    clip's index tree."""
+    return proposals.coords / np.array([height, width], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -622,9 +622,9 @@ def reference_decompose(data, tree, params):
 # ---------------------------------------------------------------------------
 
 def reference_frame_energy(seq, t, cfg) -> float:
-    """``detector._frame_energy`` before frames without motion skipped the
-    tree and the solver: every frame pair builds its tree, decomposes and
-    scores."""
+    """``run_detection``'s energy for frame t without its shortcuts: every
+    frame pair builds the clip tree over its own proposal centres (frames
+    without motion included), decomposes and scores."""
     from motion_lsmd.detector import frame_activity_energy
     from motion_lsmd.ingest import extract_proposals, feature_matrix, frame_difference
     from motion_lsmd.lsmd import activity_scores, build_index_tree, clustering_points, decompose, motion_prior
@@ -633,9 +633,7 @@ def reference_frame_energy(seq, t, cfg) -> float:
     proposals = extract_proposals(frame, cfg.patch_size, cfg.stride)
     data = feature_matrix(proposals)
     h, w = frame.shape
-    tree = build_index_tree(
-        clustering_points(proposals, data, h, w), k=cfg.tree_k, seed=cfg.seed * 7919 + t
-    )
+    tree = build_index_tree(clustering_points(proposals, h, w), k=cfg.tree_k, seed=cfg.seed)
     dec = decompose(data, tree, cfg.lsmd)
     scores = activity_scores(dec.S, proposals, motion_prior(proposals))
     return frame_activity_energy(scores)

@@ -125,3 +125,34 @@ def test_the_map_patch_is_warped_only_for_an_update(tmp_path, monkeypatch):
         assert taken == [gates == "open"] * 3, gates
         # an update warps the MAP patch and four new ring negatives
         assert warped == ({0: 5, 1: 5, 2: 5, 3: 5} if gates == "open" else {0: 5}), gates
+
+
+def test_the_wrapped_detection_stages_run_once_per_clip_and_moving_frame(monkeypatch):
+    # the tracer counts the index tree and the solver only when
+    # run_detection calls them through the detector's module globals: one
+    # tree per clip with motion, one solve per frame pair with motion
+    from motion_lsmd import detector
+    from motion_lsmd.ingest import Frame, FrameSequence
+
+    calls = Counter()
+
+    def counting(name, stage):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+
+        return counted
+
+    for name in ("build_index_tree", "decompose"):
+        monkeypatch.setattr(detector, name, counting(name, getattr(detector, name)))
+    seq, _truth = detector.synth_sequence(
+        detector.SynthSpec(n_frames=30, events=[(5, 12, "burst"), (18, 25, "swap")]), seed=2)
+    moving = sum(not np.array_equal(a.pixels, b.pixels) for a, b in zip(seq.frames, seq.frames[1:]))
+    assert 0 < moving < len(seq) - 1
+    detector.run_detection(seq)
+    assert calls == {"build_index_tree": 1, "decompose": moving}
+
+    calls.clear()
+    still = FrameSequence([Frame(seq.frames[0].pixels, t) for t in range(10)], "still")
+    scores, events = detector.run_detection(still)
+    assert not calls and events == [] and all(sc.lsmd_energy == 0.0 for sc in scores)

@@ -640,6 +640,20 @@ class TestCliErrors:
         assert not list(tmp_path.glob("dec_*"))
 
     @pytest.mark.parametrize(
+        "header", [b"P5 6_4 6_4 25_5\n", b"P5 64 64 2_55\n"], ids=["underscore-size", "underscore-maxval"]
+    )
+    def test_pgm_header_number_that_int_reads_but_a_pgm_never_holds(self, tmp_path, header):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for t in range(3):
+            (frames / f"{t:04d}.pgm").write_bytes(header + bytes([16 * t]) * (64 * 64))
+        scores = tmp_path / "s.csv"
+        res = run_cli(["detect", frames, "--out", scores, "--events", tmp_path / "e.csv"])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("error: ") and "0000.pgm" in res.stderr, res.stderr
+        assert not scores.exists()
+
+    @pytest.mark.parametrize(
         "events",
         ["start,end,peak\n1_0,12,0.5\n", "start,end,peak\n\u0661\u0660,12,0.5\n", "start,end,kind\n-5,12,burst\n"],
         ids=["underscore", "non-ascii-digit", "negative-start"],
