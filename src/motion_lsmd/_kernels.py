@@ -5,9 +5,9 @@ non-negative lasso: a batched active-set method that solves each problem
 exactly in a few steps. The tracker codes every holistic and block
 problem of a frame with it; ``block_residuals`` is its block stage, the
 residuals of all particles' blocks in one batch, and
-``cd_nn_lasso_gram`` is a one-problem call of it, which
-``sparse.nn_lasso`` runs. The tests check it against the support
-enumeration in ``tests/oracles.py`` and by its KKT residual.
+``cd_nn_lasso_gram`` is a one-problem call of it. The tests check it
+against the support enumeration in ``tests/oracles.py`` and by its KKT
+residual.
 ``bilinear_sample`` warps patches.
 """
 
@@ -142,10 +142,10 @@ def cd_nn_lasso_gram(G, c, tt, lam, tol, max_iter):
     """One problem, G (n, n), c (n,) and float tt, through the batch.
     Returns (gamma (n,), float resid_sq, int steps).
 
-    ``sparse.nn_lasso`` calls it; no CLI command does. perfbench's tracer
-    also wraps this name and reads the step count r[2] against max_iter
-    (argument 5) as a cap hit, so the name, the signature and the triple
-    stay, though the solver is no longer coordinate descent.
+    No CLI command calls it. perfbench's tracer wraps this name and reads
+    the step count r[2] against max_iter (argument 5) as a cap hit, so
+    the name, the signature and the triple stay, though the solver is no
+    longer coordinate descent.
     """
     gamma, resid_sq, steps = nn_lasso_gram_batch(
         np.asarray(G, dtype=np.float64)[None], np.zeros(1, dtype=np.intp),

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .config import holds_foreign_number_text, iter_kv_lines, parse_config
+from .config import iter_kv_lines, parse_config
 from .detector import ReportRow, SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
-from .errors import InputError, InvalidValue, UsageError
+from .errors import InputError, InvalidValue, UsageError, holds_foreign_number_text
 from .ingest import load_frame_sequence, write_pgm
 from .lsmd import build_index_tree, check_decomposable, decompose
 from .tracker import AffineState, track_sequence

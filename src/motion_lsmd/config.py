@@ -11,9 +11,8 @@ from typing import Iterator
 import numpy as np
 
 from .detector import DetectorConfig
-from .errors import InvalidValue, RangeError, UnknownKey
+from .errors import InvalidValue, RangeError, UnknownKey, holds_foreign_number_text
 from .lsmd import LsmdParams
-from .sparse import SolverParams
 from .tracker import MotionModelParams, TrackerConfig
 
 
@@ -47,9 +46,7 @@ SCHEMA: dict[str, tuple[type, object, object, str]] = {
     "pipeline.seed": (int, 0, _non_negative, ">= 0"),
     "ingest.patch_size": (int, 16, _positive, "> 0"),
     "ingest.stride": (int, 8, _positive, "> 0"),
-    "ingest.template_size": (int, 32, _positive, "> 0"),
     "sparse.lambda1": (float, 0.01, _non_negative, ">= 0"),
-    "sparse.max_iter": (int, 500, _positive, "> 0"),
     "sparse.tol": (float, 1e-8, _positive, "> 0"),
     "lsmd.mu_L": (float, 1.0, _positive, "> 0"),
     "lsmd.mu_S": (float, 0.3, _positive, "> 0"),
@@ -74,7 +71,6 @@ SCHEMA: dict[str, tuple[type, object, object, str]] = {
     "detector.tau_off": (float, 0.35, _non_negative, ">= 0"),
     "detector.min_len": (int, 5, _positive, "> 0"),
     "detector.normalize": (bool, True, _any, "bool"),
-    "detector.stride": (int, 1, _positive, "> 0"),
 }
 
 
@@ -114,18 +110,14 @@ class Config:
             n_particles=self["tracker.n_particles"],
             motion=MotionModelParams(sigma=sigma),
             n_templates=self["tracker.n_templates"],
-            template_size=self["ingest.template_size"],
             sigma_c=self["tracker.sigma_c"],
             eps_occ=self["tracker.eps_occ"],
             tau_update=self["tracker.tau_update"],
             occ_gate=self["tracker.occ_gate"],
             ring_scale=self["tracker.ring_scale"],
             seed=self["pipeline.seed"],
-            solver=SolverParams(
-                lambda1=self["sparse.lambda1"],
-                max_iter=self["sparse.max_iter"],
-                tol=self["sparse.tol"],
-            ),
+            lambda1=self["sparse.lambda1"],
+            tol=self["sparse.tol"],
         )
 
     def lsmd_params(self) -> LsmdParams:
@@ -147,18 +139,8 @@ class Config:
             tau_off=self["detector.tau_off"],
             min_len=self["detector.min_len"],
             normalize=self["detector.normalize"],
-            temporal_stride=self["detector.stride"],
             seed=self["pipeline.seed"],
         )
-
-
-def holds_foreign_number_text(text: str) -> bool:
-    """True for text with a digit-group underscore ("1_0", which int and
-    float read as 10) or non-ASCII text (int and float read non-ASCII
-    digits and spaces). No number the package writes or documents holds
-    either, so the config, synth-spec, ``--init`` and CSV readers refuse
-    both."""
-    return "_" in text or not text.isascii()
 
 
 def _convert(key: str, raw: str):

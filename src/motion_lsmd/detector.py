@@ -73,7 +73,7 @@ class DetectionReport:
 @dataclass
 class DetectorConfig:
     """Settings of the LSMD detection pipeline: proposal grid, index tree,
-    solver, hysteresis thresholds and temporal stride."""
+    solver and hysteresis thresholds."""
 
     patch_size: int = 16
     stride: int = 8
@@ -83,7 +83,6 @@ class DetectorConfig:
     tau_off: float = 0.35
     min_len: int = 5
     normalize: bool = True
-    temporal_stride: int = 1
     seed: int = 0
 
 
@@ -305,8 +304,8 @@ def run_detection(
 
     h, w = seq.shape
     tree = None
-    by_frame: dict[int, float] = {}
-    for t in range(1, len(seq), cfg.temporal_stride):
+    scores: list[FrameScore] = []
+    for t in range(1, len(seq)):
         proposals = extract_proposals(
             frame_difference(seq.frames[t - 1], seq.frames[t]), cfg.patch_size, cfg.stride
         )
@@ -314,20 +313,15 @@ def run_detection(
         if not data.any():
             # F = 0 decomposes to L = S = 0 under any tree, so every score and
             # the energy are +0.0; skip the tree and the solver
-            by_frame[t] = 0.0
+            scores.append(FrameScore(t, 0.0))
             continue
         if tree is None:
             # every frame pair has the same proposal grid, so one tree over
             # its centres serves the whole clip
             tree = build_index_tree(clustering_points(proposals, h, w), k=cfg.tree_k, seed=cfg.seed)
         dec = decompose(data, tree, cfg.lsmd)
-        by_frame[t] = frame_activity_energy(activity_scores(dec.S, proposals, motion_prior(proposals)))
-
-    scores: list[FrameScore] = []
-    held = 0.0
-    for t in range(1, len(seq)):
-        held = by_frame.get(t, held)  # hold energy between temporal strides
-        scores.append(FrameScore(t, held))
+        energy = frame_activity_energy(activity_scores(dec.S, proposals, motion_prior(proposals)))
+        scores.append(FrameScore(t, energy))
 
     tau_on, tau_off = cfg.tau_on, cfg.tau_off
     if cfg.normalize:

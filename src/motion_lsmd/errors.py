@@ -1,13 +1,24 @@
-"""Exception types raised on invalid inputs.
+"""Exception types raised on invalid inputs, and the number-text rule
+every reader of user text applies before it raises them.
 
 Everything here derives from :class:`InputError`, which the CLI maps to
 exit code 1. Any other exception escaping the library is an internal
-error (exit code 2).
+error (exit code 2). This module imports nothing from the package, so
+every other module can import it.
 """
 
 
 class InputError(Exception):
     """Base class for all input-contract violations."""
+
+
+def holds_foreign_number_text(text: str) -> bool:
+    """True for text with a digit-group underscore ("1_0", which int and
+    float read as 10) or non-ASCII text (int and float read non-ASCII
+    digits and spaces). No number the package writes or documents holds
+    either, so the config, synth-spec, ``--init``, PGM-header and CSV
+    readers refuse both."""
+    return "_" in text or not text.isascii()
 
 
 # --- ingest ---
@@ -48,13 +59,9 @@ class EmptyProposals(InputError):
     pass
 
 
-# --- sparse solvers ---
+# --- solvers ---
 
 class NonFiniteInput(InputError):
-    pass
-
-
-class BadShape(InputError):
     pass
 
 

@@ -10,9 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import holds_foreign_number_text
 from .detector import DetectionReport, EventInterval, FrameScore, ReportRow
-from .errors import InvalidValue
+from .errors import InvalidValue, holds_foreign_number_text
 from .tracker import TrackResult
 
 

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import _kernels, config
+from . import _kernels
 from .errors import (
     DimensionMismatch,
     EmptyProposals,
@@ -24,6 +24,7 @@ from .errors import (
     NonPositiveScale,
     PatchTooLarge,
     TooFewFrames,
+    holds_foreign_number_text,
 )
 
 if TYPE_CHECKING:
@@ -146,7 +147,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raise MalformedPgm(f"{path}: bad magic {magic!r}, expected P5")
     # latin-1 keeps one character per byte, so non-ASCII bytes reach the check
     fields = [next_token().decode("latin-1") for _ in range(3)]
-    if any(config.holds_foreign_number_text(field) for field in fields):
+    if any(holds_foreign_number_text(field) for field in fields):
         raise MalformedPgm(f"{path}: header field holds '_' or non-ASCII text")
     try:
         width, height, maxval = (int(field) for field in fields)

@@ -58,7 +58,6 @@ import numpy as np
 
 from .errors import NegativeTau, NonFiniteInput, ShapeMismatch
 from .ingest import ProposalSet
-from .sparse import soft_threshold
 
 
 @dataclass
@@ -319,6 +318,14 @@ def tree_norm(S: np.ndarray, tree: IndexTree) -> float:
         norms = np.sqrt(np.add.reduceat(colsq[level.cols], level.starts))
         total += float(norms.sum())
     return total
+
+
+def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
+    """Elementwise sign(v) * max(|v| - tau, 0)."""
+    if tau < 0:
+        raise NegativeTau(f"tau={tau}")
+    v = np.asarray(v, dtype=np.float64)
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
 def prox_tree_norm(

@@ -47,7 +47,6 @@ from .ingest import (
     warp_patch,
     warp_patches,
 )
-from .sparse import SolverParams
 
 
 @dataclass
@@ -157,18 +156,24 @@ class TrackerConfig:
     n_particles: int = 600
     motion: MotionModelParams = field(default_factory=MotionModelParams)
     n_templates: int = 10
-    template_size: int = CANONICAL_SIZE
     sigma_c: float = 0.1
     eps_occ: float = 0.15
     tau_update: float = 0.3
     occ_gate: float = 0.3
     ring_scale: float = 1.5
     seed: int = 0
-    solver: SolverParams = field(default_factory=SolverParams)  # holistic coding
+    # the holistic codes' l1 penalty, and the KKT violation above which
+    # the active-set solver adds a zero coordinate
+    lambda1: float = 0.01
+    tol: float = 1e-8
 
 
 # SCM's local appearance model codes BLOCK x BLOCK pixel blocks
 BLOCK = 8
+
+# the holistic codes stop after at most _HOLISTIC_MAX_ITER active-set
+# steps; criterion 6's take at most 7
+_HOLISTIC_MAX_ITER = 500
 
 # local block coding runs unregularized so an exactly representable block
 # reports zero residual; the active-set solver adds a coordinate while its
@@ -211,8 +216,7 @@ def make_template_set(
     """Initial template set: m copies of the first-frame patch plus ring
     negatives around the initial state."""
     cfg = config or TrackerConfig()
-    size = cfg.template_size
-    first = warp_patch(frame, state, size, size)
+    first = warp_patch(frame, state, CANONICAL_SIZE, CANONICAL_SIZE)
     holistic = [first.copy() for _ in range(cfg.n_templates)]
     negatives = _ring_negatives(frame, state, cfg)
     return TemplateSet(
@@ -232,7 +236,7 @@ def _ring_negatives(frame: Frame, state: AffineState, cfg: TrackerConfig) -> lis
         if not (math.isfinite(l_x) and math.isfinite(l_y)):
             raise NonFiniteInput(f"ring negative centre overflows: radius {radius} at scale s={state.s}")
         shifted = replace(state, l_x=l_x, l_y=l_y)
-        negs.append(warp_patch(frame, shifted, cfg.template_size, cfg.template_size))
+        negs.append(warp_patch(frame, shifted, CANONICAL_SIZE, CANONICAL_SIZE))
     return negs
 
 
@@ -344,7 +348,7 @@ def discriminative_confidence(c_pos, c_neg, tt, templates: TemplateSet, cfg: Tra
     solves = [
         _kernels.nn_lasso_gram_batch(
             gram[None], which, c, tt,
-            float(cfg.solver.lambda1), float(cfg.solver.tol), int(cfg.solver.max_iter),
+            float(cfg.lambda1), float(cfg.tol), _HOLISTIC_MAX_ITER,
         )
         for gram, c in ((templates.holistic_gram, c_pos), (templates.negative_gram, c_neg))
     ]
@@ -382,17 +386,16 @@ def score_particles(
 ) -> ObservationScores:
     """Warp and score every particle state (N, 6) of a frame in batches.
 
-    The candidates are cfg.template_size square; the holistic codes use
-    cfg.solver, and cfg.sigma_c and cfg.eps_occ set the discriminative
-    and generative scores. The particles are warped _WARP_CHUNK at a
+    The candidates are CANONICAL_SIZE square; the holistic codes use
+    cfg.lambda1 and cfg.tol, and cfg.sigma_c and cfg.eps_occ set the
+    discriminative and generative scores. The particles are warped _WARP_CHUNK at a
     time; then ``discriminative_confidence`` codes their holistic
     coefficients by one batch per dictionary, and
     ``generative_confidence`` the blocks of all N particles by one batch.
     """
-    size = cfg.template_size
     parts = []
     for lo in range(0, len(states), _WARP_CHUNK):
-        patches = warp_patches(frame, states[lo : lo + _WARP_CHUNK], size, size)
+        patches = warp_patches(frame, states[lo : lo + _WARP_CHUNK], CANONICAL_SIZE, CANONICAL_SIZE)
         parts.append(_holistic_coefficients(patches, templates) + _block_coefficients(patches, templates))
     *holistic, c_blk, solve = [np.concatenate(part) for part in zip(*parts)]
     del parts  # the per-chunk copies are not needed during the solves
@@ -484,7 +487,6 @@ def track_sequence(
     h, w = seq.shape
     if not (0 <= init.l_x < w and 0 <= init.l_y < h):
         raise InitOutOfBounds(f"init center ({init.l_x}, {init.l_y}) outside {h}x{w}")
-    size = cfg.template_size
 
     templates = make_template_set(seq.frames[0], init, cfg)
 
@@ -495,7 +497,7 @@ def track_sequence(
         states, priors = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
         scores = score_particles(frame, states, templates, cfg)
         result = map_estimate(states, priors, scores, prev, t)
-        patch = warp_patch(frame, result.state, size, size) if _gates_open(result, cfg) else None
+        patch = warp_patch(frame, result.state, CANONICAL_SIZE, CANONICAL_SIZE) if _gates_open(result, cfg) else None
         templates = update_templates(templates, result, patch, frame, cfg)
         prev = result.state
         results.append(result)

@@ -22,16 +22,21 @@ singular value thresholding takes a full SVD; the reference tree norm,
 tree prox and LSMD loop work node by node and take a second SVD per
 iteration for the objective's nuclear norm; and the reference frame
 energy builds a tree and runs LSMD for every frame pair, with or without
-motion.
+motion. One entry is no oracle: ``nn_lasso`` codes one instance with the
+package's batch kernel, so that criterion 2 and the unit tests check that
+kernel against the support enumeration and by ``kkt_residual``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+
+from motion_lsmd import _kernels, errors
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +66,77 @@ def active_set_nn_lasso(X: np.ndarray, t: np.ndarray, lam: float):
             if obj < best_obj:
                 best_obj, best_g = obj, g
     return best_g, best_obj
+
+
+# ---------------------------------------------------------------------------
+# non-negative lasso, one instance: the package's batch kernel, wrapped
+# ---------------------------------------------------------------------------
+
+class BadShape(errors.InputError):
+    """X, t or gamma do not fit one instance."""
+
+
+@dataclass
+class SparseCode:
+    """Solution of one non-negative lasso instance."""
+
+    gamma: np.ndarray
+    objective: float
+    iterations: int  # active-set steps, max_iter when capped
+    kkt_residual: float
+
+
+def objective_value(X: np.ndarray, t: np.ndarray, lambda1: float, gamma: np.ndarray) -> float:
+    """||t - X gamma||^2 + lambda1 * sum(gamma), the unscaled objective
+    (no 1/2 factor)."""
+    resid = t - X @ gamma
+    return float(resid @ resid + lambda1 * np.sum(gamma))
+
+
+def kkt_residual(X: np.ndarray, t: np.ndarray, lambda1: float, gamma: np.ndarray) -> float:
+    """Max violation of the first-order conditions at a feasible gamma.
+
+    With g_k = -2 x_k.(t - X gamma) + lambda1, a coordinate contributes
+    |min(g_k, 0)| when gamma_k = 0 and |g_k| otherwise.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if X.ndim != 2 or t.shape != (X.shape[0],) or gamma.shape != (X.shape[1],):
+        raise BadShape(f"X {X.shape}, t {t.shape}, gamma {gamma.shape}")
+    grad = -2.0 * (X.T @ (t - X @ gamma)) + lambda1
+    at_zero = np.abs(np.minimum(grad, 0.0))
+    active = np.abs(grad)
+    per_coord = np.where(gamma > 0.0, active, at_zero)
+    return float(per_coord.max()) if per_coord.size else 0.0
+
+
+def nn_lasso(
+    X: np.ndarray, t: np.ndarray, lambda1: float = 0.01, tol: float = 1e-8, max_iter: int = 500
+) -> SparseCode:
+    """min ||t - X g||^2 + lambda1 * ||g||_1 subject to g >= 0, by
+    ``_kernels.nn_lasso_gram_batch`` on X'X, X't and t't as a batch of
+    one: at most max_iter active-set steps, adding a zero coordinate while
+    its KKT violation exceeds tol. The objective and KKT residual are then
+    taken against X and t."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise BadShape(f"X must be d x n with d,n >= 1, got {X.shape}")
+    if t.shape != (X.shape[0],):
+        raise BadShape(f"t has shape {t.shape}, expected ({X.shape[0]},)")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(t))):
+        raise errors.NonFiniteInput("X and t must be finite")
+    gamma, _resid_sq, steps = _kernels.nn_lasso_gram_batch(
+        (X.T @ X)[None], np.zeros(1, dtype=np.intp), (X.T @ t)[None], np.array([float(t @ t)]),
+        float(lambda1), float(tol), int(max_iter),
+    )
+    return SparseCode(
+        gamma=gamma[0],
+        objective=objective_value(X, t, lambda1, gamma[0]),
+        iterations=int(steps[0]),
+        kkt_residual=kkt_residual(X, t, lambda1, gamma[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +580,10 @@ def reference_particle_scores(frame, states, templates, cfg):
     Returns a dict of likelihood (N,), occluded (N, P),
     holistic_residuals (N, 2) and block_residuals (N, P).
     """
-    from motion_lsmd.ingest import unit_columns, warp_patch
+    from motion_lsmd.ingest import CANONICAL_SIZE, unit_columns, warp_patch
     from motion_lsmd.tracker import _LOCAL_LAMBDA, BLOCK, AffineState
 
-    lam, size = cfg.solver.lambda1, cfg.template_size
+    lam, size = cfg.lambda1, CANONICAL_SIZE
     n = len(states)
     b = BLOCK
     local_dict = reference_local_dict(templates.holistic)

@@ -23,16 +23,12 @@ from motion_lsmd import cli, fileio
 from motion_lsmd.ingest import write_pgm
 
 PERFBENCH = "perfbench reads it"
-SOLVER = "it is the public non-negative lasso entry that criterion 2 checks"
 
 NOT_RUN = {
     "_kernels.cd_nn_lasso_gram": PERFBENCH,
     "_kernels.backend_name": PERFBENCH,
     "lsmd.nuclear_norm": PERFBENCH,
     "cli.entry": "it is the console-script entry",
-    "sparse.nn_lasso": SOLVER,
-    "sparse.objective_value": SOLVER,
-    "sparse.kkt_residual": SOLVER,
     "lsmd._repair_empty_clusters": "it is an edge path: k-means leaves a cluster empty",
 }
 

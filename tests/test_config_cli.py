@@ -92,6 +92,9 @@ class TestParseConfig:
             "detector.use_tracker=true",
             "lsmd.group_weight=1.0",
             "detector.kappa=0.2",
+            "detector.stride=2",
+            "sparse.max_iter=10",
+            "ingest.template_size=16",
         ],
     )
     def test_removed_keys_are_unknown(self, override):
@@ -352,7 +355,7 @@ class TestCliTrack:
         def counting(frame, states, templates, cfg):
             counts.append(len(templates.distinct))
             scores = score(frame, states, templates, cfg)
-            cap_hits.append(int((scores.holistic_steps >= cfg.solver.max_iter).sum()
+            cap_hits.append(int((scores.holistic_steps >= tracker._HOLISTIC_MAX_ITER).sum()
                                 + (scores.block_steps >= tracker._LOCAL_MAX_ITER).sum()))
             return scores
 
@@ -463,6 +466,24 @@ class TestCliErrors:
         assert rc == 1, err
         assert err.startswith("error: ") and "'_' or non-ASCII" in err, err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, kv",
+        [("detect", "detector.stride=2"), ("track", "sparse.max_iter=10"), ("track", "ingest.template_size=16")],
+        ids=["detector-stride", "sparse-max-iter", "ingest-template-size"],
+    )
+    def test_removed_key_exits_1_as_unknown(self, synth_dir, tmp_path, capsys, command, kv):
+        out = tmp_path / "out.csv"
+        if command == "detect":
+            argv = ["detect", str(synth_dir), "--out", str(out), "--events", str(tmp_path / "e.csv")]
+        else:
+            argv = ["track", str(synth_dir), "--init", "32,32,0,1,1,0", "--out", str(out),
+                    "--set", "tracker.n_particles=20"]
+        rc = cli.main([*argv, "--set", kv])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith(f"error: unknown config key {kv.split('=')[0]!r}"), err
+        assert not out.exists()
 
     def test_init_number_that_float_reads_but_an_init_never_holds(self, synth_dir, tmp_path, capsys):
         rc = cli.main(["track", str(synth_dir), "--init", "3_2,32,0,1,1,0", "--out", str(tmp_path / "t.csv")])

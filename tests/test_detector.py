@@ -278,20 +278,12 @@ class TestRunDetection:
         _s2, ev2 = run_detection(halved, cfg)
         assert [(e.start, e.end) for e in ev1] == [(e.start, e.end) for e in ev2]
 
-    def test_temporal_stride_holds_scores(self):
-        seq, _ = synth_sequence(SynthSpec(64, 64, 30, [(10, 20, "burst")]), seed=8)
-        scores, _ = run_detection(seq, DetectorConfig(temporal_stride=3))
-        for sc in scores:
-            if (sc.frame - 1) % 3 != 0:
-                prev = scores[sc.frame - 2]  # scores start at frame 1
-                assert sc.lsmd_energy == prev.lsmd_energy
-
-    @pytest.mark.parametrize("case", ["burst-swap", "noisy", "temporal-stride-3"])
+    @pytest.mark.parametrize("case", ["burst-swap", "noisy"])
     def test_energies_equal_full_path_reference(self, case):
         # frames without motion skip the tree and LSMD; every energy must
         # still carry the bits (sign of zero included) of the full path
         seq, _ = synth_sequence(SynthSpec(64, 64, 100, [(20, 35, "burst"), (60, 80, "swap")]), seed=5)
-        cfg = DetectorConfig(temporal_stride=3 if case == "temporal-stride-3" else 1)
+        cfg = DetectorConfig()
         if case == "noisy":
             rng = np.random.default_rng(5005)
             seq = FrameSequence(
@@ -303,10 +295,5 @@ class TestRunDetection:
         else:
             assert any(np.array_equal(a.pixels, b.pixels) for a, b in zip(seq.frames, seq.frames[1:]))
         scores, _ = run_detection(seq, cfg)
-        want = []
-        held = 0.0
-        for t in range(1, len(seq)):
-            if (t - 1) % cfg.temporal_stride == 0:
-                held = reference_frame_energy(seq, t, cfg)
-            want.append(held.hex())
+        want = [reference_frame_energy(seq, t, cfg).hex() for t in range(1, len(seq))]
         assert [sc.lsmd_energy.hex() for sc in scores] == want

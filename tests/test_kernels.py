@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from motion_lsmd import _kernels
-from motion_lsmd.sparse import kkt_residual
-from oracles import active_set_nn_lasso, reference_bilinear_sample
+from oracles import active_set_nn_lasso, kkt_residual, reference_bilinear_sample
 
 
 def lasso_instance(seed, d=12, n=20):

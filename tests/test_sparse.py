@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motion_lsmd import errors
-from motion_lsmd.sparse import (
-    SolverParams,
-    kkt_residual,
-    nn_lasso,
-    soft_threshold,
-)
+from motion_lsmd.lsmd import soft_threshold
 
-from oracles import active_set_nn_lasso, scalar_shrink_grid
+from oracles import BadShape, active_set_nn_lasso, kkt_residual, nn_lasso, scalar_shrink_grid
 
 
 def random_instance(seed, d, n):
@@ -22,18 +17,18 @@ def random_instance(seed, d, n):
 class TestNnLasso:
     def test_zero_target(self):
         X = np.random.default_rng(0).standard_normal((4, 6))
-        code = nn_lasso(X, np.zeros(4), SolverParams(lambda1=0.1))
+        code = nn_lasso(X, np.zeros(4), lambda1=0.1)
         assert np.all(code.gamma == 0.0)
         assert code.objective == 0.0
 
     def test_identity_unconstrained(self):
-        code = nn_lasso(np.eye(2), np.array([1.0, 0.5]), SolverParams(lambda1=0.0))
+        code = nn_lasso(np.eye(2), np.array([1.0, 0.5]), lambda1=0.0)
         assert np.allclose(code.gamma, [1.0, 0.5], atol=1e-8)
 
     def test_large_lambda_gives_zero(self):
         X, t = random_instance(1, 5, 7)
         lam = 2.0 * float((X.T @ t).max()) + 1.0
-        code = nn_lasso(X, t, SolverParams(lambda1=lam))
+        code = nn_lasso(X, t, lambda1=lam)
         assert np.all(code.gamma == 0.0)
         assert code.kkt_residual <= 1e-9
 
@@ -41,27 +36,27 @@ class TestNnLasso:
         # active-set optimum computed by support enumeration
         X = np.array([[1.0, 0.6], [0.0, 0.8]])
         t = np.array([1.0, 1.0])
-        code = nn_lasso(X, t, SolverParams(lambda1=0.1))
+        code = nn_lasso(X, t, lambda1=0.1)
         assert np.allclose(code.gamma, [0.21875, 1.21875], atol=1e-5)
         assert abs(code.objective - 0.146875) < 1e-8
 
     def test_matches_enumeration_oracle(self):
         for seed in range(20):
             X, t = random_instance(seed, 4, 6)
-            code = nn_lasso(X, t, SolverParams(lambda1=0.1))
+            code = nn_lasso(X, t, lambda1=0.1)
             _g, obj = active_set_nn_lasso(X, t, 0.1)
             assert code.objective <= obj * (1 + 1e-5) + 1e-5
 
     def test_zero_column_pinned(self):
         X = np.array([[1.0, 0.0], [0.5, 0.0]])
-        code = nn_lasso(X, np.array([1.0, 1.0]), SolverParams(lambda1=0.01))
+        code = nn_lasso(X, np.array([1.0, 1.0]), lambda1=0.01)
         assert code.gamma[1] == 0.0
 
     def test_objective_monotone_over_sweeps(self):
         X, t = random_instance(3, 8, 12)
         prev = np.inf
         for steps in range(1, 30):
-            code = nn_lasso(X, t, SolverParams(lambda1=0.05, max_iter=steps, tol=1e-300))
+            code = nn_lasso(X, t, lambda1=0.05, max_iter=steps, tol=1e-300)
             assert code.objective <= prev + 1e-12
             prev = code.objective
 
@@ -73,7 +68,7 @@ class TestNnLasso:
             rng = np.random.default_rng(1000 + seed)
             X = rng.standard_normal((8, 12))
             t = rng.standard_normal(8)
-            code = nn_lasso(X, t, SolverParams(lambda1=0.05, tol=1e-8, max_iter=500))
+            code = nn_lasso(X, t, lambda1=0.05, tol=1e-8, max_iter=500)
             if code.iterations < 500:
                 converged += 1
                 assert code.kkt_residual <= 1e-6
@@ -89,19 +84,19 @@ class TestNnLasso:
             rng = np.random.default_rng(1000 + seed)
             X = rng.standard_normal((8, 12))
             t = rng.standard_normal(8)
-            code = nn_lasso(X, t, SolverParams(lambda1=lam, tol=1e-8, max_iter=500))
+            code = nn_lasso(X, t, lambda1=lam, tol=1e-8, max_iter=500)
             assert code.kkt_residual <= 1e-9
             assert code.iterations < 500
 
     def test_scaling_covariance(self):
         X, t = random_instance(4, 6, 9)
         c = 3.7
-        base = nn_lasso(X, t, SolverParams(lambda1=0.2))
-        scaled = nn_lasso(c * X, c * t, SolverParams(lambda1=c * c * 0.2))
+        base = nn_lasso(X, t, lambda1=0.2)
+        scaled = nn_lasso(c * X, c * t, lambda1=c * c * 0.2)
         assert np.allclose(base.gamma, scaled.gamma, atol=1e-6)
 
     def test_bad_shape(self):
-        with pytest.raises(errors.BadShape):
+        with pytest.raises(BadShape):
             nn_lasso(np.eye(3), np.zeros(2))
 
     def test_non_finite(self):
@@ -114,7 +109,7 @@ class TestNnLasso:
 class TestKktResidual:
     def test_solution_is_stationary(self):
         X, t = random_instance(6, 8, 12)
-        code = nn_lasso(X, t, SolverParams(lambda1=0.1))
+        code = nn_lasso(X, t, lambda1=0.1)
         assert kkt_residual(X, t, 0.1, code.gamma) <= 1e-6
 
     def test_origin_optimal_for_huge_lambda(self):
@@ -123,14 +118,14 @@ class TestKktResidual:
 
     def test_perturbation_increases_residual(self):
         X, t = random_instance(8, 6, 8)
-        code = nn_lasso(X, t, SolverParams(lambda1=0.1))
+        code = nn_lasso(X, t, lambda1=0.1)
         at_solution = kkt_residual(X, t, 0.1, code.gamma)
         rng = np.random.default_rng(9)
         perturbed = np.maximum(code.gamma + 0.05 * rng.standard_normal(8), 0.0)
         assert kkt_residual(X, t, 0.1, perturbed) > at_solution
 
     def test_bad_shape(self):
-        with pytest.raises(errors.BadShape):
+        with pytest.raises(BadShape):
             kkt_residual(np.eye(3), np.zeros(3), 0.1, np.zeros(2))
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from motion_lsmd import _kernels, errors
 from motion_lsmd.ingest import Frame, FrameSequence, unit_columns, warp_patch, warp_sample_grids
-from motion_lsmd.sparse import SolverParams, nn_lasso
 from motion_lsmd.tracker import (
+    _HOLISTIC_MAX_ITER,
     _LOCAL_LAMBDA,
     _LOCAL_MAX_ITER,
     _LOCAL_TOL,
@@ -31,6 +31,7 @@ from motion_lsmd.tracker import (
 )
 
 from oracles import (
+    nn_lasso,
     reference_block_coefficients,
     reference_local_dict,
     reference_particle_scores,
@@ -145,18 +146,17 @@ class TestDiscriminative:
         assert discriminative_score(0.0, 10.0, 0.1) == 1e6
 
     def test_matches_recomputation_oracle(self):
-        # recompute both residuals through the public residual-form solver
-        # (an independent code path from the cached-Gram kernel)
+        # recompute both residuals through the one-instance wrapper, which
+        # forms X'X and X't itself instead of reading the cached Grams
         templates = textured_templates(seed=3)
-        params = SolverParams(lambda1=0.01, tol=1e-12, max_iter=3000)
         rng = np.random.default_rng(4)
         cands = rng.random((20, 16, 16))
-        h_d, _eps, _steps = holistic_scores(cands, templates, TrackerConfig(solver=params))
+        h_d, _eps, _steps = holistic_scores(cands, templates, TrackerConfig(lambda1=0.01, tol=1e-12))
         for cand, got in zip(cands, h_d):
             y = cand.reshape(-1) / np.linalg.norm(cand)
             eps = []
             for dictionary in (templates.holistic_dict, templates.negative_dict):
-                code = nn_lasso(dictionary, y, params)
+                code = nn_lasso(dictionary, y, lambda1=0.01, tol=1e-12, max_iter=3000)
                 eps.append(residual_norm(dictionary, y, code.gamma))
             want = discriminative_score(eps[0], eps[1], 0.1)
             assert abs(got - want) <= 1e-8 * max(1.0, want)
@@ -301,7 +301,7 @@ class TestBlockCoefficients:
         all_dict = unit_columns(np.stack([h.reshape(-1) for h in templates.holistic], axis=1))
         _g, want_sq, _steps = _kernels.nn_lasso_gram_batch(
             (all_dict.T @ all_dict)[None], np.zeros(8, dtype=np.intp), y @ all_dict, np.vecdot(y, y),
-            cfg.solver.lambda1, cfg.solver.tol, cfg.solver.max_iter,
+            cfg.lambda1, cfg.tol, _HOLISTIC_MAX_ITER,
         )
         assert np.abs(got[:, 0] ** 2 - want_sq).max() <= 1e-12
 
@@ -406,7 +406,7 @@ class TestBatchedScoring:
             assert np.allclose(got.block_residuals, want["block_residuals"], rtol=0.0, atol=1e-7)
             assert np.allclose(got.likelihood, want["likelihood"], rtol=1e-6, atol=0.0)
             assert np.array_equal(got.occluded, want["occluded"])
-            assert (got.holistic_steps >= 1).all() and (got.holistic_steps < cfg.solver.max_iter).all()
+            assert (got.holistic_steps >= 1).all() and (got.holistic_steps < _HOLISTIC_MAX_ITER).all()
             assert (got.block_steps < _LOCAL_MAX_ITER).all()
             assert np.argmax(got.likelihood * priors) == np.argmax(want["likelihood"] * priors)
 
@@ -521,9 +521,9 @@ class TestUpdateTemplates:
     def setup_method(self):
         rng = np.random.default_rng(20)
         self.frame = Frame(rng.random((64, 64)), 5)
-        self.cfg = TrackerConfig(n_templates=4, template_size=16)
+        self.cfg = TrackerConfig(n_templates=4)
         self.templates = make_template_set(self.frame, AffineState(l_x=32.0, l_y=32.0), self.cfg)
-        self.patch = rng.random((16, 16))
+        self.patch = rng.random((32, 32))
 
     def test_occlusion_gate_blocks_update(self):
         out = update_templates(self.templates, tracked(0.9, 0.9), self.patch, self.frame, self.cfg)
