@@ -14,7 +14,7 @@ import numpy as np
 from . import fileio
 from .config import iter_kv_lines, parse_config
 from .detector import ReportRow, SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
-from .errors import InputError, InvalidValue, UsageError, holds_foreign_number_text
+from .errors import InputError, UsageError, holds_foreign_number_text
 from .ingest import load_frame_sequence, write_pgm
 from .lsmd import build_index_tree, check_decomposable, decompose
 from .tracker import AffineState, track_sequence
@@ -40,28 +40,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="motion-lsmd", add_help=True)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("detect", help="score a sequence and emit events")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", default=None)
+    configured.add_argument("--set", dest="overrides", action="append", default=[])
+    configured.add_argument("--verbose", action="store_true")
+
+    p = sub.add_parser("detect", parents=[configured], help="score a sequence and emit events")
     p.add_argument("frames", help="frame directory or manifest file")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", dest="overrides", action="append", default=[])
     p.add_argument("--out", required=True, help="per-frame scores CSV")
     p.add_argument("--events", required=True, help="detected events CSV")
-    p.add_argument("--verbose", action="store_true")
 
-    p = sub.add_parser("track", help="track a target through a sequence")
+    p = sub.add_parser("track", parents=[configured], help="track a target through a sequence")
     p.add_argument("frames")
     p.add_argument("--init", required=True, help='"lx,ly,theta,s,alpha,phi"')
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", dest="overrides", action="append", default=[])
     p.add_argument("--out", required=True)
-    p.add_argument("--verbose", action="store_true")
 
-    p = sub.add_parser("decompose", help="low-rank/sparse split of a feature matrix")
+    p = sub.add_parser("decompose", parents=[configured], help="low-rank/sparse split of a feature matrix")
     p.add_argument("features", help="matrix CSV ('rows,cols' header)")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", dest="overrides", action="append", default=[])
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("synth", help="generate a synthetic PGM sequence")
     p.add_argument("--spec", required=True, help="synth spec file")
@@ -81,13 +77,13 @@ def _build_parser() -> _Parser:
 def _parse_init(text: str) -> AffineState:
     parts = text.split(",")
     if len(parts) != 6:
-        raise InvalidValue(f'--init needs 6 comma-separated values, got {text!r}')
+        raise InputError(f'--init needs 6 comma-separated values, got {text!r}')
     if holds_foreign_number_text(text):
-        raise InvalidValue(f"--init {text!r} holds '_' or non-ASCII text")
+        raise InputError(f"--init {text!r} holds '_' or non-ASCII text")
     try:
         return AffineState(*[float(v) for v in parts])
     except ValueError as exc:  # unparseable, non-finite or s, alpha <= 0
-        raise InvalidValue(f"--init: {exc}") from exc
+        raise InputError(f"--init: {exc}") from exc
 
 
 def _cmd_detect(args) -> int:
@@ -130,17 +126,17 @@ def _parse_synth_spec(path: str | Path) -> SynthSpec:
     seen: dict[str, str] = {}
     for lineno, key, raw in iter_kv_lines(lines, source=str(path)):
         if key not in ("event", "h", "w", "n_frames"):
-            raise InvalidValue(f"{path}:{lineno}: unknown synth key {key!r}")
+            raise InputError(f"{path}:{lineno}: unknown synth key {key!r}")
         if holds_foreign_number_text(raw):
-            raise InvalidValue(f"{path}:{lineno}: {key} = {raw!r} holds '_' or non-ASCII text")
+            raise InputError(f"{path}:{lineno}: {key} = {raw!r} holds '_' or non-ASCII text")
         if key == "event":
             parts = [p.strip() for p in raw.split(",")]
             if len(parts) != 3:
-                raise InvalidValue(f"{path}:{lineno}: event needs start,end,kind")
+                raise InputError(f"{path}:{lineno}: event needs start,end,kind")
             try:
                 spec.events.append((int(parts[0]), int(parts[1]), parts[2]))
             except ValueError as exc:
-                raise InvalidValue(f"{path}:{lineno}: {exc}") from exc
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
         else:
             seen[key] = raw
     try:
@@ -148,7 +144,7 @@ def _parse_synth_spec(path: str | Path) -> SynthSpec:
         spec.w = int(seen.get("w", spec.w))
         spec.n_frames = int(seen.get("n_frames", spec.n_frames))
     except ValueError as exc:
-        raise InvalidValue(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
     return spec
 
 
@@ -165,7 +161,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.frames < 0:
-        raise InvalidValue(f"--frames must be >= 0 (0 derives it), got {args.frames}")
+        raise InputError(f"--frames must be >= 0 (0 derives it), got {args.frames}")
     detected = fileio.read_events_csv(args.events)
     truth = fileio.read_events_csv(args.truth)
     correct = match_events(detected, truth)

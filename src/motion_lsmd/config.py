@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from .detector import DetectorConfig
-from .errors import InvalidValue, RangeError, UnknownKey, holds_foreign_number_text
+from .errors import InputError, holds_foreign_number_text
 from .lsmd import LsmdParams
 from .tracker import MotionModelParams, TrackerConfig
 
@@ -84,8 +84,6 @@ class Config:
         self.values = merged
 
     def __getitem__(self, key: str):
-        if key not in SCHEMA:
-            raise UnknownKey(f"unknown config key {key!r}")
         return self.values[key]
 
     def echo(self, stream=None) -> None:
@@ -147,7 +145,7 @@ def _convert(key: str, raw: str):
     typ, _default, check, legal = SCHEMA[key]
     raw = raw.strip()
     if holds_foreign_number_text(raw):
-        raise InvalidValue(f"{key} = {raw!r} holds '_' or non-ASCII text")
+        raise InputError(f"{key} = {raw!r} holds '_' or non-ASCII text")
     try:
         if typ is bool:
             val = _parse_bool(raw)
@@ -156,11 +154,11 @@ def _convert(key: str, raw: str):
         else:
             val = float(raw)
     except ValueError as exc:
-        raise InvalidValue(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
+        raise InputError(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
     if typ is float and not math.isfinite(val):
-        raise InvalidValue(f"{key} = {raw!r} is not a finite number")
+        raise InputError(f"{key} = {raw!r} is not a finite number")
     if not check(val):
-        raise RangeError(f"{key} = {val!r} outside legal range ({legal})")
+        raise InputError(f"{key} = {val!r} outside legal range ({legal})")
     return val
 
 
@@ -172,7 +170,7 @@ def iter_kv_lines(lines: list[str], source: str = "<config>") -> Iterator[tuple[
         if not stripped:
             continue
         if "=" not in stripped:
-            raise InvalidValue(f"{source}:{lineno}: expected key = value")
+            raise InputError(f"{source}:{lineno}: expected key = value")
         key, raw = stripped.split("=", 1)
         yield lineno, key.strip(), raw.strip()
 
@@ -193,17 +191,17 @@ def parse_config(
         pairs += [(key, raw) for _lineno, key, raw in iter_kv_lines(text.splitlines(), str(path))]
     for item in overrides or []:
         if "=" not in item:
-            raise InvalidValue(f"override must look like key=value, got {item!r}")
+            raise InputError(f"override must look like key=value, got {item!r}")
         key, raw = item.split("=", 1)
         pairs.append((key.strip(), raw))
     values: dict[str, object] = {}
     for key, raw in pairs:
         if key not in SCHEMA:
-            raise UnknownKey(f"unknown config key {key!r}")
+            raise InputError(f"unknown config key {key!r}")
         values[key] = _convert(key, raw)
     cfg = Config(values=values)
     if cfg["detector.tau_off"] > cfg["detector.tau_on"]:
-        raise RangeError("detector.tau_off must not exceed detector.tau_on")
+        raise InputError("detector.tau_off must not exceed detector.tau_on")
     if verbose:
         cfg.echo()
     return cfg

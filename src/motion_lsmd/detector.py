@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadThresholds,
-    EmptyScores,
-    EventOutOfRange,
-    InvalidValue,
-    NegativeCounts,
-    TooFewFrames,
-    UnsortedInput,
-)
+from .errors import InputError
 from .ingest import Frame, FrameSequence, extract_proposals, feature_matrix, frame_difference
 from .lsmd import (
     LsmdParams,
@@ -94,7 +86,7 @@ def frame_activity_energy(scores: np.ndarray) -> float:
     """Mean of the top 10% of proposal scores (at least one)."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
-        raise EmptyScores("no proposal scores")
+        raise InputError("no proposal scores")
     k = max(1, math.ceil(0.1 * scores.size))
     top = np.partition(scores, scores.size - k)[scores.size - k :]
     return float(top.mean())
@@ -105,7 +97,7 @@ def detect_events(
 ) -> list[EventInterval]:
     """Hysteresis thresholding of the per-frame LSMD energy."""
     if tau_off > tau_on:
-        raise BadThresholds(f"tau_off {tau_off} > tau_on {tau_on}")
+        raise InputError(f"tau_off {tau_off} > tau_on {tau_on}")
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
     events: list[EventInterval] = []
@@ -133,7 +125,7 @@ def detect_events(
 def _check_sorted(intervals: list[EventInterval], label: str) -> None:
     for a, b in zip(intervals, intervals[1:]):
         if b.start <= a.end:
-            raise UnsortedInput(f"{label} intervals must be sorted and disjoint")
+            raise InputError(f"{label} intervals must be sorted and disjoint")
 
 
 def _overlap(a: EventInterval, b: EventInterval) -> int:
@@ -164,9 +156,9 @@ def aggregate_report(rows: list[ReportRow]) -> DetectionReport:
     """Echo rows, add a totals row and the overall accuracy."""
     for r in rows:
         if r.total_frames < 0 or r.num_events < 0 or r.correct_detections < 0:
-            raise NegativeCounts(f"negative count in row {r.name!r}")
+            raise InputError(f"negative count in row {r.name!r}")
         if r.correct_detections > r.num_events:
-            raise NegativeCounts(
+            raise InputError(
                 f"row {r.name!r}: correct {r.correct_detections} exceeds events {r.num_events}"
             )
     totals = ReportRow(
@@ -214,20 +206,20 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
     the PGM pipeline delivers."""
     margin = 12.0  # blob centres start this far inside the frame
     if spec.h < 2 * margin or 0.45 * spec.w < margin:
-        raise InvalidValue(f"synth frame {spec.h}x{spec.w} too small: need h >= 24 and w >= 27")
+        raise InputError(f"synth frame {spec.h}x{spec.w} too small: need h >= 24 and w >= 27")
     if spec.n_frames < 1:
-        raise InvalidValue(f"synth needs n_frames >= 1, got {spec.n_frames}")
+        raise InputError(f"synth needs n_frames >= 1, got {spec.n_frames}")
     if seed < 0:
-        raise InvalidValue(f"synth seed must be >= 0, got {seed}")
+        raise InputError(f"synth seed must be >= 0, got {seed}")
     for start, end, kind in spec.events:
         if not (0 <= start <= end < spec.n_frames):
-            raise EventOutOfRange(f"event ({start}, {end}) outside [0, {spec.n_frames})")
+            raise InputError(f"event ({start}, {end}) outside [0, {spec.n_frames})")
         if kind not in _KINDS:
-            raise EventOutOfRange(f"unknown event kind {kind!r}")
+            raise InputError(f"unknown event kind {kind!r}")
     ordered = sorted(spec.events)
     for (s0, e0, _k0), (s1, e1, _k1) in zip(ordered, ordered[1:]):
         if s1 <= e0:
-            raise EventOutOfRange(f"events ({s0}, {e0}) and ({s1}, {e1}) share frame {s1}")
+            raise InputError(f"events ({s0}, {e0}) and ({s1}, {e1}) share frame {s1}")
 
     rng = np.random.default_rng(seed)
     bg = 0.08 + 0.02 * rng.random((spec.h, spec.w))
@@ -279,7 +271,7 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
         pos[:, 1] = np.clip(pos[:, 1], 2.0, spec.w - 3.0)
 
     truth = [EventInterval(s, e) for s, e, _k in ordered]
-    return FrameSequence(frames=frames, name=f"synth-{seed}"), truth
+    return FrameSequence(frames=frames), truth
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +292,7 @@ def run_detection(
     """
     cfg = config or DetectorConfig()
     if len(seq) < 2:
-        raise TooFewFrames("need at least two frames")
+        raise InputError("need at least two frames")
 
     h, w = seq.shape
     tree = None

@@ -1,15 +1,25 @@
-"""Exception types raised on invalid inputs, and the number-text rule
-every reader of user text applies before it raises them.
+"""The package's error rule, and the number-text rule every reader of
+user text applies before it raises.
 
-Everything here derives from :class:`InputError`, which the CLI maps to
-exit code 1. Any other exception escaping the library is an internal
-error (exit code 2). This module imports nothing from the package, so
-every other module can import it.
+- :class:`InputError` is for a condition that user input can reach: a
+  file, a config value, an option or a frame the CLI was handed. The CLI
+  prints its message and exits 1.
+- :class:`UsageError` is an :class:`InputError` about the command line
+  itself; the CLI also prints the synopsis.
+- ``ValueError`` and any other exception mean a bug in a caller or in
+  the package (exit 2).
+
+The message names the check that fired. This module imports nothing
+from the package, so every other module can import it.
 """
 
 
 class InputError(Exception):
-    """Base class for all input-contract violations."""
+    """A condition that user input can reach (exit 1)."""
+
+
+class UsageError(InputError):
+    """A malformed command line (exit 1, plus the synopsis)."""
 
 
 def holds_foreign_number_text(text: str) -> bool:
@@ -19,111 +29,3 @@ def holds_foreign_number_text(text: str) -> bool:
     either, so the config, synth-spec, ``--init``, PGM-header and CSV
     readers refuse both."""
     return "_" in text or not text.isascii()
-
-
-# --- ingest ---
-
-class MissingSource(InputError):
-    pass
-
-
-class MalformedPgm(InputError):
-    pass
-
-
-class FrameTooSmall(InputError):
-    pass
-
-
-class InconsistentDimensions(InputError):
-    pass
-
-
-class TooFewFrames(InputError):
-    pass
-
-
-class DimensionMismatch(InputError):
-    pass
-
-
-class NonPositiveScale(InputError):
-    pass
-
-
-class PatchTooLarge(InputError):
-    pass
-
-
-class EmptyProposals(InputError):
-    pass
-
-
-# --- solvers ---
-
-class NonFiniteInput(InputError):
-    pass
-
-
-class NegativeTau(InputError):
-    pass
-
-
-# --- lsmd ---
-
-class ShapeMismatch(InputError):
-    pass
-
-
-# --- tracker ---
-
-class EmptyDictionary(InputError):
-    pass
-
-
-class BadBlocking(InputError):
-    pass
-
-
-class InitOutOfBounds(InputError):
-    pass
-
-
-# --- detector ---
-
-class EmptyScores(InputError):
-    pass
-
-
-class BadThresholds(InputError):
-    pass
-
-
-class UnsortedInput(InputError):
-    pass
-
-
-class NegativeCounts(InputError):
-    pass
-
-
-class EventOutOfRange(InputError):
-    pass
-
-
-# --- config / cli ---
-
-class UnknownKey(InputError):
-    pass
-
-
-class InvalidValue(InputError):
-    pass
-
-
-class RangeError(InputError):
-    pass
-
-
-class UsageError(InputError):
-    pass

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .detector import DetectionReport, EventInterval, FrameScore, ReportRow
-from .errors import InvalidValue, holds_foreign_number_text
+from .errors import InputError, holds_foreign_number_text
 from .tracker import TrackResult
 
 
@@ -49,35 +49,35 @@ def _csv_int(field: str) -> int:
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 2 or lines[0].strip() != "rows,cols":
-        raise InvalidValue(f"{path}: expected 'rows,cols' header")
+        raise InputError(f"{path}: expected 'rows,cols' header")
     try:
         rows, cols = (_csv_int(v) for v in lines[1].split(","))
     except ValueError as exc:
-        raise InvalidValue(f"{path}: bad dimension line {lines[1]!r}") from exc
+        raise InputError(f"{path}: bad dimension line {lines[1]!r}") from exc
     if rows < 1 or cols < 1:
-        raise InvalidValue(f"{path}: matrix must be at least 1x1, got {rows}x{cols}")
+        raise InputError(f"{path}: matrix must be at least 1x1, got {rows}x{cols}")
     if len(lines) < 2 + rows:
-        raise InvalidValue(f"{path}: expected {rows} data rows")
+        raise InputError(f"{path}: expected {rows} data rows")
     body = lines[2 : 2 + rows]
     for i, line in enumerate(lines[2 + rows :], 3 + rows):
         if line.strip():
-            raise InvalidValue(f"{path}: line {i}: data after the {rows} declared rows")
+            raise InputError(f"{path}: line {i}: data after the {rows} declared rows")
     # every row's length is checked before the matrix is allocated, so a
     # dimension line cannot ask for more memory than the file has values
     for r, line in enumerate(body):
         if holds_foreign_number_text(line):
-            raise InvalidValue(f"{path}: row {r} holds '_' or non-ASCII text")
+            raise InputError(f"{path}: row {r} holds '_' or non-ASCII text")
         if line.count(",") + 1 != cols:
-            raise InvalidValue(f"{path}: row {r} has {line.count(',') + 1} values, expected {cols}")
+            raise InputError(f"{path}: row {r} has {line.count(',') + 1} values, expected {cols}")
     data = np.empty((rows, cols))
     for r, line in enumerate(body):
         try:
             data[r] = [float(v) for v in line.split(",")]
         except ValueError as exc:
-            raise InvalidValue(f"{path}: row {r}: {exc}") from exc
+            raise InputError(f"{path}: row {r}: {exc}") from exc
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        raise InvalidValue(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
+        raise InputError(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
     return data
 
 
@@ -108,10 +108,10 @@ def read_events_csv(path: str | Path) -> list[EventInterval]:
     ('start,end,kind'); only the interval is kept."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
-        raise InvalidValue(f"{path}: empty events file")
+        raise InputError(f"{path}: empty events file")
     header = [h.strip() for h in lines[0].split(",")]
     if header[:2] != ["start", "end"]:
-        raise InvalidValue(f"{path}: expected 'start,end,...' header, got {lines[0]!r}")
+        raise InputError(f"{path}: expected 'start,end,...' header, got {lines[0]!r}")
     events = []
     for line in lines[1:]:
         if not line.strip():
@@ -120,11 +120,11 @@ def read_events_csv(path: str | Path) -> list[EventInterval]:
         try:
             start, end = _csv_int(parts[0]), _csv_int(parts[1])
         except (ValueError, IndexError) as exc:
-            raise InvalidValue(f"{path}: bad event line {line!r}") from exc
+            raise InputError(f"{path}: bad event line {line!r}") from exc
         if start < 0:
-            raise InvalidValue(f"{path}: event {start},{end} starts before frame 0")
+            raise InputError(f"{path}: event {start},{end} starts before frame 0")
         if start > end:
-            raise InvalidValue(f"{path}: event {start},{end} ends before it starts")
+            raise InputError(f"{path}: event {start},{end} ends before it starts")
         events.append(EventInterval(start=start, end=end))
     return events
 
@@ -162,11 +162,11 @@ def write_report_csv(path: str | Path, report: DetectionReport) -> None:
     for row in report.rows:
         name = row.name
         if name == "TOTAL" or name.startswith("accuracy=") or "".join(name.splitlines()) != name:
-            raise InvalidValue(f"report row name {name!r} is reserved or holds a line break")
+            raise InputError(f"report row name {name!r} is reserved or holds a line break")
         try:
             name.encode("utf-8")
         except UnicodeEncodeError as exc:
-            raise InvalidValue(f"report row name {name!r} is not valid text") from exc
+            raise InputError(f"report row name {name!r} is not valid text") from exc
     acc = "n/a" if report.accuracy is None else f"{report.accuracy:.4f}"
     rows = (f"{r.name},{r.total_frames},{r.num_events},{r.correct_detections}" for r in [*report.rows, report.totals])
     _write_lines(path, REPORT_HEADER, [*rows, f"accuracy={acc}"])
@@ -176,20 +176,20 @@ def read_report_rows(path: str | Path) -> list[ReportRow]:
     """Read the per-video rows back (TOTAL row and footer are derived)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != REPORT_HEADER:
-        raise InvalidValue(f"{path}: expected report header {REPORT_HEADER!r}")
+        raise InputError(f"{path}: expected report header {REPORT_HEADER!r}")
     rows = []
     for line in lines[1:]:
         if not line.strip() or line.startswith("accuracy="):
             continue
         parts = line.rsplit(",", 3)
         if len(parts) != 4:
-            raise InvalidValue(f"{path}: malformed report row {line!r}")
+            raise InputError(f"{path}: malformed report row {line!r}")
         name, frames, events, correct = parts
         if name == "TOTAL":
             continue
         try:
             counts = [_csv_int(frames), _csv_int(events), _csv_int(correct)]
         except ValueError as exc:
-            raise InvalidValue(f"{path}: malformed report row {line!r}") from exc
+            raise InputError(f"{path}: malformed report row {line!r}") from exc
         rows.append(ReportRow(name, *counts))
     return rows

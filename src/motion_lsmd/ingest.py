@@ -13,19 +13,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    DimensionMismatch,
-    EmptyProposals,
-    FrameTooSmall,
-    InconsistentDimensions,
-    MalformedPgm,
-    MissingSource,
-    NonFiniteInput,
-    NonPositiveScale,
-    PatchTooLarge,
-    TooFewFrames,
-    holds_foreign_number_text,
-)
+from .errors import InputError, holds_foreign_number_text
 
 if TYPE_CHECKING:
     from .tracker import AffineState
@@ -51,11 +39,11 @@ class Frame:
             raise ValueError("frame pixels must be a 2-D array")
         h, w = self.pixels.shape
         if h < 8 or w < 8:
-            raise FrameTooSmall(f"frame must be at least 8x8, got {h}x{w}")
+            raise InputError(f"frame must be at least 8x8, got {h}x{w}")
         if self.index < 0:
             raise ValueError("frame index must be non-negative")
         if not np.all(np.isfinite(self.pixels)):
-            raise NonFiniteInput("frame pixels must be finite")
+            raise InputError("frame pixels must be finite")
         lo, hi = float(self.pixels.min()), float(self.pixels.max())
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"pixel values outside [0,1]: min={lo}, max={hi}")
@@ -70,7 +58,6 @@ class FrameSequence:
     """Ordered frames with consecutive indices starting at 0."""
 
     frames: list[Frame]
-    name: str = ""
 
     def __post_init__(self):
         if not self.frames:
@@ -80,9 +67,7 @@ class FrameSequence:
             if f.index != i:
                 raise ValueError(f"frame {i} has index {f.index}")
             if f.shape != shape:
-                raise InconsistentDimensions(
-                    f"frame {i} is {f.shape}, expected {shape}"
-                )
+                raise InputError(f"frame {i} is {f.shape}, expected {shape}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -120,7 +105,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise MissingSource(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
     pos = 0
 
@@ -139,28 +124,28 @@ def read_pgm(path: str | Path) -> np.ndarray:
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise MalformedPgm(f"{path}: truncated header")
+            raise InputError(f"{path}: truncated header")
         return raw[start:pos]
 
     magic = next_token()
     if magic != b"P5":
-        raise MalformedPgm(f"{path}: bad magic {magic!r}, expected P5")
+        raise InputError(f"{path}: bad magic {magic!r}, expected P5")
     # latin-1 keeps one character per byte, so non-ASCII bytes reach the check
     fields = [next_token().decode("latin-1") for _ in range(3)]
     if any(holds_foreign_number_text(field) for field in fields):
-        raise MalformedPgm(f"{path}: header field holds '_' or non-ASCII text")
+        raise InputError(f"{path}: header field holds '_' or non-ASCII text")
     try:
         width, height, maxval = (int(field) for field in fields)
     except ValueError as exc:
-        raise MalformedPgm(f"{path}: non-numeric header field") from exc
+        raise InputError(f"{path}: non-numeric header field") from exc
     if width <= 0 or height <= 0:
-        raise MalformedPgm(f"{path}: bad dimensions {width}x{height}")
+        raise InputError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
-        raise MalformedPgm(f"{path}: maxval {maxval}, only 255 supported")
+        raise InputError(f"{path}: maxval {maxval}, only 255 supported")
     pos += 1  # single whitespace byte after maxval
     payload = raw[pos : pos + width * height]
     if len(payload) < width * height:
-        raise MalformedPgm(f"{path}: truncated payload")
+        raise InputError(f"{path}: truncated payload")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return pixels.astype(np.float64) / 255.0
 
@@ -194,24 +179,22 @@ def load_frame_sequence(source: str | Path) -> FrameSequence:
     """Load a sequence from a directory of PGM files or a manifest file."""
     source = Path(source)
     if not source.exists():
-        raise MissingSource(f"no such source: {source}")
+        raise InputError(f"no such source: {source}")
     paths = _frame_paths(source)
     if len(paths) < 2:
-        raise TooFewFrames(f"{source}: found {len(paths)} frames, need >= 2")
+        raise InputError(f"{source}: found {len(paths)} frames, need >= 2")
     frames = []
     shape = None
     for i, p in enumerate(paths):
         if not p.exists():
-            raise MissingSource(f"manifest entry missing: {p}")
+            raise InputError(f"manifest entry missing: {p}")
         pixels = read_pgm(p)
         if shape is None:
             shape = pixels.shape
         elif pixels.shape != shape:
-            raise InconsistentDimensions(
-                f"{p}: {pixels.shape} differs from first frame {shape}"
-            )
+            raise InputError(f"{p}: {pixels.shape} differs from first frame {shape}")
         frames.append(Frame(pixels=pixels, index=i))
-    return FrameSequence(frames=frames, name=source.stem)
+    return FrameSequence(frames=frames)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +204,7 @@ def load_frame_sequence(source: str | Path) -> FrameSequence:
 def frame_difference(prev: Frame, cur: Frame) -> Frame:
     """Elementwise absolute difference |cur - prev|, indexed like cur."""
     if prev.shape != cur.shape:
-        raise DimensionMismatch(f"{prev.shape} vs {cur.shape}")
+        raise InputError(f"{prev.shape} vs {cur.shape}")
     return Frame(pixels=np.abs(cur.pixels - prev.pixels), index=cur.index)
 
 
@@ -270,10 +253,10 @@ def warp_patches(frame: Frame, states: np.ndarray, out_h: int, out_w: int) -> np
     bad = ~((states[:, 3] > 0) & (states[:, 4] > 0))
     if bad.any():
         s, alpha = states[np.argmax(bad), 3:5]
-        raise NonPositiveScale(f"s={s}, alpha={alpha}")
+        raise InputError(f"s={s}, alpha={alpha}")
     rows, cols = warp_sample_grids(states, out_h, out_w)
     if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
-        raise NonFiniteInput("affine warp overflows: sample coordinates are not finite")
+        raise InputError("affine warp overflows: sample coordinates are not finite")
     return _kernels.bilinear_sample(frame.pixels, rows, cols)
 
 
@@ -286,7 +269,7 @@ def extract_proposals(frame: Frame, patch_size: int, stride: int) -> ProposalSet
     raster order."""
     h, w = frame.shape
     if patch_size > min(h, w):
-        raise PatchTooLarge(f"patch {patch_size} exceeds frame {h}x{w}")
+        raise InputError(f"patch {patch_size} exceeds frame {h}x{w}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     rows = (h - patch_size) // stride + 1
@@ -316,7 +299,7 @@ def feature_matrix(proposals: ProposalSet) -> np.ndarray:
     vectorization of patch j."""
     n = len(proposals)
     if n == 0:
-        raise EmptyProposals("no proposals to featurize")
+        raise InputError("no proposals to featurize")
     # in C order unit_columns' norms sum each column row after row; the
     # last bits of every detection output depend on that order
     return unit_columns(np.ascontiguousarray(proposals.patches.reshape(n, -1).T))

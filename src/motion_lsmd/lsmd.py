@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeTau, NonFiniteInput, ShapeMismatch
+from .errors import InputError
 from .ingest import ProposalSet
 
 
@@ -153,7 +153,7 @@ def _finite_points(points: np.ndarray) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts[:, None]
     if not np.all(np.isfinite(pts)):
-        raise NonFiniteInput("clustering points must be finite")
+        raise InputError("clustering points must be finite")
     return pts
 
 
@@ -190,7 +190,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
 
     Returns per-point cluster assignments, or None (indivisible) when k
     exceeds the number of distinct points, counted by value (-0.0 equals
-    0.0). Non-finite points raise NonFiniteInput. Nearest-centroid ties
+    0.0). Non-finite points raise InputError. Nearest-centroid ties
     break toward the lowest centroid index; empty clusters are repaired
     by moving the worst-fit points (``_repair_empty_clusters``).
     """
@@ -250,7 +250,7 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
     points are all identical (indivisible).
 
     Points are counted distinct by value (-0.0 equals 0.0); non-finite
-    points raise NonFiniteInput."""
+    points raise InputError."""
     pts = _finite_points(points)
     n = pts.shape[0]
     if n < 1:
@@ -299,9 +299,7 @@ def clustering_points(proposals: ProposalSet, height: int, width: int) -> np.nda
 
 def _check_tree_shape(S: np.ndarray, tree: IndexTree) -> None:
     if S.ndim != 2 or S.shape[1] != tree.n_columns:
-        raise ShapeMismatch(
-            f"S has {S.shape} columns, tree covers {tree.n_columns}"
-        )
+        raise InputError(f"S has {S.shape} columns, tree covers {tree.n_columns}")
 
 
 def _column_sq_norms(M: np.ndarray) -> np.ndarray:
@@ -323,7 +321,7 @@ def tree_norm(S: np.ndarray, tree: IndexTree) -> float:
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise sign(v) * max(|v| - tau, 0)."""
     if tau < 0:
-        raise NegativeTau(f"tau={tau}")
+        raise InputError(f"tau={tau}")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
@@ -340,7 +338,7 @@ def prox_tree_norm(
     end. Zeroed groups are set to +0.0.
     """
     if tau < 0 or lambda_l1 < 0:
-        raise NegativeTau(f"tau={tau}, lambda_l1={lambda_l1}")
+        raise InputError(f"tau={tau}, lambda_l1={lambda_l1}")
     S = np.asarray(S, dtype=np.float64)
     _check_tree_shape(S, tree)
     Z = soft_threshold(S, tau * lambda_l1)
@@ -395,9 +393,9 @@ def prox_nuclear(L: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """
     L = np.asarray(L, dtype=np.float64)
     if not np.all(np.isfinite(L)):
-        raise NonFiniteInput("matrix must be finite")
+        raise InputError("matrix must be finite")
     if tau < 0:
-        raise NegativeTau(f"tau={tau}")
+        raise InputError(f"tau={tau}")
     wide = L.shape[0] < L.shape[1]
     A = L.T if wide else L
     exp = int(np.frexp(np.max(np.abs(A), initial=0.0))[1])
@@ -421,13 +419,13 @@ def prox_nuclear(L: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def check_decomposable(F: np.ndarray) -> np.ndarray:
-    """F as a float64 array. Raises NonFiniteInput unless decompose's
+    """F as a float64 array. Raises InputError unless decompose's
     starting objective, 0.5 ||F||_F^2, is finite: an entry that is not
     finite, or finite entries whose squares sum past the float range,
     would make the objective trace inf or nan."""
     data = np.asarray(F, dtype=np.float64)
     if not np.isfinite(np.vdot(data, data)):
-        raise NonFiniteInput("matrix must be finite, with a finite sum of squares")
+        raise InputError("matrix must be finite, with a finite sum of squares")
     return data
 
 
@@ -522,7 +520,5 @@ def activity_scores(
     S = np.asarray(S, dtype=np.float64)
     prior = np.asarray(prior, dtype=np.float64)
     if S.shape[1] != len(proposals) or prior.shape != (S.shape[1],):
-        raise ShapeMismatch(
-            f"S {S.shape}, proposals {len(proposals)}, prior {prior.shape}"
-        )
+        raise InputError(f"S {S.shape}, proposals {len(proposals)}, prior {prior.shape}")
     return prior * np.linalg.norm(S, axis=0)

@@ -31,13 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    BadBlocking,
-    EmptyDictionary,
-    InitOutOfBounds,
-    NonFiniteInput,
-    TooFewFrames,
-)
+from .errors import InputError
 from .ingest import (
     CANONICAL_SIZE,
     Frame,
@@ -193,7 +187,7 @@ def _block_grid(patches: np.ndarray) -> np.ndarray:
     n, h, w = patches.shape
     b = BLOCK
     if h % b or w % b:
-        raise BadBlocking(f"patch {h}x{w} not divisible into {b}x{b} blocks")
+        raise InputError(f"patch {h}x{w} not divisible into {b}x{b} blocks")
     return patches.reshape(n, h // b, b, w // b, b)
 
 
@@ -234,7 +228,7 @@ def _ring_negatives(frame: Frame, state: AffineState, cfg: TrackerConfig) -> lis
         l_x = state.l_x + radius * math.cos(angle)
         l_y = state.l_y + radius * math.sin(angle)
         if not (math.isfinite(l_x) and math.isfinite(l_y)):
-            raise NonFiniteInput(f"ring negative centre overflows: radius {radius} at scale s={state.s}")
+            raise InputError(f"ring negative centre overflows: radius {radius} at scale s={state.s}")
         shifted = replace(state, l_x=l_x, l_y=l_y)
         negs.append(warp_patch(frame, shifted, CANONICAL_SIZE, CANONICAL_SIZE))
     return negs
@@ -274,7 +268,7 @@ def propose_particles(
                 z = (states[:, j] - mean[j]) / sigma[j]
                 priors *= np.exp(-0.5 * z * z) / (sigma[j] * math.sqrt(2.0 * math.pi))
     if not np.isfinite(priors).all():
-        raise NonFiniteInput(
+        raise InputError(
             f"motion prior overflows: the product of the densities for sigma {sigma.tolist()} is not finite"
         )
     return states, priors
@@ -311,7 +305,7 @@ def _holistic_coefficients(patches: np.ndarray, templates: TemplateSet):
     norm. The products are taken row by row, so a candidate's
     coefficients do not depend on the batch it is in."""
     if not templates.holistic or not templates.negatives:
-        raise EmptyDictionary("need non-empty positive and negative dictionaries")
+        raise InputError("need non-empty positive and negative dictionaries")
     v = patches.reshape(len(patches), -1)
     nrm = np.sqrt(np.vecdot(v, v))
     y = v / np.where(nrm > 0, nrm, 1.0)[:, None]
@@ -328,7 +322,7 @@ def _block_coefficients(patches: np.ndarray, templates: TemplateSet):
     n, gh, b, gw, _ = grid.shape
     P = gh * gw
     if P != templates.local_dict.shape[0]:
-        raise BadBlocking(
+        raise InputError(
             f"candidate has {P} blocks, local dictionary expects {templates.local_dict.shape[0]}"
         )
     # pixel-major (b*b, n, P): a sum over axis 0 adds one pixel after another
@@ -426,7 +420,7 @@ def map_estimate(
         posterior = scores.likelihood * priors
         total = float(posterior.sum())
     if not math.isfinite(total):
-        raise NonFiniteInput("posterior weights overflow: likelihood x motion prior has no finite sum")
+        raise InputError("posterior weights overflow: likelihood x motion prior has no finite sum")
     if total <= 0.0:
         return TrackResult(
             state=replace(prev),
@@ -483,10 +477,10 @@ def track_sequence(
     """Track from frame 1 onward; fully deterministic given config.seed."""
     cfg = config or TrackerConfig()
     if len(seq) < 2:
-        raise TooFewFrames("need at least two frames to track")
+        raise InputError("need at least two frames to track")
     h, w = seq.shape
     if not (0 <= init.l_x < w and 0 <= init.l_y < h):
-        raise InitOutOfBounds(f"init center ({init.l_x}, {init.l_y}) outside {h}x{w}")
+        raise InputError(f"init center ({init.l_x}, {init.l_y}) outside {h}x{w}")
 
     templates = make_template_set(seq.frames[0], init, cfg)
 

@@ -30,7 +30,7 @@ from test_acceptance import _event_spec
 
 def _remap(seq: FrameSequence, pixels) -> FrameSequence:
     """seq with frame i's pixels replaced by pixels(i, frame pixels)."""
-    return FrameSequence([Frame(pixels(i, f.pixels), f.index) for i, f in enumerate(seq.frames)], seq.name)
+    return FrameSequence([Frame(pixels(i, f.pixels), f.index) for i, f in enumerate(seq.frames)])
 
 
 def noise(sigma: float):

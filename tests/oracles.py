@@ -126,7 +126,7 @@ def nn_lasso(
     if t.shape != (X.shape[0],):
         raise BadShape(f"t has shape {t.shape}, expected ({X.shape[0]},)")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(t))):
-        raise errors.NonFiniteInput("X and t must be finite")
+        raise errors.InputError("X and t must be finite")
     gamma, _resid_sq, steps = _kernels.nn_lasso_gram_batch(
         (X.T @ X)[None], np.zeros(1, dtype=np.intp), (X.T @ t)[None], np.array([float(t @ t)]),
         float(lambda1), float(tol), int(max_iter),

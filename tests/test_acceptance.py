@@ -187,7 +187,7 @@ def test_criterion_6_tracker_synthetic_accuracy(monkeypatch):
             frames.append(Frame(img, t))
             centers.append((cy, cx))
             cx += speed
-        seq = FrameSequence(frames, "square")
+        seq = FrameSequence(frames)
         init = AffineState(l_x=centers[0][1], l_y=centers[0][0])
 
         results = track_sequence(seq, init, TrackerConfig(n_particles=300, seed=7))
@@ -199,7 +199,7 @@ def test_criterion_6_tracker_synthetic_accuracy(monkeypatch):
         assert cap_hits == [0] * 49
 
         # degenerate sigma=0 case: state exactly constant
-        static = FrameSequence([Frame(frames[0].pixels.copy(), i) for i in range(5)], "static")
+        static = FrameSequence([Frame(frames[0].pixels.copy(), i) for i in range(5)])
         cfg0 = TrackerConfig(n_particles=5, motion=MotionModelParams(np.zeros(6)), seed=1)
         for r in track_sequence(static, init, cfg0):
             assert r.state == init

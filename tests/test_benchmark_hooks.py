@@ -153,6 +153,6 @@ def test_the_wrapped_detection_stages_run_once_per_clip_and_moving_frame(monkeyp
     assert calls == {"build_index_tree": 1, "decompose": moving}
 
     calls.clear()
-    still = FrameSequence([Frame(seq.frames[0].pixels, t) for t in range(10)], "still")
+    still = FrameSequence([Frame(seq.frames[0].pixels, t) for t in range(10)])
     scores, events = detector.run_detection(still)
     assert not calls and events == [] and all(sc.lsmd_energy == 0.0 for sc in scores)

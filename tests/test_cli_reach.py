@@ -5,7 +5,9 @@ function and method defined in the package's source, except the ones
 listed in ``NOT_RUN`` with the reason each stays. The list is exact: a
 listed function that starts to run must leave the list too. Every name
 bound at a module's top level must also be read somewhere in the
-package's source, or be listed in ``NOT_RUN``.
+package's source, or be listed in ``NOT_RUN``. Every exception class in
+``errors`` must be ``InputError`` itself or be named by some ``except``
+clause there: a subclass that no caller tells apart is one name too many.
 """
 
 import ast
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 import motion_lsmd
-from motion_lsmd import cli, fileio
+from motion_lsmd import cli, errors, fileio
 from motion_lsmd.ingest import write_pgm
 
 PERFBENCH = "perfbench reads it"
@@ -136,3 +138,25 @@ def test_every_module_level_name_is_read_or_says_why_not():
     read = names_read()
     unread = sorted(key for key, name in module_level_names().items() if name not in read and key not in NOT_RUN)
     assert unread == []
+
+
+def names_caught():
+    """Every name an ``except`` clause in the package's source names."""
+    caught = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for n in ast.walk(node.type):
+                    if isinstance(n, ast.Name):
+                        caught.add(n.id)
+                    elif isinstance(n, ast.Attribute):
+                        caught.add(n.attr)
+    return caught
+
+
+def test_every_error_class_is_input_error_or_caught_by_name():
+    caught = names_caught()
+    classes = [name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__]
+    assert "InputError" in classes
+    assert sorted(name for name in classes if name != "InputError" and name not in caught) == []

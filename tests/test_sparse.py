@@ -102,7 +102,7 @@ class TestNnLasso:
     def test_non_finite(self):
         X = np.eye(2)
         X[0, 0] = np.nan
-        with pytest.raises(errors.NonFiniteInput):
+        with pytest.raises(errors.InputError, match="X and t must be finite"):
             nn_lasso(X, np.zeros(2))
 
 
@@ -139,7 +139,7 @@ class TestSoftThreshold:
         assert np.allclose(out, [2.0, 0.0, 0.0])
 
     def test_negative_tau(self):
-        with pytest.raises(errors.NegativeTau):
+        with pytest.raises(errors.InputError, match="tau=-0.1"):
             soft_threshold(np.zeros(2), -0.1)
 
     @settings(deadline=None, max_examples=25)

@@ -49,7 +49,7 @@ def square_sequence(n_frames, h=64, w=160, size=24, speed=2.0, start=(32.0, 20.0
         frames.append(Frame(img, t))
         centers.append((cy, cx))
         cx += speed
-    return FrameSequence(frames, "square"), centers
+    return FrameSequence(frames), centers
 
 
 def textured_templates(seed=0, size=16, m=4, q=3):
@@ -164,7 +164,7 @@ class TestDiscriminative:
     def test_empty_dictionary(self):
         templates = textured_templates(seed=5)
         templates.negatives = []
-        with pytest.raises(errors.EmptyDictionary):
+        with pytest.raises(errors.InputError, match="non-empty positive and negative dictionaries"):
             holistic_scores(np.ones((1, 16, 16)), templates)
 
 
@@ -187,7 +187,7 @@ class TestLocalDict:
             assert got.tobytes() == want.tobytes()
 
     def test_bad_blocking(self):
-        with pytest.raises(errors.BadBlocking):
+        with pytest.raises(errors.InputError, match="not divisible into"):
             build_local_dict([np.ones((16, 12))])
 
 
@@ -353,7 +353,7 @@ class TestGenerative:
 
     def test_bad_blocking(self):
         templates = textured_templates(seed=9)
-        with pytest.raises(errors.BadBlocking):
+        with pytest.raises(errors.InputError, match="not divisible into"):
             local_scores(np.ones((1, 12, 12)), templates)
 
 
@@ -557,7 +557,7 @@ class TestUpdateTemplates:
         result = TrackResult(
             state=AffineState(l_x=20.0, l_y=20.0, s=1e307), confidence=0.9, occlusion_fraction=0.0, frame_index=5
         )
-        with pytest.raises(errors.NonFiniteInput):
+        with pytest.raises(errors.InputError, match="ring negative centre overflows"):
             update_templates(self.templates, result, self.patch, self.frame, self.cfg)
 
     def test_negatives_refreshed_deterministically(self):
@@ -604,13 +604,13 @@ class TestTrackSequence:
 
     def test_init_out_of_bounds(self):
         seq, _ = square_sequence(3)
-        with pytest.raises(errors.InitOutOfBounds):
+        with pytest.raises(errors.InputError, match="init center"):
             track_sequence(seq, AffineState(l_x=1000.0, l_y=5.0), TrackerConfig(n_particles=2))
 
     def test_too_few_frames(self):
         seq, _ = square_sequence(3)
         seq.frames = seq.frames[:1]
-        with pytest.raises(errors.TooFewFrames):
+        with pytest.raises(errors.InputError, match="need at least two frames to track"):
             track_sequence(seq, AffineState(l_x=20.0, l_y=32.0), TrackerConfig(n_particles=2))
 
     def test_weighting_order_independent(self):
