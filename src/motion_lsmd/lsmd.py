@@ -32,8 +32,12 @@ accelerated gradient schemes", FoCM 2015):
   so oscillation cannot make one decrease tiny by chance and fire the
   relative-decrease stop early.
 
-An iteration costs one eigendecomposition of the smaller Gram matrix of
-F - Y (prox_nuclear), two after a function restart: the objective's
+decompose solves on F's nonzero columns only, under the index tree
+restricted to them (IndexTree.restrict): a zero column of F, such as a
+patch of a difference image where nothing moved, is zero in every
+iterate, and the rest of L and S is exactly +0.0. An iteration costs one
+eigendecomposition of the smaller Gram matrix of the cut F - Y
+(prox_nuclear), two after a function restart: the objective's
 ||L||_* is the sum of the singular values that prox_nuclear has just
 thresholded, and its fit term reuses R = F - L, which the sparse step
 needs anyway. decompose looks prox_nuclear, prox_tree_norm and tree_norm
@@ -114,6 +118,21 @@ class IndexTree:
     @property
     def n_columns(self) -> int:
         return len(self.nodes[0].members)
+
+    def restrict(self, keep: np.ndarray) -> IndexTree:
+        """The tree over the columns ``keep`` (ascending indices) of its
+        matrix: each node keeps its members in ``keep``, renumbered to
+        their positions there. Ids, parents and depths stay, so a node
+        left empty stays in ``nodes`` and drops out of ``levels``."""
+        pos = np.full(self.n_columns, -1)
+        pos[keep] = np.arange(len(keep))
+        nodes = []
+        for nd in self.nodes:
+            members = pos[nd.members]
+            nodes.append(TreeNode(
+                nd.id, nd.parent, nd.children, members[members >= 0], nd.depth, nd.indivisible
+            ))
+        return IndexTree(nodes=nodes, k=self.k)
 
 
 @dataclass
@@ -392,13 +411,14 @@ def prox_nuclear(L: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     above sigma_1 does.
     """
     L = np.asarray(L, dtype=np.float64)
-    if not np.all(np.isfinite(L)):
+    top = np.max(np.abs(L), initial=0.0)  # max propagates nan and inf
+    if not np.isfinite(top):
         raise InputError("matrix must be finite")
     if tau < 0:
         raise InputError(f"tau={tau}")
     wide = L.shape[0] < L.shape[1]
     A = L.T if wide else L
-    exp = int(np.frexp(np.max(np.abs(A), initial=0.0))[1])
+    exp = int(np.frexp(top)[1])
     A = np.ldexp(A, -exp)
     with np.errstate(over="ignore"):
         t = float(np.ldexp(tau, -exp))
@@ -443,11 +463,32 @@ def decompose(
     non-increasing; the loop stops when one iteration lowers it by at
     most rel_tol * max(1, |previous|), or after max_iter iterations.
     F is validated by check_decomposable.
+
+    A zero column of F is zero in every iterate: it is zero in F - Y and
+    in the thresholded matrix, since no singular vector kept has a
+    component there, so also in F - L and in the tree prox, and it adds
+    nothing to any term of the objective. So the loop runs on F's
+    nonzero columns under the tree restricted to them, and the other
+    columns of L and S are +0.0.
     """
     if params is None:
         params = LsmdParams()
     data = check_decomposable(F)
     _check_tree_shape(data, tree)
+    keep = np.flatnonzero(data.any(axis=0))
+    if len(keep) == data.shape[1]:
+        return _solve(data, tree, params)
+    # a C-ordered copy: BLAS takes another path on the Fortran-ordered
+    # result of fancy indexing, which moves the bits of a solve
+    dec = _solve(np.ascontiguousarray(data[:, keep]), tree.restrict(keep), params)
+    L, S = np.zeros_like(data), np.zeros_like(data)
+    L[:, keep] = dec.L
+    S[:, keep] = dec.S
+    return Decomposition(L, S, dec.objective_trace, dec.iterations, dec.converged)
+
+
+def _solve(data: np.ndarray, tree: IndexTree, params: LsmdParams) -> Decomposition:
+    """decompose's loop on a validated F and the tree over its columns."""
 
     def objective(residual: np.ndarray, S: np.ndarray, nuclear: float) -> float:
         # residual = data - L - S; nuclear = ||L||_*. An all-zero S adds 0

@@ -20,7 +20,9 @@ k-means and index tree are the tree builder as it was before its
 distinct-row count and Lloyd step were made cheaper; the reference
 singular value thresholding takes a full SVD; the reference tree norm,
 tree prox and LSMD loop work node by node and take a second SVD per
-iteration for the objective's nuclear norm; and the reference frame
+iteration for the objective's nuclear norm, and the loop runs on every
+column of F, zero columns included; the reference tree cut to a column
+subset renumbers one node at a time; and the reference frame
 energy builds a tree and runs LSMD for every frame pair, with or without
 motion. One entry is no oracle: ``nn_lasso`` codes one instance with the
 package's batch kernel, so that criterion 2 and the unit tests check that
@@ -663,6 +665,28 @@ def reference_prox_tree_norm(S, tree, tau, lambda_l1=0.0):
         else:
             Z[:, cols] = block * (1.0 - tau / nrm)
     return Z
+
+
+def reference_restricted_levels(tree, keep):
+    """The level layout (cols, starts, sizes per depth, deepest first) of
+    the tree cut to the columns ``keep``, node by node: each node's
+    members in ``keep``, renumbered to their positions in ``keep``; a node
+    left empty is skipped, and so is a depth left empty."""
+    position = {int(c): i for i, c in enumerate(keep)}
+    by_depth = {}
+    for node in tree.nodes:
+        members = [position[int(c)] for c in node.members if int(c) in position]
+        if members:
+            by_depth.setdefault(node.depth, []).append(members)
+    levels = []
+    for depth in sorted(by_depth, reverse=True):
+        cols, starts, sizes = [], [], []
+        for members in by_depth[depth]:
+            starts.append(len(cols))
+            sizes.append(len(members))
+            cols.extend(members)
+        levels.append((np.array(cols), np.array(starts), np.array(sizes)))
+    return levels
 
 
 def reference_decompose(data, tree, params):

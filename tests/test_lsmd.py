@@ -39,6 +39,7 @@ from oracles import (
     reference_kmeans,
     reference_prox_nuclear,
     reference_prox_tree_norm,
+    reference_restricted_levels,
     reference_tree_norm,
     tree_objective,
 )
@@ -408,6 +409,45 @@ class TestLevelBatchedTreeProx:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+class TestRestrictTree:
+    """IndexTree.restrict against the node-by-node cut."""
+
+    @staticmethod
+    def trees():
+        for seed, k in itertools.product(range(5), (2, 3, 4)):
+            rng = np.random.default_rng(seed)
+            pts = rng.random((25, 2))
+            pts[rng.integers(25, size=8)] = pts[rng.integers(25, size=8)]  # duplicates
+            yield build_index_tree(pts, k=k, seed=seed)
+
+    @staticmethod
+    def keeps(tree, rng):
+        n = tree.n_columns
+        yield np.array([], dtype=np.int64)
+        yield np.array([rng.integers(n)])
+        # empties the subtrees under two children of the root
+        first, second = tree.nodes[0].children[:2]
+        dropped = np.concatenate([tree.nodes[first].members, tree.nodes[second].members])
+        yield np.setdiff1d(np.arange(n), dropped)
+        yield np.sort(rng.choice(n, n // 2, replace=False))
+        yield np.arange(n)
+
+    @staticmethod
+    def assert_same_levels(got, want):
+        assert len(got) == len(want)
+        for level, ref in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(level, ref))
+
+    def test_levels_match_node_by_node_cut(self):
+        rng = np.random.default_rng(24)
+        for tree in self.trees():
+            for keep in self.keeps(tree, rng):
+                cut = tree.restrict(keep)
+                assert cut.n_columns == len(keep)
+                self.assert_same_levels(cut.levels, reference_restricted_levels(tree, keep))
+            self.assert_same_levels(tree.restrict(np.arange(tree.n_columns)).levels, tree.levels)
+
+
 class TestProxNuclear:
     def test_tau_zero_identity(self):
         M = np.random.default_rng(8).standard_normal((4, 5))
@@ -442,10 +482,11 @@ class TestProxNuclear:
             ) + 1e-12
 
     def test_non_finite(self):
-        M = np.zeros((2, 2))
-        M[0, 0] = np.inf
-        with pytest.raises(errors.InputError, match="^matrix must be finite$"):
-            prox_nuclear(M, 0.1)
+        for bad in (np.inf, -np.inf, np.nan):
+            M = np.zeros((2, 2))
+            M[0, 0] = bad
+            with pytest.raises(errors.InputError, match="^matrix must be finite$"):
+                prox_nuclear(M, 0.1)
 
 
 SVT_CASES = {
@@ -601,6 +642,39 @@ class TestDecompose:
             assert dec.converged and dec.iterations == 1
             energy = frame_activity_energy(activity_scores(dec.S, proposals, motion_prior(proposals)))
             assert energy.hex() == (0.0).hex()
+
+    def test_zero_columns_come_out_as_positive_zeros(self):
+        # tall, as detection's 256 x 49 matrices are: the Gram of a tall
+        # matrix spans its columns, and a solve over all of them leaves
+        # rounding and -0.0 in the zero ones
+        rng = np.random.default_rng(3)
+        d, n = 40, 30
+        tree = build_index_tree(rng.random((n, 2)) * 10, k=4, seed=3)
+        F = 2.0 * rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
+        F[:, rng.choice(n, 5, replace=False)] += rng.choice([-1.0, 1.0], size=(d, 5))
+        cols = np.sort(rng.choice(n, 6, replace=False))
+        F[:, cols] = 0.0
+        F[:, cols[0]] = -0.0
+        dec = decompose(F, tree)
+        for M in (dec.L, dec.S):
+            assert np.all(M[:, cols] == 0.0) and not np.signbit(M[:, cols]).any()
+        trace = np.array(dec.objective_trace)
+        assert np.all(np.diff(trace) <= 0.0)
+
+    def test_solver_runs_on_the_nonzero_columns(self, monkeypatch):
+        data, tree, params = detection_frame_instance()
+        assert np.count_nonzero(~data.any(axis=0)) == 31
+        seen = []
+        svt = lsmd.prox_nuclear
+
+        def recorded(L, tau):
+            seen.append(np.array(L))
+            return svt(L, tau)
+
+        monkeypatch.setattr(lsmd, "prox_nuclear", recorded)
+        decompose(data, tree, params)
+        assert seen
+        assert all(L.shape == (256, 18) and L.any(axis=0).all() for L in seen)
 
     def test_huge_mu_s_limit(self):
         tree, _ = random_tree(12, n=8)
