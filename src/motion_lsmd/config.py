@@ -86,10 +86,9 @@ class Config:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def echo(self, stream=None) -> None:
-        stream = stream or sys.stderr
+    def echo(self) -> None:
         for key in sorted(self.values):
-            print(f"{key} = {self.values[key]}", file=stream)
+            print(f"{key} = {self.values[key]}", file=sys.stderr)
 
     # --- views consumed by the library modules ---
 
@@ -162,7 +161,7 @@ def _convert(key: str, raw: str):
     return val
 
 
-def iter_kv_lines(lines: list[str], source: str = "<config>") -> Iterator[tuple[int, str, str]]:
+def iter_kv_lines(lines: list[str], source: str) -> Iterator[tuple[int, str, str]]:
     """The shared 'key = value' line format with '#' comments: yields
     (line number, key, raw value) per line, both sides stripped."""
     for lineno, line in enumerate(lines, 1):

@@ -298,10 +298,10 @@ def run_detection(
     tree = None
     scores: list[FrameScore] = []
     for t in range(1, len(seq)):
-        proposals = extract_proposals(
+        patches, centres = extract_proposals(
             frame_difference(seq.frames[t - 1], seq.frames[t]), cfg.patch_size, cfg.stride
         )
-        data = feature_matrix(proposals)
+        data = feature_matrix(patches)
         if not data.any():
             # F = 0 decomposes to L = S = 0 under any tree, so every score and
             # the energy are +0.0; skip the tree and the solver
@@ -310,9 +310,9 @@ def run_detection(
         if tree is None:
             # every frame pair has the same proposal grid, so one tree over
             # its centres serves the whole clip
-            tree = build_index_tree(clustering_points(proposals, h, w), k=cfg.tree_k, seed=cfg.seed)
+            tree = build_index_tree(clustering_points(centres, h, w), k=cfg.tree_k, seed=cfg.seed)
         dec = decompose(data, tree, cfg.lsmd)
-        energy = frame_activity_energy(activity_scores(dec.S, proposals, motion_prior(proposals)))
+        energy = frame_activity_energy(activity_scores(dec.S, motion_prior(patches)))
         scores.append(FrameScore(t, energy))
 
     tau_on, tau_off = cfg.tau_on, cfg.tau_off

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -75,24 +75,6 @@ class FrameSequence:
     @property
     def shape(self) -> tuple[int, int]:
         return self.frames[0].shape
-
-
-@dataclass
-class ProposalSet:
-    """Axis-aligned grid patches cut from one frame: ``patches`` (n, p, p)
-    and their centres (row, col) as ``coords`` (n, 2)."""
-
-    patches: np.ndarray
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.patches = np.asarray(self.patches, dtype=np.float64)
-        self.coords = np.asarray(self.coords, dtype=np.int64)
-        if len(self.patches) != len(self.coords):
-            raise ValueError("patches and coords length mismatch")
-
-    def __len__(self) -> int:
-        return len(self.patches)
 
 
 # ---------------------------------------------------------------------------
@@ -201,35 +183,33 @@ def load_frame_sequence(source: str | Path) -> FrameSequence:
 # frame differencing
 # ---------------------------------------------------------------------------
 
-def frame_difference(prev: Frame, cur: Frame) -> Frame:
-    """Elementwise absolute difference |cur - prev|, indexed like cur."""
+def frame_difference(prev: Frame, cur: Frame) -> np.ndarray:
+    """The difference image |cur - prev|, elementwise."""
     if prev.shape != cur.shape:
         raise InputError(f"{prev.shape} vs {cur.shape}")
-    return Frame(pixels=np.abs(cur.pixels - prev.pixels), index=cur.index)
+    return np.abs(cur.pixels - prev.pixels)
 
 
 # ---------------------------------------------------------------------------
 # affine patch warping
 # ---------------------------------------------------------------------------
 
-def warp_sample_grids(
-    states: np.ndarray, out_h: int, out_w: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample coordinates (rows, cols), each (n, out_h, out_w), of the warp
-    of every row of ``states`` (n, 6), columns ordered like an AffineState.
+def warp_sample_grids(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample coordinates (rows, cols), each (n, 32, 32), of the warp of
+    every row of ``states`` (n, 6), columns ordered like an AffineState.
 
-    The canonical patch grid spans [-16, 16)^2; it is scaled by (s, s*alpha),
-    sheared by phi, rotated by theta and translated to (l_x, l_y).
-    A factor that depends on one grid axis is kept at that axis's shape,
-    ``sx`` (n, 1, out_w) and ``sy`` (n, out_h, 1), and broadcast where the
-    axes meet: each element still sees the operations of a full meshgrid
-    in the same order, so the coordinates are the same bits. A state
-    whose warp overflows yields non-finite coordinates without a numpy
-    warning; the caller rejects them.
+    The canonical patch grid, the integers of [-16, 16)^2, is scaled by
+    (s, s*alpha), sheared by phi, rotated by theta and translated to
+    (l_x, l_y). A factor that depends on one grid axis is kept at that
+    axis's shape, ``sx`` (n, 1, 32) and ``sy`` (n, 32, 1), and broadcast
+    where the axes meet: each element still sees the operations of a full
+    meshgrid in the same order, so the coordinates are the same bits. A
+    state whose warp overflows yields non-finite coordinates without a
+    numpy warning; the caller rejects them.
     """
     l_x, l_y, theta, s, alpha, phi = np.asarray(states, dtype=np.float64).T[:, :, None, None]
-    gy = (-CANONICAL_HALF + np.arange(out_h) * (CANONICAL_SIZE / out_h))[:, None]
-    gx = -CANONICAL_HALF + np.arange(out_w) * (CANONICAL_SIZE / out_w)
+    gx = np.arange(-CANONICAL_HALF, CANONICAL_HALF, dtype=np.float64)
+    gy = gx[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         sx = s * gx
         sy = s * alpha * gy
@@ -240,21 +220,20 @@ def warp_sample_grids(
     return rows, cols
 
 
-def warp_patch(frame: Frame, state: "AffineState", out_h: int, out_w: int) -> Patch:
-    """Bilinear sample of the affine-warped patch; outside reads as 0."""
-    return warp_patches(frame, state.as_array()[None], out_h, out_w)[0]
+def warp_patch(frame: Frame, state: "AffineState") -> Patch:
+    """Bilinear sample of the affine-warped canonical patch; outside reads
+    as 0."""
+    return warp_patches(frame, state.as_array()[None])[0]
 
 
-def warp_patches(frame: Frame, states: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+def warp_patches(frame: Frame, states: np.ndarray) -> np.ndarray:
     """``warp_patch`` of every row of ``states`` (n, 6), stacked to
-    (n, out_h, out_w)."""
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output size must be >= 1")
+    (n, 32, 32)."""
     bad = ~((states[:, 3] > 0) & (states[:, 4] > 0))
     if bad.any():
         s, alpha = states[np.argmax(bad), 3:5]
         raise InputError(f"s={s}, alpha={alpha}")
-    rows, cols = warp_sample_grids(states, out_h, out_w)
+    rows, cols = warp_sample_grids(states)
     if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
         raise InputError("affine warp overflows: sample coordinates are not finite")
     return _kernels.bilinear_sample(frame.pixels, rows, cols)
@@ -264,17 +243,19 @@ def warp_patches(frame: Frame, states: np.ndarray, out_h: int, out_w: int) -> np
 # proposal grids and feature matrices
 # ---------------------------------------------------------------------------
 
-def extract_proposals(frame: Frame, patch_size: int, stride: int) -> ProposalSet:
-    """Regular grid of axis-aligned patches fully inside the frame, in
-    raster order."""
-    h, w = frame.shape
+def extract_proposals(
+    pixels: np.ndarray, patch_size: int, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Regular grid of axis-aligned patches fully inside the image, in
+    raster order: the patches (n, patch_size, patch_size) and their
+    centres (row, col) as an (n, 2) int array."""
+    h, w = pixels.shape
     if patch_size > min(h, w):
         raise InputError(f"patch {patch_size} exceeds frame {h}x{w}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     rows = (h - patch_size) // stride + 1
     cols = (w - patch_size) // stride + 1
-    pixels = frame.pixels
     sr, sc = pixels.strides
     grid = np.lib.stride_tricks.as_strided(
         pixels,
@@ -283,8 +264,8 @@ def extract_proposals(frame: Frame, patch_size: int, stride: int) -> ProposalSet
         writeable=False,
     )
     patches = np.ascontiguousarray(grid.reshape(rows * cols, patch_size, patch_size))
-    coords = np.indices((rows, cols)).reshape(2, -1).T * stride + patch_size // 2
-    return ProposalSet(patches=patches, coords=coords)
+    centres = np.indices((rows, cols)).reshape(2, -1).T * stride + patch_size // 2
+    return patches, centres
 
 
 def unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -294,12 +275,12 @@ def unit_columns(mat: np.ndarray) -> np.ndarray:
     return mat / safe
 
 
-def feature_matrix(proposals: ProposalSet) -> np.ndarray:
+def feature_matrix(patches: np.ndarray) -> np.ndarray:
     """d x n matrix; column j is the unit-normalized row-major
-    vectorization of patch j."""
-    n = len(proposals)
+    vectorization of patch j of ``patches`` (n, p, p)."""
+    n = len(patches)
     if n == 0:
         raise InputError("no proposals to featurize")
     # in C order unit_columns' norms sum each column row after row; the
     # last bits of every detection output depend on that order
-    return unit_columns(np.ascontiguousarray(proposals.patches.reshape(n, -1).T))
+    return unit_columns(np.ascontiguousarray(patches.reshape(n, -1).T))

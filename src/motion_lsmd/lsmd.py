@@ -61,7 +61,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .ingest import ProposalSet
 
 
 @dataclass
@@ -94,7 +93,6 @@ class IndexTree:
     children is a leaf."""
 
     nodes: list[TreeNode]
-    k: int = 4
 
     @cached_property
     def levels(self) -> list[TreeLevel]:
@@ -132,7 +130,7 @@ class IndexTree:
             nodes.append(TreeNode(
                 nd.id, nd.parent, nd.children, members[members >= 0], nd.depth, nd.indivisible
             ))
-        return IndexTree(nodes=nodes, k=self.k)
+        return IndexTree(nodes=nodes)
 
 
 @dataclass
@@ -204,23 +202,20 @@ def _repair_empty_clusters(assign: np.ndarray, fit: np.ndarray, counts: np.ndarr
         assign[worst] = c
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
-    """Seeded k-means++ plus Lloyd iterations.
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Seeded k-means++ plus Lloyd iterations: per-point cluster
+    assignments in range(k), every cluster non-empty.
 
-    Returns per-point cluster assignments, or None (indivisible) when k
-    exceeds the number of distinct points, counted by value (-0.0 equals
-    0.0). Non-finite points raise InputError. Nearest-centroid ties
-    break toward the lowest centroid index; empty clusters are repaired
-    by moving the worst-fit points (``_repair_empty_clusters``).
+    Needs 2 <= k <= n points (ValueError otherwise); with fewer than k
+    distinct points, centres are seeded on repeated points. Non-finite
+    points raise InputError. Nearest-centroid ties break toward the
+    lowest centroid index; empty clusters are repaired by moving the
+    worst-fit points (``_repair_empty_clusters``).
     """
     pts = _finite_points(points)
     n = pts.shape[0]
-    if n == 0:
-        raise ValueError("kmeans needs at least one point")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > _count_distinct_rows(pts):
-        return None
+    if not 2 <= k <= n:
+        raise ValueError(f"kmeans needs 2 <= k <= n points, got k={k}, n={n}")
     # dividing by the power of two that puts max|pts| in [0.5, 1) is exact
     # and keeps the summed squared distances from overflowing
     exp = int(np.frexp(np.max(np.abs(pts)))[1])
@@ -266,7 +261,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray | None:
 
 def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree:
     """Recursive k-means splits; stops below k members or when a node's
-    points are all identical (indivisible).
+    points are all identical (indivisible). A node with fewer than k
+    distinct points splits into as many clusters as it has.
 
     Points are counted distinct by value (-0.0 equals 0.0); non-finite
     points raise InputError."""
@@ -284,16 +280,11 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
         if len(members) < k:
             continue
         sub = pts[members]
-        keff = k
+        keff = min(k, _count_distinct_rows(sub))
+        if keff < 2:
+            node.indivisible = True
+            continue
         assign = kmeans(sub, keff, seed=seed * 100003 + nid)
-        if assign is None:
-            # fewer than k distinct rows: split into as many clusters as
-            # there are, with the same seed, unless all rows are equal
-            keff = _count_distinct_rows(sub)
-            if keff < 2:
-                node.indivisible = True
-                continue
-            assign = kmeans(sub, keff, seed=seed * 100003 + nid)
         for c in range(keff):
             mem = members[assign == c]
             child = TreeNode(
@@ -302,14 +293,14 @@ def build_index_tree(points: np.ndarray, k: int = 4, seed: int = 0) -> IndexTree
             nodes.append(child)
             node.children.append(child.id)
             queue.append(child.id)
-    return IndexTree(nodes=nodes, k=k)
+    return IndexTree(nodes=nodes)
 
 
-def clustering_points(proposals: ProposalSet, height: int, width: int) -> np.ndarray:
+def clustering_points(centres: np.ndarray, height: int, width: int) -> np.ndarray:
     """Per-proposal clustering vector [row/height, col/width]: the
-    proposal centres scaled to the frame, over which detection builds its
-    clip's index tree."""
-    return proposals.coords / np.array([height, width], dtype=np.float64)
+    proposal centres (n, 2) scaled to the frame, over which detection
+    builds its clip's index tree."""
+    return centres / np.array([height, width], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -542,24 +533,23 @@ def _solve(data: np.ndarray, tree: IndexTree, params: LsmdParams) -> Decompositi
 # per-proposal activity scores
 # ---------------------------------------------------------------------------
 
-def motion_prior(proposals: ProposalSet) -> np.ndarray:
-    """Mean intensity per proposal patch, max-normalized to [0, 1].
+def motion_prior(patches: np.ndarray) -> np.ndarray:
+    """Mean intensity per proposal patch of ``patches`` (n, p, p),
+    max-normalized to [0, 1].
 
     An all-zero prior maps to uniform 1 so it never suppresses scores.
     """
-    means = proposals.patches.mean(axis=(1, 2))
+    means = patches.mean(axis=(1, 2))
     top = means.max() if means.size else 0.0
     if top <= 0.0:
         return np.ones_like(means)
     return means / top
 
 
-def activity_scores(
-    S: np.ndarray, proposals: ProposalSet, prior: np.ndarray
-) -> np.ndarray:
+def activity_scores(S: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """score_j = prior_j * ||S column j||_2."""
     S = np.asarray(S, dtype=np.float64)
     prior = np.asarray(prior, dtype=np.float64)
-    if S.shape[1] != len(proposals) or prior.shape != (S.shape[1],):
-        raise InputError(f"S {S.shape}, proposals {len(proposals)}, prior {prior.shape}")
+    if prior.shape != (S.shape[1],):
+        raise InputError(f"S {S.shape}, prior {prior.shape}")
     return prior * np.linalg.norm(S, axis=0)

@@ -210,7 +210,7 @@ def make_template_set(
     """Initial template set: m copies of the first-frame patch plus ring
     negatives around the initial state."""
     cfg = config or TrackerConfig()
-    first = warp_patch(frame, state, CANONICAL_SIZE, CANONICAL_SIZE)
+    first = warp_patch(frame, state)
     holistic = [first.copy() for _ in range(cfg.n_templates)]
     negatives = _ring_negatives(frame, state, cfg)
     return TemplateSet(
@@ -230,7 +230,7 @@ def _ring_negatives(frame: Frame, state: AffineState, cfg: TrackerConfig) -> lis
         if not (math.isfinite(l_x) and math.isfinite(l_y)):
             raise InputError(f"ring negative centre overflows: radius {radius} at scale s={state.s}")
         shifted = replace(state, l_x=l_x, l_y=l_y)
-        negs.append(warp_patch(frame, shifted, CANONICAL_SIZE, CANONICAL_SIZE))
+        negs.append(warp_patch(frame, shifted))
     return negs
 
 
@@ -389,7 +389,7 @@ def score_particles(
     """
     parts = []
     for lo in range(0, len(states), _WARP_CHUNK):
-        patches = warp_patches(frame, states[lo : lo + _WARP_CHUNK], CANONICAL_SIZE, CANONICAL_SIZE)
+        patches = warp_patches(frame, states[lo : lo + _WARP_CHUNK])
         parts.append(_holistic_coefficients(patches, templates) + _block_coefficients(patches, templates))
     *holistic, c_blk, solve = [np.concatenate(part) for part in zip(*parts)]
     del parts  # the per-chunk copies are not needed during the solves
@@ -491,7 +491,7 @@ def track_sequence(
         states, priors = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
         scores = score_particles(frame, states, templates, cfg)
         result = map_estimate(states, priors, scores, prev, t)
-        patch = warp_patch(frame, result.state, CANONICAL_SIZE, CANONICAL_SIZE) if _gates_open(result, cfg) else None
+        patch = warp_patch(frame, result.state) if _gates_open(result, cfg) else None
         templates = update_templates(templates, result, patch, frame, cfg)
         prev = result.state
         results.append(result)

@@ -582,10 +582,10 @@ def reference_particle_scores(frame, states, templates, cfg):
     Returns a dict of likelihood (N,), occluded (N, P),
     holistic_residuals (N, 2) and block_residuals (N, P).
     """
-    from motion_lsmd.ingest import CANONICAL_SIZE, unit_columns, warp_patch
+    from motion_lsmd.ingest import unit_columns, warp_patch
     from motion_lsmd.tracker import _LOCAL_LAMBDA, BLOCK, AffineState
 
-    lam, size = cfg.lambda1, CANONICAL_SIZE
+    lam = cfg.lambda1
     n = len(states)
     b = BLOCK
     local_dict = reference_local_dict(templates.holistic)
@@ -602,7 +602,7 @@ def reference_particle_scores(frame, states, templates, cfg):
         for patches in (templates.holistic, templates.negatives)
     ]
     for i in range(n):
-        cand = warp_patch(frame, AffineState.from_array(states[i]), size, size)
+        cand = warp_patch(frame, AffineState.from_array(states[i]))
 
         v = cand.reshape(-1)
         nrm = np.linalg.norm(v)
@@ -729,11 +729,11 @@ def reference_frame_energy(seq, t, cfg) -> float:
     from motion_lsmd.ingest import extract_proposals, feature_matrix, frame_difference
     from motion_lsmd.lsmd import activity_scores, build_index_tree, clustering_points, decompose, motion_prior
 
-    frame = frame_difference(seq.frames[t - 1], seq.frames[t])
-    proposals = extract_proposals(frame, cfg.patch_size, cfg.stride)
-    data = feature_matrix(proposals)
-    h, w = frame.shape
-    tree = build_index_tree(clustering_points(proposals, h, w), k=cfg.tree_k, seed=cfg.seed)
+    diff = frame_difference(seq.frames[t - 1], seq.frames[t])
+    patches, centres = extract_proposals(diff, cfg.patch_size, cfg.stride)
+    data = feature_matrix(patches)
+    h, w = diff.shape
+    tree = build_index_tree(clustering_points(centres, h, w), k=cfg.tree_k, seed=cfg.seed)
     dec = decompose(data, tree, cfg.lsmd)
-    scores = activity_scores(dec.S, proposals, motion_prior(proposals))
+    scores = activity_scores(dec.S, motion_prior(patches))
     return frame_activity_energy(scores)

@@ -151,7 +151,7 @@ def test_criterion_5_index_tree_invariants():
             n = 1 + seed % 53
             pts = rng.random((n, 3)) * 10
             tree = build_index_tree(pts, k=4, seed=seed)
-            check_tree_invariants(tree, n)
+            check_tree_invariants(tree, n, 4)
             assert all(len(nd.children) <= 4 for nd in tree.nodes)
             # stop rule: internal nodes had >= k members and >= 2 distinct points
             for nd in tree.nodes:

@@ -8,13 +8,13 @@ from motion_lsmd import errors
 from motion_lsmd.detector import SynthSpec, synth_sequence
 from motion_lsmd.ingest import (
     Frame,
-    ProposalSet,
     extract_proposals,
     feature_matrix,
     frame_difference,
     load_frame_sequence,
     read_pgm,
     warp_patch,
+    warp_patches,
     warp_sample_grids,
     write_pgm,
 )
@@ -135,8 +135,7 @@ class TestFrameDifference:
     def test_identical_frames_zero(self):
         f = make_frame(np.random.default_rng(0).random((8, 8)))
         diff = frame_difference(f, make_frame(f.pixels.copy(), 1))
-        assert np.all(diff.pixels == 0.0)
-        assert diff.index == 1
+        assert diff.shape == (8, 8) and np.all(diff == 0.0)
 
     def test_elementwise_values(self):
         # the 2x2 reference values embedded in the top-left of an 8x8 frame
@@ -145,8 +144,8 @@ class TestFrameDifference:
         prev[:2, :2] = [[0.0, 0.5], [1.0, 0.0]]
         cur[:2, :2] = [[0.25, 0.5], [0.0, 1.0]]
         diff = frame_difference(make_frame(prev), make_frame(cur, 1))
-        assert np.allclose(diff.pixels[:2, :2], [[0.25, 0.0], [1.0, 1.0]])
-        assert np.all(diff.pixels[2:, :] == 0.0)
+        assert np.allclose(diff[:2, :2], [[0.25, 0.0], [1.0, 1.0]])
+        assert np.all(diff[2:, :] == 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.InputError, match=r"\(8, 8\) vs \(8, 10\)"):
@@ -167,8 +166,8 @@ class TestFrameDifference:
     def test_symmetric_and_bounded(self, a, b):
         d1 = frame_difference(make_frame(a), make_frame(b, 1))
         d2 = frame_difference(make_frame(b), make_frame(a, 1))
-        assert np.array_equal(d1.pixels, d2.pixels)
-        assert d1.pixels.min() >= 0.0 and d1.pixels.max() <= 1.0
+        assert np.array_equal(d1, d2)
+        assert d1.min() >= 0.0 and d1.max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +179,13 @@ class TestWarpPatch:
         rng = np.random.default_rng(1)
         frame = make_frame(rng.random((64, 64)))
         state = AffineState(l_x=30.0, l_y=26.0)  # region rows 10..41, cols 14..45
-        patch = warp_patch(frame, state, 32, 32)
+        patch = warp_patch(frame, state)
         assert np.allclose(patch, frame.pixels[10:42, 14:46], atol=1e-12)
 
     def test_fully_outside_is_zero(self):
         frame = make_frame(np.ones((32, 32)))
         state = AffineState(l_x=500.0, l_y=500.0)
-        assert np.all(warp_patch(frame, state, 32, 32) == 0.0)
+        assert np.all(warp_patch(frame, state) == 0.0)
 
     def test_quarter_turn_on_symmetric_pattern(self):
         # pattern value depends only on max(|dr|, |dc|) from the center, so
@@ -199,7 +198,7 @@ class TestWarpPatch:
         base = AffineState(l_x=float(center), l_y=float(center))
         rot = AffineState(l_x=float(center), l_y=float(center), theta=np.pi / 2)
         assert np.allclose(
-            warp_patch(frame, base, 32, 32), warp_patch(frame, rot, 32, 32), atol=1e-9
+            warp_patch(frame, base), warp_patch(frame, rot), atol=1e-9
         )
 
     def test_matches_enumeration_oracle(self):
@@ -214,15 +213,24 @@ class TestWarpPatch:
                 alpha=float(rng.uniform(0.5, 2.0)),
                 phi=float(rng.uniform(-0.5, 0.5)),
             )
-            out_h, out_w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
-            got = warp_patch(frame, state, out_h, out_w)
-            want = warp_reference(frame.pixels, state, out_h, out_w)
+            got = warp_patch(frame, state)
+            want = warp_reference(frame.pixels, state, 32, 32)
             assert np.allclose(got, want, atol=1e-9)
 
+    def test_batch_equals_single_warps(self):
+        rng = np.random.default_rng(9)
+        frame = make_frame(rng.random((48, 56)))
+        states = [AffineState(l_x=float(x), l_y=float(y), theta=float(t), s=float(s))
+                  for x, y, t, s in zip(rng.uniform(0, 56, 5), rng.uniform(0, 48, 5),
+                                        rng.uniform(-1, 1, 5), rng.uniform(0.5, 1.5, 5))]
+        batch = warp_patches(frame, np.stack([state.as_array() for state in states]))
+        assert batch.shape == (5, 32, 32)
+        for got, state in zip(batch, states):
+            assert got.tobytes() == warp_patch(frame, state).tobytes()
+
     @pytest.mark.parametrize("n", [1, 37])
-    @pytest.mark.parametrize("out_h, out_w", [(32, 32), (8, 24), (1, 1)])
-    def test_sample_grids_bit_equal_to_meshgrid_reference(self, n, out_h, out_w):
-        rng = np.random.default_rng(1000 * n + 10 * out_h + out_w)
+    def test_sample_grids_bit_equal_to_meshgrid_reference(self, n):
+        rng = np.random.default_rng(1000 * n + 352)
         states = np.column_stack([
             rng.uniform(-50.0, 200.0, n),  # l_x
             rng.uniform(-50.0, 100.0, n),  # l_y
@@ -231,10 +239,10 @@ class TestWarpPatch:
             rng.uniform(0.3, 3.0, n),  # alpha
             rng.uniform(-1.0, 1.0, n),  # phi
         ])
-        got = warp_sample_grids(states, out_h, out_w)
-        want = reference_warp_sample_grids(states, out_h, out_w)
+        got = warp_sample_grids(states)
+        want = reference_warp_sample_grids(states, 32, 32)
         for g, r in zip(got, want):
-            assert g.shape == r.shape == (n, out_h, out_w)
+            assert g.shape == r.shape == (n, 32, 32)
             assert g.tobytes() == r.tobytes()
 
     def test_non_positive_scale(self):
@@ -242,13 +250,13 @@ class TestWarpPatch:
         state = AffineState(l_x=8, l_y=8)
         state.s = 0.0  # bypass constructor validation to hit the op check
         with pytest.raises(errors.InputError, match="s=0.0, alpha="):
-            warp_patch(frame, state, 8, 8)
+            warp_patch(frame, state)
 
     def test_overflowing_warp_rejected(self):
         # s * alpha overflows to inf, and inf * 0 on the grid's centre row is nan
         state = AffineState(l_x=8, l_y=8, s=1e200, alpha=1e200)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(errors.InputError, match="affine warp overflows"):
-            warp_patch(make_frame(np.zeros((16, 16))), state, 8, 8)
+            warp_patch(make_frame(np.zeros((16, 16))), state)
 
 
 # ---------------------------------------------------------------------------
@@ -257,34 +265,32 @@ class TestWarpPatch:
 
 class TestExtractProposals:
     def test_four_proposals_on_64(self):
-        frame = make_frame(np.zeros((64, 64)))
-        props = extract_proposals(frame, 32, 32)
-        assert props.coords.tolist() == [[16, 16], [16, 48], [48, 16], [48, 48]]
+        _patches, centres = extract_proposals(np.zeros((64, 64)), 32, 32)
+        assert centres.tolist() == [[16, 16], [16, 48], [48, 16], [48, 48]]
 
     def test_single_placement(self):
-        frame = make_frame(np.zeros((32, 32)))
-        assert len(extract_proposals(frame, 32, 8)) == 1
+        patches, centres = extract_proposals(np.zeros((32, 32)), 32, 8)
+        assert len(patches) == len(centres) == 1
 
     def test_grid_arithmetic(self):
-        frame = make_frame(np.zeros((64, 48)))
-        props = extract_proposals(frame, 16, 16)
-        assert len(props) == 12
-        assert props.patches.shape == (12, 16, 16)
+        patches, centres = extract_proposals(np.zeros((64, 48)), 16, 16)
+        assert patches.shape == (12, 16, 16)
+        assert centres.shape == (12, 2)
 
     def test_patch_too_large(self):
         with pytest.raises(errors.InputError, match="exceeds frame"):
-            extract_proposals(make_frame(np.zeros((16, 16))), 17, 1)
+            extract_proposals(np.zeros((16, 16)), 17, 1)
 
     def test_footprints_inside_frame_and_cover_grid(self):
         rng = np.random.default_rng(3)
-        frame = make_frame(rng.random((40, 56)))
-        props = extract_proposals(frame, 8, 4)
-        covered = np.zeros(frame.shape, dtype=bool)
-        for (r, c), patch in zip(props.coords, props.patches):
+        pixels = rng.random((40, 56))
+        patches, centres = extract_proposals(pixels, 8, 4)
+        covered = np.zeros(pixels.shape, dtype=bool)
+        for (r, c), patch in zip(centres, patches):
             assert patch.shape == (8, 8)
             top, left = r - 4, c - 4
             assert 0 <= top and top + 8 <= 40 and 0 <= left and left + 8 <= 56
-            assert np.array_equal(patch, frame.pixels[top : top + 8, left : left + 8])
+            assert np.array_equal(patch, pixels[top : top + 8, left : left + 8])
             covered[top : top + 8, left : left + 8] = True
         # every pixel reachable by the stride grid is covered
         assert covered[: 40 - (40 - 8) % 4, : 56 - (56 - 8) % 4].all()
@@ -292,49 +298,43 @@ class TestExtractProposals:
 
 class TestFeatureMatrix:
     def test_zero_patch_stays_zero(self):
-        props = ProposalSet(patches=[np.zeros((4, 4))], coords=[(2, 2)])
-        fm = feature_matrix(props)
+        fm = feature_matrix(np.zeros((1, 4, 4)))
         assert np.all(fm == 0.0)
 
     def test_constant_patch_normalization(self):
-        props = ProposalSet(patches=[np.full((2, 2), 0.7)], coords=[(1, 1)])
-        fm = feature_matrix(props)
+        fm = feature_matrix(np.full((1, 2, 2), 0.7))
         assert np.allclose(fm[:, 0], 0.5)
 
     def test_unit_norms_random(self):
         rng = np.random.default_rng(11)
-        frame = make_frame(rng.random((32, 32)))
-        fm = feature_matrix(extract_proposals(frame, 8, 8))
+        patches, _centres = extract_proposals(rng.random((32, 32)), 8, 8)
+        fm = feature_matrix(patches)
         assert np.allclose(np.linalg.norm(fm, axis=0), 1.0, atol=1e-9)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        patches = [rng.random((4, 4)) for _ in range(6)]
-        coords = [(2, 2 + i) for i in range(6)]
-        fm = feature_matrix(ProposalSet(patches=patches, coords=coords))
+        patches = rng.random((6, 4, 4))
+        fm = feature_matrix(patches)
         perm = rng.permutation(6)
-        fm_p = feature_matrix(
-            ProposalSet(patches=[patches[i] for i in perm], coords=[coords[i] for i in perm])
-        )
-        assert np.allclose(fm_p, fm[:, perm])
+        assert np.allclose(feature_matrix(patches[perm]), fm[:, perm])
 
     def test_empty_proposals(self):
         with pytest.raises(errors.InputError, match="no proposals to featurize"):
-            feature_matrix(ProposalSet(patches=[], coords=[]))
+            feature_matrix(np.zeros((0, 4, 4)))
 
 
 class TestListReference:
     """The stacked proposals, feature matrix and motion prior against the
     one-patch-at-a-time code, compared byte for byte."""
 
-    def assert_same(self, frame, patch_size, stride):
-        props = extract_proposals(frame, patch_size, stride)
-        patches, coords = reference_extract_proposals(frame.pixels, patch_size, stride)
+    def assert_same(self, pixels, patch_size, stride):
+        patches, centres = extract_proposals(pixels, patch_size, stride)
+        ref_patches, ref_centres = reference_extract_proposals(pixels, patch_size, stride)
         for got, want in (
-            (props.patches, np.stack(patches)),
-            (props.coords, np.array(coords, dtype=np.int64)),
-            (feature_matrix(props), reference_feature_matrix(patches)),
-            (motion_prior(props), reference_motion_prior(patches)),
+            (patches, np.stack(ref_patches)),
+            (centres, np.array(ref_centres, dtype=np.int64)),
+            (feature_matrix(patches), reference_feature_matrix(ref_patches)),
+            (motion_prior(patches), reference_motion_prior(ref_patches)),
         ):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -342,11 +342,11 @@ class TestListReference:
         seq, _ = synth_sequence(
             SynthSpec(64, 64, 100, [(10, 25, "burst"), (55, 70, "swap")]), seed=7
         )
-        self.assert_same(seq.frames[0], 16, 8)
+        self.assert_same(seq.frames[0].pixels, 16, 8)
         for prev, cur in zip(seq.frames, seq.frames[1:]):
-            self.assert_same(cur, 16, 8)
+            self.assert_same(cur.pixels, 16, 8)
             self.assert_same(frame_difference(prev, cur), 16, 8)
 
     def test_small_patches_uneven_grid(self):
         rng = np.random.default_rng(3)
-        self.assert_same(make_frame(rng.random((40, 56))), 8, 4)
+        self.assert_same(rng.random((40, 56)), 8, 4)

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import logging
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from motion_lsmd import errors, lsmd
 from motion_lsmd.detector import DetectorConfig, SynthSpec, frame_activity_energy, synth_sequence
-from motion_lsmd.ingest import Frame, ProposalSet, extract_proposals, feature_matrix, frame_difference
+from motion_lsmd.ingest import extract_proposals, feature_matrix, frame_difference
 from motion_lsmd.lsmd import (
     IndexTree,
     LsmdParams,
@@ -22,7 +21,6 @@ from motion_lsmd.lsmd import (
     decompose,
     kmeans,
     motion_prior,
-    nuclear_norm,
     prox_nuclear,
     prox_tree_norm,
     tree_norm,
@@ -45,18 +43,18 @@ from oracles import (
 )
 
 
-def check_tree_invariants(tree: IndexTree, n: int):
+def check_tree_invariants(tree: IndexTree, n: int, k: int):
     root = tree.nodes[0]
     assert sorted(root.members.tolist()) == list(range(n))
     assert sum(1 for nd in tree.nodes if nd.parent is None) == 1
     for node in tree.nodes:
-        assert len(node.children) <= tree.k
+        assert len(node.children) <= k
         if node.children:
             child_members = np.concatenate([tree.nodes[c].members for c in node.children])
             assert sorted(child_members.tolist()) == sorted(node.members.tolist())
             assert len(set(child_members.tolist())) == len(child_members)
         else:
-            assert len(node.members) < tree.k or node.indivisible
+            assert len(node.members) < k or node.indivisible
 
 
 def points_with(bad):
@@ -82,12 +80,16 @@ class TestKmeans:
         _sse, best = optimal_sse_partition(pts, 2)
         assert partition_of(assign) == best
 
-    def test_identical_points_indivisible(self):
-        assert kmeans(np.ones((5, 3)), 4, seed=0) is None
-
     def test_k_exceeding_distinct_points(self):
+        # k-means only partitions: with fewer distinct points than k it
+        # still fills every cluster
         pts = np.array([[0.0], [0.0], [1.0]])
-        assert kmeans(pts, 3, seed=0) is None
+        assert sorted(kmeans(pts, 3, seed=0).tolist()) == [0, 1, 2]
+        assert set(kmeans(np.ones((5, 3)), 4, seed=0).tolist()) == {0, 1, 2, 3}
+
+    def test_k_exceeding_points_rejected(self):
+        with pytest.raises(ValueError, match="2 <= k <= n"):
+            kmeans(np.array([[0.0], [0.0], [1.0]]), 4, seed=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -104,7 +106,7 @@ class TestKmeans:
             assert set(assign.tolist()) == {0, 1, 2, 3}
 
     def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 <= k <= n"):
             kmeans(np.zeros((3, 2)), 1, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -163,7 +165,7 @@ class TestBuildIndexTree:
         for seed in range(100):
             n = 1 + seed % 37
             tree, _ = random_tree(seed, n=n)
-            check_tree_invariants(tree, n)
+            check_tree_invariants(tree, n, 4)
 
     def test_determinism(self):
         tree1, pts = random_tree(3, n=25)
@@ -172,18 +174,13 @@ class TestBuildIndexTree:
             assert a.id == b.id and a.parent == b.parent
             assert np.array_equal(a.members, b.members)
 
-    def test_depth_bound_logged_not_failed(self, caplog):
-        # sanity bound: depth <= ceil(log4 n) + 2 for general-position points
+    def test_depth_bound(self):
+        # depth <= ceil(log4 n) + 2 for general-position points
         for seed in range(20):
             n = 20 + seed
             tree, _ = random_tree(seed, n=n)
             bound = int(np.ceil(np.log(n) / np.log(4))) + 2
-            depth = max(nd.depth for nd in tree.nodes)
-            if depth > bound:
-                logging.getLogger("motion_lsmd.tests").warning(
-                    "tree depth %d exceeds sanity bound %d for n=%d",
-                    depth, bound, n,
-                )
+            assert max(nd.depth for nd in tree.nodes) <= bound
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -194,11 +191,24 @@ class TestBuildIndexTree:
         pts = np.zeros((17, 2))
         tree = build_index_tree(pts, k=4, seed=0)
         assert tree.nodes[0].indivisible
-        check_tree_invariants(tree, 17)
+        check_tree_invariants(tree, 17, 4)
+
+    def test_identical_points_indivisible(self):
+        tree = build_index_tree(np.ones((5, 3)), k=4, seed=0)
+        assert len(tree.nodes) == 1 and tree.nodes[0].indivisible
+
+    def test_fewer_distinct_points_than_k_split_into_that_many(self):
+        # 3 distinct rows under k = 4: three children, one per row
+        pts = np.array([[0.0], [-0.0], [1.0], [2.0], [1.0]])
+        tree = build_index_tree(pts, k=4, seed=0)
+        root = tree.nodes[0]
+        assert not root.indivisible and len(root.children) == 3
+        groups = {frozenset(tree.nodes[c].members.tolist()) for c in root.children}
+        assert groups == {frozenset({0, 1}), frozenset({2, 4}), frozenset({3})}
+        check_tree_invariants(tree, 5, 4)
 
     def test_clustering_points_layout(self):
-        props = ProposalSet(patches=np.zeros((3, 1, 3)), coords=[(0, 0), (5, 10), (10, 20)])
-        pts = clustering_points(props, height=10, width=20)
+        pts = clustering_points(np.array([(0, 0), (5, 10), (10, 20)]), height=10, width=20)
         assert pts.shape == (3, 2)
         assert np.array_equal(pts, [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
 
@@ -249,8 +259,8 @@ class TestTreeIdentity:
         for (h, w), patch_size, stride, seed in (((64, 64), 16, 8, 0), ((64, 64), 16, 8, 3),
                                                   ((48, 48), 16, 8, 1), ((64, 160), 16, 8, 0),
                                                   ((64, 64), 8, 4, 2)):
-            props = extract_proposals(Frame(np.zeros((h, w)), 1), patch_size, stride)
-            pts = clustering_points(props, h, w)
+            _patches, centres = extract_proposals(np.zeros((h, w)), patch_size, stride)
+            pts = clustering_points(centres, h, w)
             assert_same_tree(build_index_tree(pts, 4, seed), reference_index_tree(pts, 4, seed))
 
     def test_decompose_style_trees(self):
@@ -274,10 +284,11 @@ class TestTreeIdentity:
         cases += [rng.random(25)]  # 1-D points
         for i, pts in enumerate(cases):
             for k in (2, 3, 4, 5):
-                got, want = kmeans(pts, k, seed=i), reference_kmeans(pts, k, seed=i)
-                assert (got is None) == (want is None)
+                # the reference answers None when k exceeds the distinct
+                # points, a split the tree builder never asks kmeans for
+                want = reference_kmeans(pts, k, seed=i)
                 if want is not None:
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(kmeans(pts, k, seed=i), want)
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +622,9 @@ def detection_frame_instance(feature_tree=False):
     seq, _truth = synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)
     t = 8
     diff = frame_difference(seq.frames[t - 1], seq.frames[t])
-    props = extract_proposals(diff, cfg.patch_size, cfg.stride)
-    data = feature_matrix(props)
-    points = clustering_points(props, *seq.shape)
+    patches, centres = extract_proposals(diff, cfg.patch_size, cfg.stride)
+    data = feature_matrix(patches)
+    points = clustering_points(centres, *seq.shape)
     if feature_tree:
         tree = build_index_tree(np.hstack([points, data.T]), cfg.tree_k, cfg.seed * 7919 + t)
     else:
@@ -632,15 +643,15 @@ class TestDecompose:
     def test_zero_features_decompose_to_exact_zeros_under_any_tree(self, k):
         # why detection may score a frame pair without motion as +0.0
         # without building its tree: the tree never reaches the result
-        proposals = extract_proposals(Frame(np.zeros((64, 64)), 1), 16, 8)
+        patches, _centres = extract_proposals(np.zeros((64, 64)), 16, 8)
         F = np.zeros((256, 49))
-        assert np.array_equal(feature_matrix(proposals), F)
+        assert np.array_equal(feature_matrix(patches), F)
         for seed in range(3):
             points = np.random.default_rng(100 * k + seed).standard_normal((49, 2 + 256))
             dec = decompose(F, build_index_tree(points, k=k, seed=seed))
             assert dec.L.tobytes() == F.tobytes() and dec.S.tobytes() == F.tobytes()
             assert dec.converged and dec.iterations == 1
-            energy = frame_activity_energy(activity_scores(dec.S, proposals, motion_prior(proposals)))
+            energy = frame_activity_energy(activity_scores(dec.S, motion_prior(patches)))
             assert energy.hex() == (0.0).hex()
 
     def test_zero_columns_come_out_as_positive_zeros(self):
@@ -794,46 +805,34 @@ class TestDecompose:
 # activity scores
 # ---------------------------------------------------------------------------
 
-def make_proposals(patches):
-    return ProposalSet(patches=patches, coords=[(1, 1 + i) for i in range(len(patches))])
-
-
 class TestActivityScores:
     def test_zero_sparse_part(self):
-        props = make_proposals([np.ones((2, 2))] * 3)
-        scores = activity_scores(np.zeros((4, 3)), props, np.ones(3))
+        scores = activity_scores(np.zeros((4, 3)), np.ones(3))
         assert np.all(scores == 0.0)
 
     def test_single_nonzero_column_wins(self):
-        props = make_proposals([np.ones((2, 2))] * 4)
         S = np.zeros((4, 4))
         S[:, 2] = 1.0
-        scores = activity_scores(S, props, np.ones(4))
+        scores = activity_scores(S, np.ones(4))
         assert np.argmax(scores) == 2
         assert np.sum(scores > 0) == 1
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(17)
-        patches = [rng.random((2, 2)) for _ in range(5)]
         S = rng.standard_normal((4, 5))
         prior = rng.random(5)
-        base = activity_scores(S, make_proposals(patches), prior)
+        base = activity_scores(S, prior)
         perm = rng.permutation(5)
-        shuffled = activity_scores(
-            S[:, perm], make_proposals([patches[i] for i in perm]), prior[perm]
-        )
+        shuffled = activity_scores(S[:, perm], prior[perm])
         assert np.allclose(shuffled, base[perm])
 
     def test_shape_mismatch(self):
-        props = make_proposals([np.ones((2, 2))] * 3)
-        with pytest.raises(errors.InputError, match="proposals 3, prior"):
-            activity_scores(np.zeros((4, 2)), props, np.ones(3))
+        with pytest.raises(errors.InputError, match=r"S \(4, 2\), prior \(3,\)"):
+            activity_scores(np.zeros((4, 2)), np.ones(3))
 
     def test_motion_prior_max_normalized(self):
-        props = make_proposals([np.full((2, 2), 0.2), np.full((2, 2), 0.8)])
-        prior = motion_prior(props)
+        prior = motion_prior(np.stack([np.full((2, 2), 0.2), np.full((2, 2), 0.8)]))
         assert np.allclose(prior, [0.25, 1.0])
 
     def test_motion_prior_all_zero_uniform(self):
-        props = make_proposals([np.zeros((2, 2))] * 3)
-        assert np.array_equal(motion_prior(props), np.ones(3))
+        assert np.array_equal(motion_prior(np.zeros((3, 2, 2))), np.ones(3))

@@ -1,5 +1,6 @@
 """The package's modules import one another without a cycle, so each of
-them can be the first one a program imports."""
+them can be the first one a program imports, and the solver layer
+imports nothing above it."""
 
 import ast
 import os
@@ -66,6 +67,12 @@ def test_import_graph_has_no_cycle():
     assert graph["ingest"] and graph["cli"]  # the reader sees the imports
     cycle = find_cycle(graph)
     assert cycle is None, " -> ".join(cycle)
+
+
+def test_lsmd_imports_only_errors():
+    # the decomposition takes plain arrays, so it needs no frame or
+    # proposal type from ingest
+    assert import_graph()["lsmd"] == {"errors"}
 
 
 def test_find_cycle_reports_a_cycle():

@@ -410,7 +410,7 @@ class TestBatchedScoring:
             assert (got.block_steps < _LOCAL_MAX_ITER).all()
             assert np.argmax(got.likelihood * priors) == np.argmax(want["likelihood"] * priors)
 
-            rows, cols = warp_sample_grids(states, 32, 32)
+            rows, cols = warp_sample_grids(states)
             seen["outside"] += int(((rows < 0) | (cols < 0) | (rows > h - 1) | (cols > w - 1)).any(axis=(1, 2)).sum())
             empty = got.block_steps == 0
             seen["blacked_out"] += int((empty & templates.local_has_content).sum())
@@ -418,7 +418,7 @@ class TestBatchedScoring:
             seen["iterated"] += int((got.block_steps > 2).sum())
 
             result = map_estimate(states, priors, got, prev, t)
-            patch = warp_patch(obs, result.state, 32, 32)
+            patch = warp_patch(obs, result.state)
             updated = update_templates(templates, result, patch, obs, cfg)
             seen["updated"] += updated is not templates
             templates, prev = updated, result.state
