@@ -88,8 +88,8 @@ def _parse_init(text: str) -> AffineState:
 
 def _cmd_detect(args) -> int:
     cfg = parse_config(args.config, args.overrides, verbose=args.verbose)
-    seq = load_frame_sequence(args.frames)
-    scores, events = run_detection(seq, cfg.detector_config())
+    frames = load_frame_sequence(args.frames)
+    scores, events = run_detection(frames, cfg.detector_config())
     fileio.write_scores_csv(args.out, scores)
     fileio.write_events_csv(args.events, events)
     return 0
@@ -97,8 +97,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_track(args) -> int:
     cfg = parse_config(args.config, args.overrides, verbose=args.verbose)
-    seq = load_frame_sequence(args.frames)
-    results = track_sequence(seq, _parse_init(args.init), cfg.tracker_config())
+    frames = load_frame_sequence(args.frames)
+    results = track_sequence(frames, _parse_init(args.init), cfg.tracker_config())
     fileio.write_track_csv(args.out, results)
     return 0
 
@@ -150,11 +150,11 @@ def _parse_synth_spec(path: str | Path) -> SynthSpec:
 
 def _cmd_synth(args) -> int:
     spec = _parse_synth_spec(args.spec)
-    seq, truth = synth_sequence(spec, seed=args.seed)
+    frames, _truth = synth_sequence(spec, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for frame in seq.frames:
-        write_pgm(out / f"{frame.index:04d}.pgm", frame.pixels)
+    for t, pixels in enumerate(frames):
+        write_pgm(out / f"{t:04d}.pgm", pixels)
     fileio.write_truth_csv(out / "truth.csv", sorted(spec.events))
     return 0
 

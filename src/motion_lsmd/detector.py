@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ingest import Frame, FrameSequence, extract_proposals, feature_matrix, frame_difference
+from .ingest import check_clip, extract_proposals, feature_matrix, frame_difference
 from .lsmd import (
     LsmdParams,
     activity_scores,
@@ -112,10 +112,10 @@ def detect_events(
             if sc.lsmd_energy >= tau_off:
                 peak = max(peak, sc.lsmd_energy)
             else:
-                if sc.frame - 1 - open_start + 1 >= min_len:
+                if sc.frame - open_start >= min_len:
                     events.append(EventInterval(open_start, sc.frame - 1, peak))
                 open_start = None
-    if open_start is not None and scores:
+    if open_start is not None:
         last = scores[-1].frame
         if last - open_start + 1 >= min_len:
             events.append(EventInterval(open_start, last, peak))
@@ -135,7 +135,10 @@ def _overlap(a: EventInterval, b: EventInterval) -> int:
 def match_events(detected: list[EventInterval], truth: list[EventInterval]) -> int:
     """Greedy one-to-one matching in time order. A truth event counts as
     correct when an unmatched detection overlaps it by at least 50% of
-    the shorter interval."""
+    the shorter interval, the paper's rule. Under it one detection over a
+    whole clip matches any one truth event, so the rule sees no false
+    alarm or over-long detection; change it only deliberately, since every
+    report's accuracy rests on it."""
     _check_sorted(detected, "detected")
     _check_sorted(truth, "truth")
     used = [False] * len(detected)
@@ -197,7 +200,7 @@ def _render(bg: np.ndarray, centers: np.ndarray, amps: np.ndarray, sigma: float)
     return np.rint(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
 
 
-def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[EventInterval]]:
+def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[list[np.ndarray], list[EventInterval]]:
     """Two Gaussian blobs over static noise, as seen by a stationary
     camera: a frame outside every event is byte-equal to the one before
     it; inside events blobs move 4-8 px/frame (burst: one blob oscillates;
@@ -240,7 +243,7 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
     swap_anchor: dict[tuple[int, int], np.ndarray] = {}
     frames = []
     for t in range(spec.n_frames):
-        frames.append(Frame(pixels=_render(bg, pos, amps, sigma), index=t))
+        frames.append(_render(bg, pos, amps, sigma))
         if t + 1 >= spec.n_frames:
             break
         ev = active.get(t + 1)
@@ -271,7 +274,7 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
         pos[:, 1] = np.clip(pos[:, 1], 2.0, spec.w - 3.0)
 
     truth = [EventInterval(s, e) for s, e, _k in ordered]
-    return FrameSequence(frames=frames), truth
+    return frames, truth
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +282,10 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[FrameSequence, list[
 # ---------------------------------------------------------------------------
 
 def run_detection(
-    seq: FrameSequence, config: DetectorConfig | None = None
+    frames: list[np.ndarray], config: DetectorConfig | None = None
 ) -> tuple[list[FrameScore], list[EventInterval]]:
-    """Score frames 1..T-1 and extract events by hysteresis.
+    """Score frames 1..T-1 of a clip (see ``check_clip``) and extract
+    events by hysteresis.
 
     One index tree over the proposal centres is built at the first frame
     pair with motion and reused by every later one; a clip without motion
@@ -290,16 +294,14 @@ def run_detection(
     Thresholds are interpreted in normalized-energy units (relative to
     the sequence maximum) unless config.normalize is off.
     """
+    frames = check_clip(frames)
     cfg = config or DetectorConfig()
-    if len(seq) < 2:
-        raise InputError("need at least two frames")
-
-    h, w = seq.shape
+    h, w = frames[0].shape
     tree = None
     scores: list[FrameScore] = []
-    for t in range(1, len(seq)):
+    for t in range(1, len(frames)):
         patches, centres = extract_proposals(
-            frame_difference(seq.frames[t - 1], seq.frames[t]), cfg.patch_size, cfg.stride
+            frame_difference(frames[t - 1], frames[t]), cfg.patch_size, cfg.stride
         )
         data = feature_matrix(patches)
         if not data.any():

@@ -1,12 +1,12 @@
-"""Frame loading, differencing, affine patch warps, proposal grids and
-feature-matrix assembly.
+"""Clip loading and checks, differencing, affine patch warps, proposal
+grids and feature-matrix assembly.
 
-All functions are pure; nothing here keeps mutable state.
+A clip is a list of 2-D float64 arrays with values in [0, 1], one per
+frame. All functions are pure; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,55 +26,25 @@ CANONICAL_SIZE = 32
 CANONICAL_HALF = CANONICAL_SIZE // 2
 
 
-@dataclass
-class Frame:
-    """One grayscale raster with intensities in [0, 1]."""
-
-    pixels: np.ndarray
-    index: int = 0
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 2:
-            raise ValueError("frame pixels must be a 2-D array")
-        h, w = self.pixels.shape
-        if h < 8 or w < 8:
-            raise InputError(f"frame must be at least 8x8, got {h}x{w}")
-        if self.index < 0:
-            raise ValueError("frame index must be non-negative")
-        if not np.all(np.isfinite(self.pixels)):
-            raise InputError("frame pixels must be finite")
-        lo, hi = float(self.pixels.min()), float(self.pixels.max())
+def check_clip(frames: list[np.ndarray]) -> list[np.ndarray]:
+    """The clip as a list of 2-D float64 arrays: at least two frames, all
+    of one shape of at least 8x8, with finite pixels, or an InputError.
+    Pixels outside [0, 1] raise ValueError."""
+    frames = [np.asarray(f, dtype=np.float64) for f in frames]
+    if len(frames) < 2:
+        raise InputError(f"need at least two frames, got {len(frames)}")
+    shape = frames[0].shape
+    if len(shape) != 2 or min(shape) < 8:
+        raise InputError(f"frames must be 2-D and at least 8x8, got shape {shape}")
+    for i, pixels in enumerate(frames):
+        if pixels.shape != shape:
+            raise InputError(f"frame {i} is {pixels.shape}, expected {shape}")
+        if not np.isfinite(pixels).all():
+            raise InputError(f"frame {i} pixels must be finite")
+        lo, hi = float(pixels.min()), float(pixels.max())
         if lo < 0.0 or hi > 1.0:
-            raise ValueError(f"pixel values outside [0,1]: min={lo}, max={hi}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pixels.shape
-
-
-@dataclass
-class FrameSequence:
-    """Ordered frames with consecutive indices starting at 0."""
-
-    frames: list[Frame]
-
-    def __post_init__(self):
-        if not self.frames:
-            raise ValueError("empty frame sequence")
-        shape = self.frames[0].shape
-        for i, f in enumerate(self.frames):
-            if f.index != i:
-                raise ValueError(f"frame {i} has index {f.index}")
-            if f.shape != shape:
-                raise InputError(f"frame {i} is {f.shape}, expected {shape}")
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.frames[0].shape
+            raise ValueError(f"frame {i} pixel values outside [0,1]: min={lo}, max={hi}")
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +127,9 @@ def _frame_paths(source: Path) -> list[Path]:
     return paths
 
 
-def load_frame_sequence(source: str | Path) -> FrameSequence:
-    """Load a sequence from a directory of PGM files or a manifest file."""
+def load_frame_sequence(source: str | Path) -> list[np.ndarray]:
+    """Load a clip, one array per frame, from a directory of PGM files or
+    a manifest file."""
     source = Path(source)
     if not source.exists():
         raise InputError(f"no such source: {source}")
@@ -166,28 +137,25 @@ def load_frame_sequence(source: str | Path) -> FrameSequence:
     if len(paths) < 2:
         raise InputError(f"{source}: found {len(paths)} frames, need >= 2")
     frames = []
-    shape = None
-    for i, p in enumerate(paths):
+    for p in paths:
         if not p.exists():
             raise InputError(f"manifest entry missing: {p}")
         pixels = read_pgm(p)
-        if shape is None:
-            shape = pixels.shape
-        elif pixels.shape != shape:
-            raise InputError(f"{p}: {pixels.shape} differs from first frame {shape}")
-        frames.append(Frame(pixels=pixels, index=i))
-    return FrameSequence(frames=frames)
+        if frames and pixels.shape != frames[0].shape:
+            raise InputError(f"{p}: {pixels.shape} differs from first frame {frames[0].shape}")
+        frames.append(pixels)
+    return frames
 
 
 # ---------------------------------------------------------------------------
 # frame differencing
 # ---------------------------------------------------------------------------
 
-def frame_difference(prev: Frame, cur: Frame) -> np.ndarray:
+def frame_difference(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """The difference image |cur - prev|, elementwise."""
     if prev.shape != cur.shape:
         raise InputError(f"{prev.shape} vs {cur.shape}")
-    return np.abs(cur.pixels - prev.pixels)
+    return np.abs(cur - prev)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +188,13 @@ def warp_sample_grids(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def warp_patch(frame: Frame, state: "AffineState") -> Patch:
+def warp_patch(frame: np.ndarray, state: "AffineState") -> Patch:
     """Bilinear sample of the affine-warped canonical patch; outside reads
     as 0."""
     return warp_patches(frame, state.as_array()[None])[0]
 
 
-def warp_patches(frame: Frame, states: np.ndarray) -> np.ndarray:
+def warp_patches(frame: np.ndarray, states: np.ndarray) -> np.ndarray:
     """``warp_patch`` of every row of ``states`` (n, 6), stacked to
     (n, 32, 32)."""
     bad = ~((states[:, 3] > 0) & (states[:, 4] > 0))
@@ -236,7 +204,7 @@ def warp_patches(frame: Frame, states: np.ndarray) -> np.ndarray:
     rows, cols = warp_sample_grids(states)
     if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
         raise InputError("affine warp overflows: sample coordinates are not finite")
-    return _kernels.bilinear_sample(frame.pixels, rows, cols)
+    return _kernels.bilinear_sample(frame, rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,8 @@ from . import _kernels
 from .errors import InputError
 from .ingest import (
     CANONICAL_SIZE,
-    Frame,
-    FrameSequence,
     Patch,
+    check_clip,
     unit_columns,
     warp_patch,
     warp_patches,
@@ -205,7 +204,7 @@ def build_local_dict(holistic: list[Patch]) -> np.ndarray:
 
 
 def make_template_set(
-    frame: Frame, state: AffineState, config: TrackerConfig | None = None
+    frame: np.ndarray, state: AffineState, config: TrackerConfig | None = None
 ) -> TemplateSet:
     """Initial template set: m copies of the first-frame patch plus ring
     negatives around the initial state."""
@@ -220,7 +219,7 @@ def make_template_set(
     )
 
 
-def _ring_negatives(frame: Frame, state: AffineState, cfg: TrackerConfig) -> list[Patch]:
+def _ring_negatives(frame: np.ndarray, state: AffineState, cfg: TrackerConfig) -> list[Patch]:
     """Patches at four centres ring_scale * 32 * s away from the state's."""
     radius = cfg.ring_scale * CANONICAL_SIZE * state.s
     negs = []
@@ -376,7 +375,7 @@ def generative_confidence(c_blk, solve, templates: TemplateSet, cfg: TrackerConf
 
 
 def score_particles(
-    frame: Frame, states: np.ndarray, templates: TemplateSet, cfg: TrackerConfig
+    frame: np.ndarray, states: np.ndarray, templates: TemplateSet, cfg: TrackerConfig
 ) -> ObservationScores:
     """Warp and score every particle state (N, 6) of a frame in batches.
 
@@ -448,7 +447,7 @@ def update_templates(
     templates: TemplateSet,
     result: TrackResult,
     result_patch: Patch | None,
-    frame: Frame,
+    frame: np.ndarray,
     config: TrackerConfig | None = None,
 ) -> TemplateSet:
     """Occlusion-gated replacement of the oldest non-anchor slot, with a
@@ -472,22 +471,21 @@ def update_templates(
 # ---------------------------------------------------------------------------
 
 def track_sequence(
-    seq: FrameSequence, init: AffineState, config: TrackerConfig | None = None
+    frames: list[np.ndarray], init: AffineState, config: TrackerConfig | None = None
 ) -> list[TrackResult]:
-    """Track from frame 1 onward; fully deterministic given config.seed."""
+    """Track a clip (see ``check_clip``) from frame 1 onward; fully
+    deterministic given config.seed."""
+    frames = check_clip(frames)
     cfg = config or TrackerConfig()
-    if len(seq) < 2:
-        raise InputError("need at least two frames to track")
-    h, w = seq.shape
+    h, w = frames[0].shape
     if not (0 <= init.l_x < w and 0 <= init.l_y < h):
         raise InputError(f"init center ({init.l_x}, {init.l_y}) outside {h}x{w}")
 
-    templates = make_template_set(seq.frames[0], init, cfg)
+    templates = make_template_set(frames[0], init, cfg)
 
     prev = init
     results: list[TrackResult] = []
-    for t in range(1, len(seq)):
-        frame = seq.frames[t]
+    for t, frame in enumerate(frames[1:], start=1):
         states, priors = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
         scores = score_particles(frame, states, templates, cfg)
         result = map_estimate(states, priors, scores, prev, t)

@@ -23,48 +23,47 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from motion_lsmd.detector import DetectorConfig, EventInterval, match_events, run_detection, synth_sequence
-from motion_lsmd.ingest import Frame, FrameSequence
 
 from test_acceptance import _event_spec
 
 
-def _remap(seq: FrameSequence, pixels) -> FrameSequence:
-    """seq with frame i's pixels replaced by pixels(i, frame pixels)."""
-    return FrameSequence([Frame(pixels(i, f.pixels), f.index) for i, f in enumerate(seq.frames)])
+def _remap(frames: list[np.ndarray], pixels) -> list[np.ndarray]:
+    """The clip with frame i replaced by pixels(i, frame i)."""
+    return [pixels(i, f) for i, f in enumerate(frames)]
 
 
 def noise(sigma: float):
     """Gaussian pixel noise of std sigma from default_rng(5000 + seed),
     drawn frame by frame, clipped to [0, 1]."""
 
-    def perturb(seq: FrameSequence, seed: int) -> FrameSequence:
+    def perturb(frames: list[np.ndarray], seed: int) -> list[np.ndarray]:
         rng = np.random.default_rng(5000 + seed)
-        return _remap(seq, lambda i, p: np.clip(p + rng.normal(0.0, sigma, p.shape), 0.0, 1.0))
+        return _remap(frames, lambda i, p: np.clip(p + rng.normal(0.0, sigma, p.shape), 0.0, 1.0))
 
     return perturb
 
 
-def gain_ramp(seq: FrameSequence, seed: int) -> FrameSequence:
+def gain_ramp(frames: list[np.ndarray], seed: int) -> list[np.ndarray]:
     """Frame i of n multiplied by 0.6 + 0.8 i / (n - 1), clipped to [0, 1]."""
-    n = len(seq)
-    return _remap(seq, lambda i, p: np.clip(p * (0.6 + 0.8 * i / (n - 1)), 0.0, 1.0))
+    n = len(frames)
+    return _remap(frames, lambda i, p: np.clip(p * (0.6 + 0.8 * i / (n - 1)), 0.0, 1.0))
 
 
-def jitter(seq: FrameSequence, seed: int) -> FrameSequence:
+def jitter(frames: list[np.ndarray], seed: int) -> list[np.ndarray]:
     """Frame i rolled by a (dy, dx) in {-1, 0, 1}^2, row i of
     default_rng(7000 + seed).integers(-1, 2, size=(n, 2))."""
-    shifts = np.random.default_rng(7000 + seed).integers(-1, 2, size=(len(seq), 2))
-    return _remap(seq, lambda i, p: np.roll(p, tuple(shifts[i]), axis=(0, 1)))
+    shifts = np.random.default_rng(7000 + seed).integers(-1, 2, size=(len(frames), 2))
+    return _remap(frames, lambda i, p: np.roll(p, tuple(shifts[i]), axis=(0, 1)))
 
 
-def clean(seq: FrameSequence, seed: int) -> FrameSequence:
-    return seq
+def clean(frames: list[np.ndarray], seed: int) -> list[np.ndarray]:
+    return frames
 
 
 @dataclass
 class Cell:
     name: str
-    perturb: object  # (FrameSequence, seed) -> FrameSequence
+    perturb: object  # (clip, seed) -> clip, a clip being a list of 2-D arrays
     seeds: range
 
 
@@ -103,8 +102,8 @@ def run_cell(cell: Cell, cfg: DetectorConfig | None = None) -> CellResult:
     """Detect on every perturbed clip of the cell and match against truth."""
     result = CellResult(correct=0, truth=0, events={})
     for seed in cell.seeds:
-        seq, truth = synth_sequence(_event_spec(seed), seed=seed)
-        _scores, events = run_detection(cell.perturb(seq, seed), cfg)
+        frames, truth = synth_sequence(_event_spec(seed), seed=seed)
+        _scores, events = run_detection(cell.perturb(frames, seed), cfg)
         result.correct += match_events(events, truth)
         result.truth += len(truth)
         result.events[seed] = events

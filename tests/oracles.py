@@ -721,7 +721,7 @@ def reference_decompose(data, tree, params):
 # detection: one frame's energy, always through the tree and LSMD
 # ---------------------------------------------------------------------------
 
-def reference_frame_energy(seq, t, cfg) -> float:
+def reference_frame_energy(frames, t, cfg) -> float:
     """``run_detection``'s energy for frame t without its shortcuts: every
     frame pair builds the clip tree over its own proposal centres (frames
     without motion included), decomposes and scores."""
@@ -729,7 +729,7 @@ def reference_frame_energy(seq, t, cfg) -> float:
     from motion_lsmd.ingest import extract_proposals, feature_matrix, frame_difference
     from motion_lsmd.lsmd import activity_scores, build_index_tree, clustering_points, decompose, motion_prior
 
-    diff = frame_difference(seq.frames[t - 1], seq.frames[t])
+    diff = frame_difference(frames[t - 1], frames[t])
     patches, centres = extract_proposals(diff, cfg.patch_size, cfg.stride)
     data = feature_matrix(patches)
     h, w = diff.shape

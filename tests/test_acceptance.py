@@ -28,7 +28,6 @@ from motion_lsmd.lsmd import (
     prox_tree_norm,
     tree_norm,
 )
-from motion_lsmd.ingest import Frame, FrameSequence
 from motion_lsmd.tracker import AffineState, MotionModelParams, TrackerConfig, track_sequence
 
 from oracles import (
@@ -184,13 +183,12 @@ def test_criterion_6_tracker_synthetic_accuracy(monkeypatch):
             img = np.zeros((h, w))
             r0, c0 = int(round(cy - size / 2)), int(round(cx - size / 2))
             img[r0 : r0 + size, c0 : c0 + size] = 0.9
-            frames.append(Frame(img, t))
+            frames.append(img)
             centers.append((cy, cx))
             cx += speed
-        seq = FrameSequence(frames)
         init = AffineState(l_x=centers[0][1], l_y=centers[0][0])
 
-        results = track_sequence(seq, init, TrackerConfig(n_particles=300, seed=7))
+        results = track_sequence(frames, init, TrackerConfig(n_particles=300, seed=7))
         errs = [
             np.hypot(r.state.l_x - centers[r.frame_index][1], r.state.l_y - centers[r.frame_index][0])
             for r in results
@@ -199,7 +197,7 @@ def test_criterion_6_tracker_synthetic_accuracy(monkeypatch):
         assert cap_hits == [0] * 49
 
         # degenerate sigma=0 case: state exactly constant
-        static = FrameSequence([Frame(frames[0].pixels.copy(), i) for i in range(5)])
+        static = [frames[0].copy() for _ in range(5)]
         cfg0 = TrackerConfig(n_particles=5, motion=MotionModelParams(np.zeros(6)), seed=1)
         for r in track_sequence(static, init, cfg0):
             assert r.state == init
@@ -224,8 +222,8 @@ def test_criterion_7_end_to_end_detection():
         cfg = DetectorConfig()
         total_truth = total_detected = total_correct = 0
         for seed in range(20):
-            seq, truth = synth_sequence(_event_spec(seed), seed=seed)
-            _scores, events = run_detection(seq, cfg)
+            frames, truth = synth_sequence(_event_spec(seed), seed=seed)
+            _scores, events = run_detection(frames, cfg)
             total_truth += len(truth)
             total_detected += len(events)
             total_correct += match_events(events, truth)

@@ -200,8 +200,7 @@ class TestCliDetectEval:
         res = run_cli(["detect", synth_dir, "--out", cli_scores, "--events", cli_events])
         assert res.returncode == 0, res.stderr
 
-        seq = load_frame_sequence(synth_dir)
-        scores, events = run_detection(seq, Config().detector_config())
+        scores, events = run_detection(load_frame_sequence(synth_dir), Config().detector_config())
         lib_scores = tmp_path / "lib_scores.csv"
         lib_events = tmp_path / "lib_events.csv"
         fileio.write_scores_csv(lib_scores, scores)
@@ -546,6 +545,22 @@ class TestCliErrors:
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("error: ") and "share frame" in res.stderr, res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "track"])
+    def test_malformed_last_frame_writes_no_output(self, tmp_path, command):
+        # the whole clip is read before any frame is scored: a truncated
+        # last file exits 1 naming it, and no output file is begun
+        frames = TestCliTrack.square_frames(tmp_path, 30)
+        last = frames / "0029.pgm"
+        last.write_bytes(last.read_bytes()[:-1])
+        outputs = {
+            "detect": ["--out", tmp_path / "s.csv", "--events", tmp_path / "e.csv"],
+            "track": ["--init", "20,32,0,1,1,0", "--set", "tracker.n_particles=20", "--out", tmp_path / "t.csv"],
+        }
+        res = run_cli([command, frames, *outputs[command]])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.strip() == f"error: {last}: truncated payload", res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames"]
 
     def test_patch_too_large_on_frames_without_motion(self, tmp_path):
         from motion_lsmd.ingest import write_pgm

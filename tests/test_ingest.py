@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motion_lsmd import errors
-from motion_lsmd.detector import SynthSpec, synth_sequence
+from motion_lsmd.detector import SynthSpec, run_detection, synth_sequence
 from motion_lsmd.ingest import (
-    Frame,
+    check_clip,
     extract_proposals,
     feature_matrix,
     frame_difference,
@@ -19,7 +19,7 @@ from motion_lsmd.ingest import (
     write_pgm,
 )
 from motion_lsmd.lsmd import motion_prior
-from motion_lsmd.tracker import AffineState
+from motion_lsmd.tracker import AffineState, track_sequence
 
 from oracles import (
     reference_extract_proposals,
@@ -28,10 +28,6 @@ from oracles import (
     reference_warp_sample_grids,
     warp_reference,
 )
-
-
-def make_frame(pixels, index=0):
-    return Frame(np.asarray(pixels, dtype=np.float64), index)
 
 
 # ---------------------------------------------------------------------------
@@ -46,18 +42,17 @@ class TestLoadFrameSequence:
 
     def test_directory_of_two_frames(self, tmp_path):
         self._write_seq(tmp_path)
-        seq = load_frame_sequence(tmp_path)
-        assert len(seq) == 2
-        assert [f.index for f in seq.frames] == [0, 1]
+        frames = load_frame_sequence(tmp_path)
+        assert [f.shape for f in frames] == [(64, 64), (64, 64)]
 
     def test_lexicographic_order(self, tmp_path):
         second = np.full((8, 8), 200 / 255.0)
         first = np.full((8, 8), 50 / 255.0)
         write_pgm(tmp_path / "b.pgm", second)
         write_pgm(tmp_path / "a.pgm", first)
-        seq = load_frame_sequence(tmp_path)
-        assert np.allclose(seq.frames[0].pixels, first)
-        assert np.allclose(seq.frames[1].pixels, second)
+        frames = load_frame_sequence(tmp_path)
+        assert np.allclose(frames[0], first)
+        assert np.allclose(frames[1], second)
 
     def test_pixel_scaling(self, tmp_path):
         img = np.zeros((8, 8))
@@ -109,10 +104,10 @@ class TestLoadFrameSequence:
         self._write_seq(tmp_path, n=3)
         manifest = tmp_path / "clip.txt"
         manifest.write_text("# frames\nc.pgm\na.pgm\n\nb.pgm\n", encoding="utf-8")
-        seq = load_frame_sequence(manifest)
-        assert len(seq) == 3
-        for frame, name in zip(seq.frames, "cab"):
-            assert np.array_equal(frame.pixels, read_pgm(tmp_path / f"{name}.pgm"))
+        frames = load_frame_sequence(manifest)
+        assert len(frames) == 3
+        for frame, name in zip(frames, "cab"):
+            assert np.array_equal(frame, read_pgm(tmp_path / f"{name}.pgm"))
 
     def test_manifest_missing_entry(self, tmp_path):
         manifest = tmp_path / "clip.txt"
@@ -133,8 +128,8 @@ class TestLoadFrameSequence:
 
 class TestFrameDifference:
     def test_identical_frames_zero(self):
-        f = make_frame(np.random.default_rng(0).random((8, 8)))
-        diff = frame_difference(f, make_frame(f.pixels.copy(), 1))
+        f = np.random.default_rng(0).random((8, 8))
+        diff = frame_difference(f, f.copy())
         assert diff.shape == (8, 8) and np.all(diff == 0.0)
 
     def test_elementwise_values(self):
@@ -143,20 +138,29 @@ class TestFrameDifference:
         cur = np.zeros((8, 8))
         prev[:2, :2] = [[0.0, 0.5], [1.0, 0.0]]
         cur[:2, :2] = [[0.25, 0.5], [0.0, 1.0]]
-        diff = frame_difference(make_frame(prev), make_frame(cur, 1))
+        diff = frame_difference(prev, cur)
         assert np.allclose(diff[:2, :2], [[0.25, 0.0], [1.0, 1.0]])
         assert np.all(diff[2:, :] == 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.InputError, match=r"\(8, 8\) vs \(8, 10\)"):
-            frame_difference(make_frame(np.zeros((8, 8))), make_frame(np.zeros((8, 10)), 1))
+            frame_difference(np.zeros((8, 8)), np.zeros((8, 10)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixels_rejected(self, bad):
-        pixels = np.zeros((8, 8))
-        pixels[3, 4] = bad
-        with pytest.raises(errors.InputError, match="frame pixels must be finite"):
-            make_frame(pixels)
+        # check_clip refuses a malformed clip before either pipeline reads it
+        good = np.zeros((8, 8))
+        poisoned = good.copy()
+        poisoned[3, 4] = bad
+        for clip, message in (
+            ([good], "need at least two frames"),
+            ([np.zeros((7, 8))] * 2, "at least 8x8"),
+            ([good, np.zeros((8, 10))], r"frame 1 is \(8, 10\), expected \(8, 8\)"),
+            ([good, poisoned], "frame 1 pixels must be finite"),
+        ):
+            for run in (check_clip, run_detection, lambda c: track_sequence(c, AffineState(l_x=4.0, l_y=4.0))):
+                with pytest.raises(errors.InputError, match=message):
+                    run(clip)
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -164,8 +168,8 @@ class TestFrameDifference:
         b=arrays(np.float64, (8, 8), elements=st.floats(0, 1)),
     )
     def test_symmetric_and_bounded(self, a, b):
-        d1 = frame_difference(make_frame(a), make_frame(b, 1))
-        d2 = frame_difference(make_frame(b), make_frame(a, 1))
+        d1 = frame_difference(a, b)
+        d2 = frame_difference(b, a)
         assert np.array_equal(d1, d2)
         assert d1.min() >= 0.0 and d1.max() <= 1.0
 
@@ -177,13 +181,13 @@ class TestFrameDifference:
 class TestWarpPatch:
     def test_identity_state_reads_region(self):
         rng = np.random.default_rng(1)
-        frame = make_frame(rng.random((64, 64)))
+        frame = rng.random((64, 64))
         state = AffineState(l_x=30.0, l_y=26.0)  # region rows 10..41, cols 14..45
         patch = warp_patch(frame, state)
-        assert np.allclose(patch, frame.pixels[10:42, 14:46], atol=1e-12)
+        assert np.allclose(patch, frame[10:42, 14:46], atol=1e-12)
 
     def test_fully_outside_is_zero(self):
-        frame = make_frame(np.ones((32, 32)))
+        frame = np.ones((32, 32))
         state = AffineState(l_x=500.0, l_y=500.0)
         assert np.all(warp_patch(frame, state) == 0.0)
 
@@ -194,7 +198,7 @@ class TestWarpPatch:
         center = 32
         yy, xx = np.mgrid[0:size, 0:size]
         rings = np.maximum(np.abs(yy - center), np.abs(xx - center)) % 5 / 5.0
-        frame = make_frame(rings)
+        frame = rings
         base = AffineState(l_x=float(center), l_y=float(center))
         rot = AffineState(l_x=float(center), l_y=float(center), theta=np.pi / 2)
         assert np.allclose(
@@ -203,7 +207,7 @@ class TestWarpPatch:
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(7)
-        frame = make_frame(rng.random((48, 56)))
+        frame = rng.random((48, 56))
         for _ in range(100):
             state = AffineState(
                 l_x=float(rng.uniform(-10, 66)),
@@ -214,12 +218,12 @@ class TestWarpPatch:
                 phi=float(rng.uniform(-0.5, 0.5)),
             )
             got = warp_patch(frame, state)
-            want = warp_reference(frame.pixels, state, 32, 32)
+            want = warp_reference(frame, state, 32, 32)
             assert np.allclose(got, want, atol=1e-9)
 
     def test_batch_equals_single_warps(self):
         rng = np.random.default_rng(9)
-        frame = make_frame(rng.random((48, 56)))
+        frame = rng.random((48, 56))
         states = [AffineState(l_x=float(x), l_y=float(y), theta=float(t), s=float(s))
                   for x, y, t, s in zip(rng.uniform(0, 56, 5), rng.uniform(0, 48, 5),
                                         rng.uniform(-1, 1, 5), rng.uniform(0.5, 1.5, 5))]
@@ -246,7 +250,7 @@ class TestWarpPatch:
             assert g.tobytes() == r.tobytes()
 
     def test_non_positive_scale(self):
-        frame = make_frame(np.zeros((16, 16)))
+        frame = np.zeros((16, 16))
         state = AffineState(l_x=8, l_y=8)
         state.s = 0.0  # bypass constructor validation to hit the op check
         with pytest.raises(errors.InputError, match="s=0.0, alpha="):
@@ -256,7 +260,7 @@ class TestWarpPatch:
         # s * alpha overflows to inf, and inf * 0 on the grid's centre row is nan
         state = AffineState(l_x=8, l_y=8, s=1e200, alpha=1e200)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(errors.InputError, match="affine warp overflows"):
-            warp_patch(make_frame(np.zeros((16, 16))), state)
+            warp_patch(np.zeros((16, 16)), state)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +343,12 @@ class TestListReference:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_synth_clip(self):
-        seq, _ = synth_sequence(
+        frames, _ = synth_sequence(
             SynthSpec(64, 64, 100, [(10, 25, "burst"), (55, 70, "swap")]), seed=7
         )
-        self.assert_same(seq.frames[0].pixels, 16, 8)
-        for prev, cur in zip(seq.frames, seq.frames[1:]):
-            self.assert_same(cur.pixels, 16, 8)
+        self.assert_same(frames[0], 16, 8)
+        for prev, cur in zip(frames, frames[1:]):
+            self.assert_same(cur, 16, 8)
             self.assert_same(frame_difference(prev, cur), 16, 8)
 
     def test_small_patches_uneven_grid(self):

@@ -619,12 +619,12 @@ def detection_frame_instance(feature_tree=False):
     kept one tree per clip: k-means over [centre, feature column], seeded
     by the frame (8)."""
     cfg = DetectorConfig()
-    seq, _truth = synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)
+    frames, _truth = synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)
     t = 8
-    diff = frame_difference(seq.frames[t - 1], seq.frames[t])
+    diff = frame_difference(frames[t - 1], frames[t])
     patches, centres = extract_proposals(diff, cfg.patch_size, cfg.stride)
     data = feature_matrix(patches)
-    points = clustering_points(centres, *seq.shape)
+    points = clustering_points(centres, *diff.shape)
     if feature_tree:
         tree = build_index_tree(np.hstack([points, data.T]), cfg.tree_k, cfg.seed * 7919 + t)
     else:

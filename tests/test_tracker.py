@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motion_lsmd import _kernels, errors
-from motion_lsmd.ingest import Frame, FrameSequence, unit_columns, warp_patch, warp_sample_grids
+from motion_lsmd.ingest import unit_columns, warp_patch, warp_sample_grids
 from motion_lsmd.tracker import (
     _HOLISTIC_MAX_ITER,
     _LOCAL_LAMBDA,
@@ -46,10 +46,10 @@ def square_sequence(n_frames, h=64, w=160, size=24, speed=2.0, start=(32.0, 20.0
         img = np.zeros((h, w))
         r0, c0 = int(round(cy - size / 2)), int(round(cx - size / 2))
         img[max(r0, 0) : r0 + size, max(c0, 0) : c0 + size] = 0.9
-        frames.append(Frame(img, t))
+        frames.append(img)
         centers.append((cy, cx))
         cx += speed
-    return FrameSequence(frames), centers
+    return frames, centers
 
 
 def textured_templates(seed=0, size=16, m=4, q=3):
@@ -211,12 +211,11 @@ class TestBlockCoefficients:
         rng = np.random.default_rng(32)
         pixels = rng.random((96, 96))
         pixels[32:48, 32:40] = 0.0  # zero blocks in every template
-        frame = Frame(pixels, 0)
-        templates = make_template_set(frame, AffineState(l_x=48.0, l_y=48.0), TrackerConfig())
+        templates = make_template_set(pixels, AffineState(l_x=48.0, l_y=48.0), TrackerConfig())
         for k in range(n_updates):
             patch = rng.random((32, 32))
             patch[8:16, 8:16] = 0.0
-            templates = update_templates(templates, tracked(0.9, 0.0, k + 1), patch, frame)
+            templates = update_templates(templates, tracked(0.9, 0.0, k + 1), patch, pixels)
         return templates
 
     def candidates(self, n):
@@ -272,8 +271,7 @@ class TestBlockCoefficients:
 
     def test_update_with_a_copy_of_the_anchor(self):
         templates = self.by_updates(1)
-        frame = Frame(np.zeros((96, 96)), 0)
-        again = update_templates(templates, tracked(0.9, 0.0, 7), templates.holistic[0], frame)
+        again = update_templates(templates, tracked(0.9, 0.0, 7), templates.holistic[0], np.zeros((96, 96)))
         self.assert_matches_reference(again, [0, 1], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0])
 
     @pytest.mark.parametrize("n_updates", [0, 2, 5])
@@ -387,17 +385,17 @@ class TestBatchedScoring:
     )
 
     def case(self):
-        seq, centers = square_sequence(4, start=(14.0, 14.0))
+        frames, centers = square_sequence(4, start=(14.0, 14.0))
         init = AffineState(l_x=centers[0][1] + 10.0, l_y=centers[0][0])
-        return seq, init, make_template_set(seq.frames[0], init, self.cfg)
+        return frames, init, make_template_set(frames[0], init, self.cfg)
 
     def test_matches_scalar_reference(self):
         cfg = self.cfg
-        seq, prev, templates = self.case()
-        h, w = seq.shape
+        frames, prev, templates = self.case()
+        h, w = frames[0].shape
         seen = dict.fromkeys(("outside", "blacked_out", "empty_vs_empty", "iterated", "updated"), 0)
-        for t in range(1, len(seq)):
-            obs = seq.frames[t]
+        for t in range(1, len(frames)):
+            obs = frames[t]
             states, priors = propose_particles(prev, cfg.motion, cfg.n_particles, 100 + t)
             got = score_particles(obs, states, templates, cfg)
             want = reference_particle_scores(obs, states, templates, cfg)
@@ -425,8 +423,8 @@ class TestBatchedScoring:
         assert all(seen.values()), seen
 
     def test_score_independent_of_batch_position(self):
-        seq, prev, templates = self.case()
-        obs = seq.frames[1]
+        frames, prev, templates = self.case()
+        obs = frames[1]
         # several warp chunks, the last one of a single particle
         states, _priors = propose_particles(prev, self.cfg.motion, 3 * _WARP_CHUNK + 1, 7)
         assert len(states) % _WARP_CHUNK == 1
@@ -520,7 +518,7 @@ def tracked(conf, occ, frame_index=5):
 class TestUpdateTemplates:
     def setup_method(self):
         rng = np.random.default_rng(20)
-        self.frame = Frame(rng.random((64, 64)), 5)
+        self.frame = rng.random((64, 64))
         self.cfg = TrackerConfig(n_templates=4)
         self.templates = make_template_set(self.frame, AffineState(l_x=32.0, l_y=32.0), self.cfg)
         self.patch = rng.random((32, 32))
@@ -574,17 +572,17 @@ class TestUpdateTemplates:
 
 class TestTrackSequence:
     def test_static_target_zero_sigma_constant(self):
-        seq, centers = square_sequence(5, speed=0.0)
+        frames, centers = square_sequence(5, speed=0.0)
         init = AffineState(l_x=centers[0][1], l_y=centers[0][0])
         cfg = TrackerConfig(n_particles=4, motion=MotionModelParams(np.zeros(6)), seed=1)
-        results = track_sequence(seq, init, cfg)
+        results = track_sequence(frames, init, cfg)
         assert all(r.state == init for r in results)
 
     def test_translating_square_small(self):
-        seq, centers = square_sequence(20)
+        frames, centers = square_sequence(20)
         init = AffineState(l_x=centers[0][1], l_y=centers[0][0])
         cfg = TrackerConfig(n_particles=80, seed=3)
-        results = track_sequence(seq, init, cfg)
+        results = track_sequence(frames, init, cfg)
         errs = [
             np.hypot(r.state.l_x - centers[r.frame_index][1], r.state.l_y - centers[r.frame_index][0])
             for r in results
@@ -592,35 +590,34 @@ class TestTrackSequence:
         assert np.mean(errs) <= 3.0
 
     def test_deterministic_given_seed(self):
-        seq, centers = square_sequence(6)
+        frames, centers = square_sequence(6)
         init = AffineState(l_x=centers[0][1], l_y=centers[0][0])
         cfg = TrackerConfig(n_particles=40, seed=9)
-        a = track_sequence(seq, init, cfg)
-        b = track_sequence(seq, init, cfg)
+        a = track_sequence(frames, init, cfg)
+        b = track_sequence(frames, init, cfg)
         for ra, rb in zip(a, b):
             assert ra.state == rb.state
             assert ra.confidence == rb.confidence
             assert ra.occlusion_fraction == rb.occlusion_fraction
 
     def test_init_out_of_bounds(self):
-        seq, _ = square_sequence(3)
+        frames, _ = square_sequence(3)
         with pytest.raises(errors.InputError, match="init center"):
-            track_sequence(seq, AffineState(l_x=1000.0, l_y=5.0), TrackerConfig(n_particles=2))
+            track_sequence(frames, AffineState(l_x=1000.0, l_y=5.0), TrackerConfig(n_particles=2))
 
     def test_too_few_frames(self):
-        seq, _ = square_sequence(3)
-        seq.frames = seq.frames[:1]
-        with pytest.raises(errors.InputError, match="need at least two frames to track"):
-            track_sequence(seq, AffineState(l_x=20.0, l_y=32.0), TrackerConfig(n_particles=2))
+        frames, _ = square_sequence(3)
+        with pytest.raises(errors.InputError, match="need at least two frames"):
+            track_sequence(frames[:1], AffineState(l_x=20.0, l_y=32.0), TrackerConfig(n_particles=2))
 
     def test_weighting_order_independent(self):
         # likelihoods are pure per-particle functions: scoring the particles
         # one at a time, forward or reversed, stores the arrays that scoring
         # them as one batch gives
-        seq, centers = square_sequence(3)
-        obs = seq.frames[1]
+        frames, centers = square_sequence(3)
+        obs = frames[1]
         cfg = TrackerConfig(n_particles=16, seed=4)
-        templates = make_template_set(seq.frames[0], AffineState(l_x=centers[0][1], l_y=centers[0][0]), cfg)
+        templates = make_template_set(frames[0], AffineState(l_x=centers[0][1], l_y=centers[0][0]), cfg)
         states, _priors = propose_particles(AffineState(l_x=centers[0][1], l_y=centers[0][0]), cfg.motion, 16, 77)
 
         def weigh(order):
