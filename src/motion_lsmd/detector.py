@@ -11,6 +11,7 @@ energies yields event intervals.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,10 +283,10 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[list[np.ndarray], li
 # ---------------------------------------------------------------------------
 
 def run_detection(
-    frames: list[np.ndarray], config: DetectorConfig | None = None
+    frames: Iterable[np.ndarray], config: DetectorConfig | None = None
 ) -> tuple[list[FrameScore], list[EventInterval]]:
     """Score frames 1..T-1 of a clip (see ``check_clip``) and extract
-    events by hysteresis.
+    events by hysteresis, reading the frames once and holding two.
 
     One index tree over the proposal centres is built at the first frame
     pair with motion and reused by every later one; a clip without motion
@@ -294,15 +295,22 @@ def run_detection(
     Thresholds are interpreted in normalized-energy units (relative to
     the sequence maximum) unless config.normalize is off.
     """
-    frames = check_clip(frames)
+    clip = check_clip(frames)
     cfg = config or DetectorConfig()
-    h, w = frames[0].shape
+    prev = next(clip)
+    h, w = prev.shape
     tree = None
     scores: list[FrameScore] = []
-    for t in range(1, len(frames)):
-        patches, centres = extract_proposals(
-            frame_difference(frames[t - 1], frames[t]), cfg.patch_size, cfg.stride
-        )
+    for t, cur in enumerate(clip, start=1):
+        if t == 1 and cfg.patch_size > min(h, w):  # a still clip never reaches extract_proposals
+            raise InputError(f"patch {cfg.patch_size} exceeds frame {h}x{w}")
+        diff = frame_difference(prev, cur)
+        prev = cur
+        if not diff.any():
+            # a still frame pair makes F = 0, as below: skip the proposals too
+            scores.append(FrameScore(t, 0.0))
+            continue
+        patches, centres = extract_proposals(diff, cfg.patch_size, cfg.stride)
         data = feature_matrix(patches)
         if not data.any():
             # F = 0 decomposes to L = S = 0 under any tree, so every score and

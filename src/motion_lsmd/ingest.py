@@ -1,12 +1,14 @@
 """Clip loading and checks, differencing, affine patch warps, proposal
 grids and feature-matrix assembly.
 
-A clip is a list of 2-D float64 arrays with values in [0, 1], one per
+A clip is an iterable of 2-D float64 arrays with values in [0, 1], one
+per frame, read once in order and checked by ``check_clip`` frame by
 frame. All functions are pure; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,25 +28,28 @@ CANONICAL_SIZE = 32
 CANONICAL_HALF = CANONICAL_SIZE // 2
 
 
-def check_clip(frames: list[np.ndarray]) -> list[np.ndarray]:
-    """The clip as a list of 2-D float64 arrays: at least two frames, all
-    of one shape of at least 8x8, with finite pixels, or an InputError.
-    Pixels outside [0, 1] raise ValueError."""
-    frames = [np.asarray(f, dtype=np.float64) for f in frames]
-    if len(frames) < 2:
-        raise InputError(f"need at least two frames, got {len(frames)}")
-    shape = frames[0].shape
-    if len(shape) != 2 or min(shape) < 8:
-        raise InputError(f"frames must be 2-D and at least 8x8, got shape {shape}")
+def check_clip(frames: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Yield the frames of a clip as 2-D float64 arrays, each checked as it
+    arrives: all of one shape of at least 8x8, with finite pixels, or an
+    InputError. Pixels outside [0, 1] raise ValueError. A clip that ends
+    before its second frame raises InputError there."""
+    i = -1
     for i, pixels in enumerate(frames):
-        if pixels.shape != shape:
+        pixels = np.asarray(pixels, dtype=np.float64)
+        if i == 0:
+            shape = pixels.shape
+            if len(shape) != 2 or min(shape) < 8:
+                raise InputError(f"frames must be 2-D and at least 8x8, got shape {shape}")
+        elif pixels.shape != shape:
             raise InputError(f"frame {i} is {pixels.shape}, expected {shape}")
         if not np.isfinite(pixels).all():
             raise InputError(f"frame {i} pixels must be finite")
         lo, hi = float(pixels.min()), float(pixels.max())
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"frame {i} pixel values outside [0,1]: min={lo}, max={hi}")
-    return frames
+        yield pixels
+    if i < 1:
+        raise InputError(f"need at least two frames, got {i + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,37 +119,36 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
 
 def _frame_paths(source: Path) -> list[Path]:
     if source.is_dir():
-        paths = sorted(p for p in source.iterdir() if p.suffix.lower() == ".pgm")
-        return paths
+        return sorted(p for p in source.iterdir() if p.suffix.lower() == ".pgm")
     # manifest: one relative path per line, '#' comments ignored
-    lines = source.read_text(encoding="utf-8").splitlines()
-    paths = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        paths.append((source.parent / line).resolve())
-    return paths
+    lines = (line.strip() for line in source.read_text(encoding="utf-8").splitlines())
+    return [(source.parent / line).resolve() for line in lines if line and not line.startswith("#")]
 
 
-def load_frame_sequence(source: str | Path) -> list[np.ndarray]:
-    """Load a clip, one array per frame, from a directory of PGM files or
-    a manifest file."""
+def load_frame_sequence(source: str | Path) -> Iterator[np.ndarray]:
+    """The frames of a clip, from a directory of PGM files or a manifest
+    file. The paths are listed and checked now; each frame is read and
+    decoded only when the iterator reaches it."""
     source = Path(source)
     if not source.exists():
         raise InputError(f"no such source: {source}")
     paths = _frame_paths(source)
     if len(paths) < 2:
         raise InputError(f"{source}: found {len(paths)} frames, need >= 2")
-    frames = []
     for p in paths:
         if not p.exists():
             raise InputError(f"manifest entry missing: {p}")
+    return _read_frames(paths)
+
+
+def _read_frames(paths: list[Path]) -> Iterator[np.ndarray]:
+    for i, p in enumerate(paths):
         pixels = read_pgm(p)
-        if frames and pixels.shape != frames[0].shape:
-            raise InputError(f"{p}: {pixels.shape} differs from first frame {frames[0].shape}")
-        frames.append(pixels)
-    return frames
+        if i == 0:
+            shape = pixels.shape
+        elif pixels.shape != shape:
+            raise InputError(f"{p}: {pixels.shape} differs from first frame {shape}")
+        yield pixels
 
 
 # ---------------------------------------------------------------------------

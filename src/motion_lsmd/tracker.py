@@ -26,6 +26,7 @@ there (perfbench's tracer, a test's call counter) sees every call.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -212,11 +213,7 @@ def make_template_set(
     first = warp_patch(frame, state)
     holistic = [first.copy() for _ in range(cfg.n_templates)]
     negatives = _ring_negatives(frame, state, cfg)
-    return TemplateSet(
-        holistic=holistic,
-        negatives=negatives,
-        ages=np.zeros(cfg.n_templates, dtype=np.int64),
-    )
+    return TemplateSet(holistic=holistic, negatives=negatives, ages=np.zeros(cfg.n_templates, dtype=np.int64))
 
 
 def _ring_negatives(frame: np.ndarray, state: AffineState, cfg: TrackerConfig) -> list[Patch]:
@@ -228,8 +225,7 @@ def _ring_negatives(frame: np.ndarray, state: AffineState, cfg: TrackerConfig) -
         l_y = state.l_y + radius * math.sin(angle)
         if not (math.isfinite(l_x) and math.isfinite(l_y)):
             raise InputError(f"ring negative centre overflows: radius {radius} at scale s={state.s}")
-        shifted = replace(state, l_x=l_x, l_y=l_y)
-        negs.append(warp_patch(frame, shifted))
+        negs.append(warp_patch(frame, replace(state, l_x=l_x, l_y=l_y)))
     return negs
 
 
@@ -256,8 +252,7 @@ def propose_particles(
     sigma = motion.sigma
     with np.errstate(over="ignore"):
         states = mean + draws * sigma
-    states[:, 3] = np.maximum(states[:, 3], 1e-3)
-    states[:, 4] = np.maximum(states[:, 4], 1e-3)
+    states[:, 3:5] = np.maximum(states[:, 3:5], 1e-3)  # s and alpha
 
     # product of the six densities; sigma=0 components contribute factor 1
     priors = np.ones(n)
@@ -421,13 +416,8 @@ def map_estimate(
     if not math.isfinite(total):
         raise InputError("posterior weights overflow: likelihood x motion prior has no finite sum")
     if total <= 0.0:
-        return TrackResult(
-            state=replace(prev),
-            confidence=0.0,
-            occlusion_fraction=0.0,
-            frame_index=frame_index,
-            degenerate=True,
-        )
+        return TrackResult(state=replace(prev), confidence=0.0, occlusion_fraction=0.0,
+                           frame_index=frame_index, degenerate=True)
     winner = int(np.argmax(posterior))
     return TrackResult(
         state=AffineState.from_array(states[winner]),
@@ -471,21 +461,22 @@ def update_templates(
 # ---------------------------------------------------------------------------
 
 def track_sequence(
-    frames: list[np.ndarray], init: AffineState, config: TrackerConfig | None = None
+    frames: Iterable[np.ndarray], init: AffineState, config: TrackerConfig | None = None
 ) -> list[TrackResult]:
     """Track a clip (see ``check_clip``) from frame 1 onward; fully
-    deterministic given config.seed."""
-    frames = check_clip(frames)
+    deterministic given config.seed; only frames 0 and t are held."""
+    clip = check_clip(frames)
     cfg = config or TrackerConfig()
-    h, w = frames[0].shape
+    first = next(clip)
+    h, w = first.shape
     if not (0 <= init.l_x < w and 0 <= init.l_y < h):
         raise InputError(f"init center ({init.l_x}, {init.l_y}) outside {h}x{w}")
 
-    templates = make_template_set(frames[0], init, cfg)
+    templates = make_template_set(first, init, cfg)
 
     prev = init
     results: list[TrackResult] = []
-    for t, frame in enumerate(frames[1:], start=1):
+    for t, frame in enumerate(clip, start=1):
         states, priors = propose_particles(prev, cfg.motion, cfg.n_particles, cfg.seed * 1_000_003 + t)
         scores = score_particles(frame, states, templates, cfg)
         result = map_estimate(states, priors, scores, prev, t)

@@ -109,8 +109,9 @@ def test_the_map_patch_is_warped_only_for_an_update(tmp_path, monkeypatch):
         warped, taken, order = Counter(), [], {}
 
         def counted_warp(frame, *args):
-            # an array carries no frame number: key frames by first appearance
-            warped[order.setdefault(id(frame), len(order))] += 1
+            # an array carries no frame number: key frames by first appearance,
+            # and hold each so that a later streamed frame cannot reuse its id
+            warped[order.setdefault(id(frame), (len(order), frame))[0]] += 1
             return warp(frame, *args)
 
         def counted_update(templates, *args):

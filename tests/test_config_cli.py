@@ -548,8 +548,9 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("command", ["detect", "track"])
     def test_malformed_last_frame_writes_no_output(self, tmp_path, command):
-        # the whole clip is read before any frame is scored: a truncated
-        # last file exits 1 naming it, and no output file is begun
+        # frames are read as they are scored, and outputs are written only
+        # after the run: a truncated last file exits 1 naming it, and no
+        # output file is begun
         frames = TestCliTrack.square_frames(tmp_path, 30)
         last = frames / "0029.pgm"
         last.write_bytes(last.read_bytes()[:-1])

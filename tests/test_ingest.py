@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from motion_lsmd import errors
+from motion_lsmd import cli, detector, errors, ingest
 from motion_lsmd.detector import SynthSpec, run_detection, synth_sequence
 from motion_lsmd.ingest import (
     check_clip,
@@ -19,7 +21,7 @@ from motion_lsmd.ingest import (
     write_pgm,
 )
 from motion_lsmd.lsmd import motion_prior
-from motion_lsmd.tracker import AffineState, track_sequence
+from motion_lsmd.tracker import AffineState, TrackerConfig, track_sequence
 
 from oracles import (
     reference_extract_proposals,
@@ -50,7 +52,7 @@ class TestLoadFrameSequence:
         first = np.full((8, 8), 50 / 255.0)
         write_pgm(tmp_path / "b.pgm", second)
         write_pgm(tmp_path / "a.pgm", first)
-        frames = load_frame_sequence(tmp_path)
+        frames = list(load_frame_sequence(tmp_path))
         assert np.allclose(frames[0], first)
         assert np.allclose(frames[1], second)
 
@@ -98,13 +100,13 @@ class TestLoadFrameSequence:
         write_pgm(tmp_path / "a.pgm", np.zeros((8, 8)))
         write_pgm(tmp_path / "b.pgm", np.zeros((8, 10)))
         with pytest.raises(errors.InputError, match="differs from first frame"):
-            load_frame_sequence(tmp_path)
+            list(load_frame_sequence(tmp_path))
 
     def test_manifest(self, tmp_path):
         self._write_seq(tmp_path, n=3)
         manifest = tmp_path / "clip.txt"
         manifest.write_text("# frames\nc.pgm\na.pgm\n\nb.pgm\n", encoding="utf-8")
-        frames = load_frame_sequence(manifest)
+        frames = list(load_frame_sequence(manifest))
         assert len(frames) == 3
         for frame, name in zip(frames, "cab"):
             assert np.array_equal(frame, read_pgm(tmp_path / f"{name}.pgm"))
@@ -148,7 +150,8 @@ class TestFrameDifference:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixels_rejected(self, bad):
-        # check_clip refuses a malformed clip before either pipeline reads it
+        # check_clip refuses a malformed frame as it arrives, and a clip
+        # that ends before its second frame when it ends
         good = np.zeros((8, 8))
         poisoned = good.copy()
         poisoned[3, 4] = bad
@@ -158,7 +161,8 @@ class TestFrameDifference:
             ([good, np.zeros((8, 10))], r"frame 1 is \(8, 10\), expected \(8, 8\)"),
             ([good, poisoned], "frame 1 pixels must be finite"),
         ):
-            for run in (check_clip, run_detection, lambda c: track_sequence(c, AffineState(l_x=4.0, l_y=4.0))):
+            for run in (lambda c: list(check_clip(c)), run_detection,
+                        lambda c: track_sequence(c, AffineState(l_x=4.0, l_y=4.0))):
                 with pytest.raises(errors.InputError, match=message):
                     run(clip)
 
@@ -354,3 +358,72 @@ class TestListReference:
     def test_small_patches_uneven_grid(self):
         rng = np.random.default_rng(3)
         self.assert_same(rng.random((40, 56)), 8, 4)
+
+
+# ---------------------------------------------------------------------------
+# streaming: a clip is read one frame at a time
+# ---------------------------------------------------------------------------
+
+class TestStreaming:
+    @staticmethod
+    def write_clip(directory, n_frames):
+        """A 64x64 synth clip with one burst over frames 3..10, as PGMs."""
+        frames, _truth = synth_sequence(SynthSpec(n_frames=n_frames, events=[(3, 10, "burst")]), seed=0)
+        directory.mkdir()
+        for t, pixels in enumerate(frames):
+            write_pgm(directory / f"{t:04d}.pgm", pixels)
+        return directory
+
+    @pytest.mark.parametrize("command", ["detect", "track"])
+    def test_peak_memory_does_not_grow_with_clip_length(self, tmp_path, command):
+        # the two clips differ only by 60 still frames at the end, which a
+        # run that holds the whole clip keeps as 2.0 MB of float64; what
+        # does grow is the list of per-frame results, about 1.3 kB a frame
+        def run(frames, out):
+            extra = {
+                "detect": ["--out", f"{out}_s.csv", "--events", f"{out}_e.csv"],
+                "track": ["--init", "32,32,0,1,1,0", "--set", "tracker.n_particles=20", "--out", f"{out}.csv"],
+            }[command]
+            assert cli.main([command, str(frames), *extra]) == 0
+
+        clips = [self.write_clip(tmp_path / f"clip{n}", n) for n in (20, 80)]
+        run(clips[0], tmp_path / "warm")  # first-call set-up is not part of either peak
+        peaks = []
+        for frames in clips:
+            tracemalloc.start()
+            try:
+                run(frames, tmp_path / frames.name)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        short, long = peaks
+        assert abs(long - short) <= 0.1 * short, peaks
+
+    def test_a_malformed_frame_fails_after_the_frames_before_it_are_scored(self, tmp_path, monkeypatch):
+        frames = self.write_clip(tmp_path / "clip", 30)
+        bad = 12
+        path = frames / f"{bad:04d}.pgm"
+        path.write_bytes(path.read_bytes()[:-1])
+        calls = []
+
+        def counting(name, stage):
+            def counted(*args):
+                calls.append(name)
+                return stage(*args)
+
+            return counted
+
+        monkeypatch.setattr(ingest, "read_pgm", counting("read", read_pgm))
+        monkeypatch.setattr(detector, "frame_difference", counting("diff", frame_difference))
+        clip = load_frame_sequence(frames)
+        assert calls == []  # the paths are listed, no frame is read yet
+        with pytest.raises(errors.InputError, match="truncated payload"):
+            run_detection(clip)
+        # frame t is read before pair (t-1, t) is scored, and nothing after the bad frame
+        assert calls == ["read"] + ["read", "diff"] * (bad - 1) + ["read"]
+
+    def test_a_one_shot_iterator_scores_as_the_list(self):
+        frames, _truth = synth_sequence(SynthSpec(n_frames=30, events=[(3, 10, "burst")]), seed=0)
+        assert run_detection(f for f in frames) == run_detection(frames)
+        init, cfg = AffineState(l_x=32.0, l_y=32.0), TrackerConfig(n_particles=20)
+        assert track_sequence((f for f in frames), init, cfg) == track_sequence(frames, init, cfg)
