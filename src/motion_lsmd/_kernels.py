@@ -200,26 +200,29 @@ def bilinear_sample(pixels, rows, cols):
     flat = padded.reshape(-1)
     np.clip(r0, -2, h, out=r0)
     np.clip(c0, -2, w, out=c0)
-    r0 += 2
     r0 *= stride
-    c0 += 2
     r0 += c0
+    r0 += 2 * stride + 2  # the padding's offset
     i = r0.astype(np.intp)
-    gr = np.subtract(1.0, fr, out=r0)  # the floors are spent: reuse them
-    gc = np.subtract(1.0, fc, out=c0)
-    # each corner adds (value * row weight) * column weight, in the order
-    # (r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1); a neighbour
-    # is read through the padded frame's view offset by 1, stride or
-    # stride + 1
-    out = flat[i]
-    out *= gr
-    out *= gc
-    for offset, wr, wc in ((1, gr, fc), (stride, fr, gc), (stride + 1, fr, fc)):
-        t = flat[offset:][i]
-        t *= wr
-        t *= wc
-        out += t
-    return out
+    # corner (r0 + a, c0 + b) is read through the padded frame's view
+    # offset by a * stride + b; every index is in range, and mode "clip"
+    # reads like "raise" without buffering the output. The lerps run in
+    # place, into the spent floors: top = v00 + fc * (v01 - v00) and
+    # bot = v10 + fc * (v11 - v10), then top + fr * (bot - top)
+    v00 = np.take(flat, i, out=r0, mode="clip")
+    top = np.take(flat[1:], i, out=c0, mode="clip")
+    top -= v00
+    top *= fc
+    top += v00
+    v10 = np.take(flat[stride:], i, out=v00, mode="clip")
+    bot = np.take(flat[stride + 1:], i, mode="clip")
+    bot -= v10
+    bot *= fc
+    bot += v10
+    bot -= top
+    bot *= fr
+    bot += top
+    return bot
 
 
 def backend_name() -> str:

@@ -11,7 +11,7 @@ energies yields event intervals.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,15 +201,21 @@ def _render(bg: np.ndarray, centers: np.ndarray, amps: np.ndarray, sigma: float)
     return np.rint(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
 
 
-def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[list[np.ndarray], list[EventInterval]]:
-    """Two Gaussian blobs over static noise, as seen by a stationary
-    camera: a frame outside every event is byte-equal to the one before
-    it; inside events blobs move 4-8 px/frame (burst: one blob oscillates;
-    swap: the blobs trade places). Events may come in any order but must
-    not share a frame. Frames are quantized to the 8-bit grid
-    the PGM pipeline delivers."""
-    margin = 12.0  # blob centres start this far inside the frame
-    if spec.h < 2 * margin or 0.45 * spec.w < margin:
+# blob centres start this far inside the frame
+_MARGIN = 12.0
+
+
+def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[Iterator[np.ndarray], list[EventInterval]]:
+    """(frames, truth): two Gaussian blobs over static noise, as seen by a
+    stationary camera: a frame outside every event is byte-equal to the
+    one before it; inside events blobs move 4-8 px/frame (burst: one blob
+    oscillates; swap: the blobs trade places). Events may come in any
+    order but must not share a frame. Frames are quantized to the 8-bit
+    grid the PGM pipeline delivers.
+
+    The spec is checked now; the frames come from an iterator that
+    renders each one when it is reached."""
+    if spec.h < 2 * _MARGIN or 0.45 * spec.w < _MARGIN:
         raise InputError(f"synth frame {spec.h}x{spec.w} too small: need h >= 24 and w >= 27")
     if spec.n_frames < 1:
         raise InputError(f"synth needs n_frames >= 1, got {spec.n_frames}")
@@ -224,13 +230,17 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[list[np.ndarray], li
     for (s0, e0, _k0), (s1, e1, _k1) in zip(ordered, ordered[1:]):
         if s1 <= e0:
             raise InputError(f"events ({s0}, {e0}) and ({s1}, {e1}) share frame {s1}")
+    truth = [EventInterval(s, e) for s, e, _k in ordered]
+    return _synth_frames(spec, seed), truth
 
+
+def _synth_frames(spec: SynthSpec, seed: int) -> Iterator[np.ndarray]:
     rng = np.random.default_rng(seed)
     bg = 0.08 + 0.02 * rng.random((spec.h, spec.w))
     pos = np.array(
         [
-            [rng.uniform(margin, spec.h - margin), rng.uniform(margin, spec.w * 0.45)],
-            [rng.uniform(margin, spec.h - margin), rng.uniform(spec.w * 0.55, spec.w - margin)],
+            [rng.uniform(_MARGIN, spec.h - _MARGIN), rng.uniform(_MARGIN, spec.w * 0.45)],
+            [rng.uniform(_MARGIN, spec.h - _MARGIN), rng.uniform(spec.w * 0.55, spec.w - _MARGIN)],
         ]
     )
     amps = np.array([0.8, 0.7])
@@ -242,9 +252,8 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[list[np.ndarray], li
             active[t] = ev
 
     swap_anchor: dict[tuple[int, int], np.ndarray] = {}
-    frames = []
     for t in range(spec.n_frames):
-        frames.append(_render(bg, pos, amps, sigma))
+        yield _render(bg, pos, amps, sigma)
         if t + 1 >= spec.n_frames:
             break
         ev = active.get(t + 1)
@@ -273,9 +282,6 @@ def synth_sequence(spec: SynthSpec, seed: int = 0) -> tuple[list[np.ndarray], li
             pos = lerp + np.stack([sign * wob, np.zeros(2)], axis=1)
         pos[:, 0] = np.clip(pos[:, 0], 2.0, spec.h - 3.0)
         pos[:, 1] = np.clip(pos[:, 1], 2.0, spec.w - 3.0)
-
-    truth = [EventInterval(s, e) for s, e, _k in ordered]
-    return frames, truth
 
 
 # ---------------------------------------------------------------------------

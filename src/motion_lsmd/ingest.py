@@ -170,25 +170,22 @@ def warp_sample_grids(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample coordinates (rows, cols), each (n, 32, 32), of the warp of
     every row of ``states`` (n, 6), columns ordered like an AffineState.
 
-    The canonical patch grid, the integers of [-16, 16)^2, is scaled by
-    (s, s*alpha), sheared by phi, rotated by theta and translated to
-    (l_x, l_y). A factor that depends on one grid axis is kept at that
-    axis's shape, ``sx`` (n, 1, 32) and ``sy`` (n, 32, 1), and broadcast
-    where the axes meet: each element still sees the operations of a full
-    meshgrid in the same order, so the coordinates are the same bits. A
-    state whose warp overflows yields non-finite coordinates without a
+    The canonical patch grid, the integers g of [-16, 16) on each axis,
+    is scaled by (s, s*alpha), sheared by phi, rotated by theta and
+    translated to (l_x, l_y). That map is affine in the row index i and
+    the column index j, so each grid is the sum of a row term (n, 32, 1)
+    and a column term (n, 1, 32), with one full-size add:
+        rows = l_y + (sin*phi + cos)*s*alpha*g_i + sin*s*g_j
+        cols = l_x + (cos*phi - sin)*s*alpha*g_i + cos*s*g_j
+    A state whose warp overflows yields non-finite coordinates without a
     numpy warning; the caller rejects them.
     """
-    l_x, l_y, theta, s, alpha, phi = np.asarray(states, dtype=np.float64).T[:, :, None, None]
-    gx = np.arange(-CANONICAL_HALF, CANONICAL_HALF, dtype=np.float64)
-    gy = gx[:, None]
+    l_x, l_y, theta, s, alpha, phi = np.asarray(states, dtype=np.float64).T[:, :, None]
+    g = np.arange(-CANONICAL_HALF, CANONICAL_HALF, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        sx = s * gx
-        sy = s * alpha * gy
-        x1 = sx + phi * sy
         ct, st = np.cos(theta), np.sin(theta)
-        cols = l_x + ct * x1 - st * sy
-        rows = l_y + st * x1 + ct * sy
+        rows = (l_y + (st * phi + ct) * s * alpha * g)[:, :, None] + (st * s * g)[:, None, :]
+        cols = (l_x + (ct * phi - st) * s * alpha * g)[:, :, None] + (ct * s * g)[:, None, :]
     return rows, cols
 
 

@@ -177,8 +177,10 @@ _LOCAL_TOL = 1e-10
 _LOCAL_MAX_ITER = 200
 
 # score_particles warps _WARP_CHUNK particles at a time: the warp holds
-# about 80 kB of temporaries per 32x32 particle, and the chunk size
-# changes no score
+# about 64 kB of temporaries per 32x32 particle (tracemalloc), and the
+# chunk size changes no score. A 300-particle call on a track-square
+# frame took a median 9.8-10.2 ms at 8, 9.0-9.4 ms at 16 and 9.9-10.2 ms
+# at 32 (2 vCPUs, numpy 2.4)
 _WARP_CHUNK = 8
 
 
@@ -360,12 +362,10 @@ def generative_confidence(c_blk, solve, templates: TemplateSet, cfg: TrackerConf
     )
     occluded = residuals > cfg.eps_occ
     # a tiny eps_occ overflows the terms of occluded blocks only, which
-    # the sum leaves out
+    # the mask replaces by 0; each row sums one candidate's blocks alone
     with np.errstate(over="ignore"):
         terms = 1.0 - residuals / cfg.eps_occ
-    # one sum per candidate over its unoccluded blocks: a masked sum over
-    # all P blocks would group the additions differently in the last bits
-    h_g = np.array([t[keep].sum() for t, keep in zip(terms, ~occluded)]) / residuals.shape[1]
+    h_g = np.where(occluded, 0.0, terms).sum(axis=1) / residuals.shape[1]
     return h_g, occluded, residuals, steps
 
 

@@ -103,6 +103,7 @@ def run_cell(cell: Cell, cfg: DetectorConfig | None = None) -> CellResult:
     result = CellResult(correct=0, truth=0, events={})
     for seed in cell.seeds:
         frames, truth = synth_sequence(_event_spec(seed), seed=seed)
+        frames = list(frames)
         _scores, events = run_detection(cell.perturb(frames, seed), cfg)
         result.correct += match_events(events, truth)
         result.truth += len(truth)

@@ -7,15 +7,20 @@ group norms and (b) a smoothed quasi-Newton continuation for the nuclear
 norm, and the warp oracle interpolates one output pixel at a time. Several
 references are exceptions, kept as the exact results the faster code
 must reproduce: the reference proposal grid, feature matrix and motion
-prior work one patch at a time; the reference warp grid takes every
-factor over a full meshgrid; the tracker's reference scorer is its one
+prior work one patch at a time; the reference warp grid forms the
+row and column terms of the affine map at every point of a full
+meshgrid; the tracker's reference scorer is its one
 batch scorer taken apart, one particle at a time: one warp, then the
 support enumeration once per holistic dictionary and once per non-empty
 block, on each dictionary's distinct columns, so no reference calls the
 package's lasso solver; its reference local dictionary normalises one
 block at a time, and its reference block coefficients code every
-template slot, copies included; the reference bilinear sampler reads
-each corner through its own clip, gather and mask; the reference
+template slot, copies included, and its reference block score sums
+each candidate's unoccluded blocks on their own; the reference bilinear
+sampler reads each corner through its own clip, gather and mask before
+it lerps; the previous warp grid and bilinear sampler keep the
+arithmetic the package used before it split the affine map by axis and
+interpolated by lerps, so a test can bound that change; the reference
 k-means and index tree are the tree builder as it was before its
 distinct-row count and Lloyd step were made cheaper; the reference
 singular value thresholding takes a full SVD; the reference tree norm,
@@ -360,9 +365,49 @@ def warp_reference(pixels: np.ndarray, state, out_h: int, out_w: int) -> np.ndar
 
 
 def reference_warp_sample_grids(states, out_h: int, out_w: int):
-    """``ingest.warp_sample_grids`` as it was before it kept the
-    one-axis factors at reduced shape: every factor is taken over a full
-    (out_h, out_w) meshgrid."""
+    """``ingest.warp_sample_grids`` taken over a full (out_h, out_w)
+    meshgrid: the row term (sin*phi + cos)*s*alpha*gy and the column term
+    sin*s*gx (cos*s*gx for the columns) are formed at every grid point,
+    in the same order of operations."""
+    from motion_lsmd.ingest import CANONICAL_HALF, CANONICAL_SIZE
+
+    l_x, l_y, theta, s, alpha, phi = np.asarray(states, dtype=np.float64).T[:, :, None, None]
+    gy = -CANONICAL_HALF + np.arange(out_h) * (CANONICAL_SIZE / out_h)
+    gx = -CANONICAL_HALF + np.arange(out_w) * (CANONICAL_SIZE / out_w)
+    gxx, gyy = np.meshgrid(gx, gy)
+    ct, st = np.cos(theta), np.sin(theta)
+    rows = (l_y + (st * phi + ct) * s * alpha * gyy) + (st * s) * gxx
+    cols = (l_x + (ct * phi - st) * s * alpha * gyy) + (ct * s) * gxx
+    return rows, cols
+
+
+def _fetch_corner(pixels, ri, ci):
+    """pixels[ri, ci] where (ri, ci) is inside the image, else 0."""
+    h, w = pixels.shape
+    valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
+    vals = pixels[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)]
+    return np.where(valid, vals, 0.0)
+
+
+def reference_bilinear_sample(pixels, rows, cols):
+    """``_kernels.bilinear_sample`` without the padded frame: each corner
+    through its own clip, gather and validity mask, then two lerps along
+    the columns and one along the rows."""
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    fr = rows - r0
+    fc = cols - c0
+    v00, v01 = _fetch_corner(pixels, r0, c0), _fetch_corner(pixels, r0, c0 + 1)
+    v10, v11 = _fetch_corner(pixels, r0 + 1, c0), _fetch_corner(pixels, r0 + 1, c0 + 1)
+    top = v00 + fc * (v01 - v00)
+    bot = v10 + fc * (v11 - v10)
+    return top + fr * (bot - top)
+
+
+def previous_warp_sample_grids(states, out_h: int, out_w: int):
+    """The sample grids as ``ingest.warp_sample_grids`` formed them before
+    the affine map was split into a row and a column term: scale, shear,
+    rotate and translate, every factor over a full meshgrid."""
     from motion_lsmd.ingest import CANONICAL_HALF, CANONICAL_SIZE
 
     l_x, l_y, theta, s, alpha, phi = np.asarray(states, dtype=np.float64).T[:, :, None, None]
@@ -379,24 +424,18 @@ def reference_warp_sample_grids(states, out_h: int, out_w: int):
     return rows, cols
 
 
-def reference_bilinear_sample(pixels, rows, cols):
-    """``_kernels.bilinear_sample`` as it was before it gathered from a
-    padded frame: one clip, gather and validity mask per corner."""
-    h, w = pixels.shape
+def previous_bilinear_sample(pixels, rows, cols):
+    """The bilinear sample as ``_kernels.bilinear_sample`` formed it before
+    it interpolated by lerps: each corner's value times its row and column
+    weights, summed corner by corner."""
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
     fr = rows - r0
     fc = cols - c0
-
-    def fetch(ri, ci):
-        valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-        vals = pixels[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)]
-        return np.where(valid, vals, 0.0)
-
-    out = fetch(r0, c0) * (1.0 - fr) * (1.0 - fc)
-    out = out + fetch(r0, c0 + 1) * (1.0 - fr) * fc
-    out = out + fetch(r0 + 1, c0) * fr * (1.0 - fc)
-    out = out + fetch(r0 + 1, c0 + 1) * fr * fc
+    out = _fetch_corner(pixels, r0, c0) * (1.0 - fr) * (1.0 - fc)
+    out = out + _fetch_corner(pixels, r0, c0 + 1) * (1.0 - fr) * fc
+    out = out + _fetch_corner(pixels, r0 + 1, c0) * fr * (1.0 - fc)
+    out = out + _fetch_corner(pixels, r0 + 1, c0 + 1) * fr * fc
     return out
 
 
@@ -574,6 +613,16 @@ def exhaustive_residual(X: np.ndarray, t: np.ndarray, lam: float) -> float:
     return residual_norm(cols, t, g)
 
 
+def reference_block_score(residuals, eps_occ):
+    """H_g (N,) from block residuals (N, P), one candidate at a time: the
+    sum of 1 - residual/eps_occ over the candidate's unoccluded blocks
+    alone, divided by P."""
+    with np.errstate(over="ignore"):
+        terms = 1.0 - residuals / eps_occ
+    keep = ~(residuals > eps_occ)
+    return np.array([t[k].sum() for t, k in zip(terms, keep)]) / residuals.shape[1]
+
+
 def reference_particle_scores(frame, states, templates, cfg):
     """Score each particle state of ``score_particles(frame, states,
     templates, cfg)`` on its own: one ``warp_patch``, then one
@@ -622,7 +671,7 @@ def reference_particle_scores(frame, states, templates, cfg):
             if nrm > 0.0:
                 residuals[p] = exhaustive_residual(local_dict[p], blocks[p] / nrm, _LOCAL_LAMBDA)
         occluded = residuals > cfg.eps_occ
-        h_g = float(np.sum((1.0 - residuals / cfg.eps_occ)[~occluded]) / P)
+        h_g = float(reference_block_score(residuals[None], cfg.eps_occ)[0])
         out["likelihood"][i] = h_d * h_g
         out["occluded"][i] = occluded
         out["block_residuals"][i] = residuals

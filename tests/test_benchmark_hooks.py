@@ -146,8 +146,8 @@ def test_the_wrapped_detection_stages_run_once_per_clip_and_moving_frame(monkeyp
 
     for name in ("build_index_tree", "decompose"):
         monkeypatch.setattr(detector, name, counting(name, getattr(detector, name)))
-    frames, _truth = detector.synth_sequence(
-        detector.SynthSpec(n_frames=30, events=[(5, 12, "burst"), (18, 25, "swap")]), seed=2)
+    frames = list(detector.synth_sequence(
+        detector.SynthSpec(n_frames=30, events=[(5, 12, "burst"), (18, 25, "swap")]), seed=2)[0])
     moving = sum(not np.array_equal(a, b) for a, b in zip(frames, frames[1:]))
     assert 0 < moving < len(frames) - 1
     detector.run_detection(frames)

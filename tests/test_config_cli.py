@@ -167,6 +167,27 @@ class TestCliSynth:
         for name in ("0000.pgm", "0031.pgm", "truth.csv"):
             assert (again / name).read_bytes() == (synth_dir / name).read_bytes()
 
+    def test_peak_memory_does_not_grow_with_clip_length(self, tmp_path):
+        # 900 more frames of 120x160 are 138 MB of float64 to a run that
+        # holds the whole clip; each run is a child process, so its
+        # ru_maxrss is its own peak
+        code = ("import resource, sys; from motion_lsmd import cli; rc = cli.main(sys.argv[1:]); "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(rc)")
+
+        def peak(n_frames):
+            spec = tmp_path / f"spec{n_frames}.cfg"
+            spec.write_text(f"h = 120\nw = 160\nn_frames = {n_frames}\nevent = 40,70,burst\nevent = 200,260,swap\n",
+                            encoding="utf-8")
+            out = tmp_path / f"frames{n_frames}"
+            res = subprocess.run([sys.executable, "-c", code, "synth", "--spec", str(spec), "--out-dir", str(out)],
+                                 capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            assert len(list(out.glob("*.pgm"))) == n_frames
+            return int(res.stdout.split()[-1])
+
+        short, long = peak(300), peak(1200)
+        assert long <= 1.1 * short, (short, long)
+
 
 class TestCliDetectEval:
     def test_detect_then_eval(self, synth_dir, tmp_path):

@@ -199,20 +199,21 @@ class TestSynthSequence:
 
     def test_no_events_noise_floor(self):
         frames, truth = synth_sequence(SynthSpec(64, 64, 40, []), seed=2)
+        frames = list(frames)
         assert truth == []
         energies = diff_energies(frames)
         floor = energies.mean()
         assert energies.max() <= 3.0 * floor + 1e-12
 
     def test_burst_energy_dominates(self):
-        frames, _ = synth_sequence(SynthSpec(64, 64, 60, [(20, 40, "burst")]), seed=3)
+        frames = list(synth_sequence(SynthSpec(64, 64, 60, [(20, 40, "burst")]), seed=3)[0])
         energies = diff_energies(frames)
         inside = energies[20:40].mean()
         outside = np.concatenate([energies[:19], energies[41:]]).mean()
         assert inside >= 5.0 * max(outside, 1e-12)
 
     def test_swap_moves_both_blobs(self):
-        frames, _ = synth_sequence(SynthSpec(64, 64, 40, [(10, 25, "swap")]), seed=4)
+        frames = list(synth_sequence(SynthSpec(64, 64, 40, [(10, 25, "swap")]), seed=4)[0])
         energies = diff_energies(frames)
         assert energies[10:25].min() > 0.0
 
@@ -246,7 +247,7 @@ class TestSynthSequence:
 
     def test_frames_outside_events_repeat_their_predecessor(self):
         events = [(10, 22, "burst"), (34, 46, "swap")]
-        frames, _ = synth_sequence(SynthSpec(64, 64, 60, events), seed=9)
+        frames = list(synth_sequence(SynthSpec(64, 64, 60, events), seed=9)[0])
         inside = {t for s, e, _k in events for t in range(s, e + 1)}
         for t in range(1, len(frames)):
             same = frames[t].tobytes() == frames[t - 1].tobytes()
@@ -272,7 +273,7 @@ class TestRunDetection:
         assert match_events(events, truth) == 1
 
     def test_contrast_invariance(self):
-        frames, _ = synth_sequence(SynthSpec(64, 64, 60, [(20, 40, "burst")]), seed=7)
+        frames = list(synth_sequence(SynthSpec(64, 64, 60, [(20, 40, "burst")]), seed=7)[0])
         halved = [f * 0.5 for f in frames]
         cfg = DetectorConfig()
         _s1, ev1 = run_detection(frames, cfg)
@@ -283,7 +284,7 @@ class TestRunDetection:
     def test_energies_equal_full_path_reference(self, case):
         # frames without motion skip the tree and LSMD; every energy must
         # still carry the bits (sign of zero included) of the full path
-        frames, _ = synth_sequence(SynthSpec(64, 64, 100, [(20, 35, "burst"), (60, 80, "swap")]), seed=5)
+        frames = list(synth_sequence(SynthSpec(64, 64, 100, [(20, 35, "burst"), (60, 80, "swap")]), seed=5)[0])
         cfg = DetectorConfig()
         if case == "noisy":
             rng = np.random.default_rng(5005)

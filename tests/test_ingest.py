@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from motion_lsmd import cli, detector, errors, ingest
+from motion_lsmd import _kernels, cli, detector, errors, ingest
 from motion_lsmd.detector import SynthSpec, run_detection, synth_sequence
 from motion_lsmd.ingest import (
     check_clip,
@@ -24,12 +24,15 @@ from motion_lsmd.lsmd import motion_prior
 from motion_lsmd.tracker import AffineState, TrackerConfig, track_sequence
 
 from oracles import (
+    previous_bilinear_sample,
+    previous_warp_sample_grids,
     reference_extract_proposals,
     reference_feature_matrix,
     reference_motion_prior,
     reference_warp_sample_grids,
     warp_reference,
 )
+from test_kernels import BILINEAR_SHAPES, bilinear_spans
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +185,25 @@ class TestFrameDifference:
 # affine warps
 # ---------------------------------------------------------------------------
 
+def enumeration_states():
+    """(frame (48, 56), 100 AffineStates): random warps, many of them
+    partly or wholly outside the frame."""
+    rng = np.random.default_rng(7)
+    frame = rng.random((48, 56))
+    states = [
+        AffineState(
+            l_x=float(rng.uniform(-10, 66)),
+            l_y=float(rng.uniform(-10, 58)),
+            theta=float(rng.uniform(-np.pi, np.pi)),
+            s=float(rng.uniform(0.3, 2.0)),
+            alpha=float(rng.uniform(0.5, 2.0)),
+            phi=float(rng.uniform(-0.5, 0.5)),
+        )
+        for _ in range(100)
+    ]
+    return frame, states
+
+
 class TestWarpPatch:
     def test_identity_state_reads_region(self):
         rng = np.random.default_rng(1)
@@ -210,17 +232,8 @@ class TestWarpPatch:
         )
 
     def test_matches_enumeration_oracle(self):
-        rng = np.random.default_rng(7)
-        frame = rng.random((48, 56))
-        for _ in range(100):
-            state = AffineState(
-                l_x=float(rng.uniform(-10, 66)),
-                l_y=float(rng.uniform(-10, 58)),
-                theta=float(rng.uniform(-np.pi, np.pi)),
-                s=float(rng.uniform(0.3, 2.0)),
-                alpha=float(rng.uniform(0.5, 2.0)),
-                phi=float(rng.uniform(-0.5, 0.5)),
-            )
+        frame, states = enumeration_states()
+        for state in states:
             got = warp_patch(frame, state)
             want = warp_reference(frame, state, 32, 32)
             assert np.allclose(got, want, atol=1e-9)
@@ -252,6 +265,20 @@ class TestWarpPatch:
         for g, r in zip(got, want):
             assert g.shape == r.shape == (n, 32, 32)
             assert g.tobytes() == r.tobytes()
+
+    def test_within_1e13_of_the_previous_arithmetic(self):
+        # the separable grid and the lerp regroup the warp's arithmetic,
+        # so the patches move in the last bits only
+        frame, states = enumeration_states()
+        states = np.stack([state.as_array() for state in states])
+        got = warp_patches(frame, states)
+        want = previous_bilinear_sample(frame, *previous_warp_sample_grids(states, 32, 32))
+        assert np.abs(got - want).max() <= 1e-13
+        for h, w in BILINEAR_SHAPES:
+            pixels, spans = bilinear_spans(h, w)
+            for r, c in spans:
+                got = _kernels.bilinear_sample(pixels, r, c)
+                assert np.abs(got - previous_bilinear_sample(pixels, r, c)).max() <= 1e-13
 
     def test_non_positive_scale(self):
         frame = np.zeros((16, 16))
@@ -347,9 +374,9 @@ class TestListReference:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_synth_clip(self):
-        frames, _ = synth_sequence(
+        frames = list(synth_sequence(
             SynthSpec(64, 64, 100, [(10, 25, "burst"), (55, 70, "swap")]), seed=7
-        )
+        )[0])
         self.assert_same(frames[0], 16, 8)
         for prev, cur in zip(frames, frames[1:]):
             self.assert_same(cur, 16, 8)
@@ -423,7 +450,7 @@ class TestStreaming:
         assert calls == ["read"] + ["read", "diff"] * (bad - 1) + ["read"]
 
     def test_a_one_shot_iterator_scores_as_the_list(self):
-        frames, _truth = synth_sequence(SynthSpec(n_frames=30, events=[(3, 10, "burst")]), seed=0)
+        frames = list(synth_sequence(SynthSpec(n_frames=30, events=[(3, 10, "burst")]), seed=0)[0])
         assert run_detection(f for f in frames) == run_detection(frames)
         init, cfg = AffineState(l_x=32.0, l_y=32.0), TrackerConfig(n_particles=20)
         assert track_sequence((f for f in frames), init, cfg) == track_sequence(frames, init, cfg)

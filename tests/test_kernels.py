@@ -174,20 +174,31 @@ class TestBatchedActiveSet:
         assert gamma.shape == (0, 6) and resid_sq.shape == (0,) and steps.shape == (0,)
 
 
+BILINEAR_SHAPES = [(1, 1), (2, 7), (9, 5), (64, 160)]
+
+
+def bilinear_spans(h, w):
+    """(pixels (h, w), [(rows, cols), ...]): an image and three sample
+    grids that cross every edge of it. The first has corners from two
+    pixels outside to two past the far side, on both axes and at
+    fractional and integer points; the second lies far outside and on a
+    few points near the origin; the third is a random (3, 8, 8) batch."""
+    rng = np.random.default_rng(h * 1000 + w)
+    pixels = rng.uniform(-1.0, 1.0, (h, w))
+    span_r = np.concatenate([np.linspace(-3.0, h + 2.0, 4 * h + 21), np.arange(-3, h + 3)])
+    span_c = np.concatenate([np.linspace(-3.0, w + 2.0, 4 * w + 21), np.arange(-3, w + 3)])
+    rows, cols = np.meshgrid(span_r, span_c, indexing="ij")
+    far = np.array([-1e6, -1e6 + 0.25, -2.5, 0.5, 1e6 - 0.75, 1e6])
+    far_r, far_c = np.meshgrid(far, far, indexing="ij")
+    batch = rng.uniform(-4.0, h + 4.0, (3, 8, 8)), rng.uniform(-4.0, w + 4.0, (3, 8, 8))
+    return pixels, [(rows, cols), (far_r, far_c), batch]
+
+
 class TestBilinearSample:
-    @pytest.mark.parametrize("h, w", [(1, 1), (2, 7), (9, 5), (64, 160)])
+    @pytest.mark.parametrize("h, w", BILINEAR_SHAPES)
     def test_bit_equal_to_reference(self, h, w):
-        rng = np.random.default_rng(h * 1000 + w)
-        pixels = rng.uniform(-1.0, 1.0, (h, w))
-        # every edge crossed: corners from two pixels outside to two past
-        # the far side, on both axes and at fractional and integer points
-        span_r = np.concatenate([np.linspace(-3.0, h + 2.0, 4 * h + 21), np.arange(-3, h + 3)])
-        span_c = np.concatenate([np.linspace(-3.0, w + 2.0, 4 * w + 21), np.arange(-3, w + 3)])
-        rows, cols = np.meshgrid(span_r, span_c, indexing="ij")
-        far = np.array([-1e6, -1e6 + 0.25, -2.5, 0.5, 1e6 - 0.75, 1e6])
-        far_r, far_c = np.meshgrid(far, far, indexing="ij")
-        batch = rng.uniform(-4.0, h + 4.0, (3, 8, 8)), rng.uniform(-4.0, w + 4.0, (3, 8, 8))
-        for r, c in ((rows, cols), (far_r, far_c), batch):
+        pixels, spans = bilinear_spans(h, w)
+        for r, c in spans:
             r_bytes, c_bytes = r.tobytes(), c.tobytes()
             got = _kernels.bilinear_sample(pixels, r, c)
             assert r.tobytes() == r_bytes and c.tobytes() == c_bytes  # the kernel works in place on its own copies

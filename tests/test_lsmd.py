@@ -619,7 +619,7 @@ def detection_frame_instance(feature_tree=False):
     kept one tree per clip: k-means over [centre, feature column], seeded
     by the frame (8)."""
     cfg = DetectorConfig()
-    frames, _truth = synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)
+    frames = list(synth_sequence(SynthSpec(n_frames=16, events=[(4, 12, "burst")]), seed=5)[0])
     t = 8
     diff = frame_difference(frames[t - 1], frames[t])
     patches, centres = extract_proposals(diff, cfg.patch_size, cfg.stride)

@@ -33,6 +33,7 @@ from motion_lsmd.tracker import (
 from oracles import (
     nn_lasso,
     reference_block_coefficients,
+    reference_block_score,
     reference_local_dict,
     reference_particle_scores,
     residual_norm,
@@ -348,6 +349,30 @@ class TestGenerative:
         (score,), (mask,) = local_scores([holistic[0]], templates)
         assert not mask.any()
         assert score == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("eps_occ", [0.15, 1e-320])
+    def test_block_score_matches_per_candidate_sums(self, monkeypatch, eps_occ):
+        # one masked row sum per candidate against a sum over each
+        # candidate's unoccluded blocks alone, with the block residuals
+        # set: a candidate with every block occluded, one with none (zero
+        # and subnormal residuals) and mixed ones; at eps_occ = 1e-320 the
+        # occluded blocks' terms are -inf
+        rng = np.random.default_rng(11)
+        P = 16
+        mixed = rng.uniform(0.0, 0.3, (6, P))
+        mixed[mixed < 0.05] = 0.0
+        residuals = np.vstack([rng.uniform(0.2, 1.0, P), np.tile([0.0, 5e-321], P // 2), mixed])
+        monkeypatch.setattr(_kernels, "block_residuals",
+                            lambda *_args: (residuals.copy(), np.ones(residuals.shape, dtype=np.int64)))
+        cfg = TrackerConfig(eps_occ=eps_occ)
+        h_g, occluded, _residuals, _steps = generative_confidence(None, None, textured_templates(), cfg)
+        assert occluded[0].all() and not occluded[1].any() and occluded[2:].any(axis=1).all()
+        with np.errstate(over="ignore"):
+            assert np.isneginf(1.0 - residuals / eps_occ).any() == (eps_occ < 1e-300)
+        assert np.isfinite(h_g).all()
+        assert h_g[0] == 0.0
+        want = reference_block_score(residuals, eps_occ)
+        assert np.abs(h_g - want).max() <= P * np.finfo(np.float64).eps
 
     def test_bad_blocking(self):
         templates = textured_templates(seed=9)
