@@ -16,7 +16,7 @@ from .config import iter_kv_lines, parse_config
 from .detector import ReportRow, SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
 from .errors import InputError, UsageError, holds_foreign_number_text
 from .ingest import load_frame_sequence, write_pgm
-from .lsmd import build_index_tree, check_decomposable, decompose
+from .lsmd import build_index_tree, decompose
 from .tracker import AffineState, track_sequence
 
 SYNOPSIS = """\
@@ -105,7 +105,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = parse_config(args.config, args.overrides, verbose=args.verbose)
-    data = check_decomposable(fileio.read_matrix_csv(args.features))
+    data = fileio.read_matrix_csv(args.features)
     n = data.shape[1]
     # bare matrices carry no pixel coordinates: cluster on the normalized
     # column position plus the feature vector

@@ -28,19 +28,6 @@ def _unit(v) -> bool:
     return 0.0 <= v <= 1.0
 
 
-def _any(_v) -> bool:
-    return True
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 # key -> (type, default, range predicate, description of the legal range)
 SCHEMA: dict[str, tuple[type, object, object, str]] = {
     "pipeline.seed": (int, 0, _non_negative, ">= 0"),
@@ -70,7 +57,6 @@ SCHEMA: dict[str, tuple[type, object, object, str]] = {
     "detector.tau_on": (float, 0.5, _non_negative, ">= 0"),
     "detector.tau_off": (float, 0.35, _non_negative, ">= 0"),
     "detector.min_len": (int, 5, _positive, "> 0"),
-    "detector.normalize": (bool, True, _any, "bool"),
 }
 
 
@@ -135,7 +121,6 @@ class Config:
             tau_on=self["detector.tau_on"],
             tau_off=self["detector.tau_off"],
             min_len=self["detector.min_len"],
-            normalize=self["detector.normalize"],
             seed=self["pipeline.seed"],
         )
 
@@ -146,9 +131,7 @@ def _convert(key: str, raw: str):
     if holds_foreign_number_text(raw):
         raise InputError(f"{key} = {raw!r} holds '_' or non-ASCII text")
     try:
-        if typ is bool:
-            val = _parse_bool(raw)
-        elif typ is int:
+        if typ is int:
             val = int(raw)
         else:
             val = float(raw)

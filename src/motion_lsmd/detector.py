@@ -75,7 +75,6 @@ class DetectorConfig:
     tau_on: float = 0.5
     tau_off: float = 0.35
     min_len: int = 5
-    normalize: bool = True
     seed: int = 0
 
 
@@ -298,8 +297,9 @@ def run_detection(
     pair with motion and reused by every later one; a clip without motion
     builds none.
 
-    Thresholds are interpreted in normalized-energy units (relative to
-    the sequence maximum) unless config.normalize is off.
+    The hysteresis thresholds are ``tau_on * peak`` and ``tau_off * peak``,
+    where peak is the clip's largest frame energy; a clip whose peak is
+    0 has no events.
     """
     clip = check_clip(frames)
     cfg = config or DetectorConfig()
@@ -313,16 +313,12 @@ def run_detection(
         diff = frame_difference(prev, cur)
         prev = cur
         if not diff.any():
-            # a still frame pair makes F = 0, as below: skip the proposals too
+            # a still frame pair makes F = 0, which decomposes to L = S = +0.0
+            # under any tree, so its energy is +0.0: skip the proposals and LSMD
             scores.append(FrameScore(t, 0.0))
             continue
         patches, centres = extract_proposals(diff, cfg.patch_size, cfg.stride)
         data = feature_matrix(patches)
-        if not data.any():
-            # F = 0 decomposes to L = S = 0 under any tree, so every score and
-            # the energy are +0.0; skip the tree and the solver
-            scores.append(FrameScore(t, 0.0))
-            continue
         if tree is None:
             # every frame pair has the same proposal grid, so one tree over
             # its centres serves the whole clip
@@ -331,11 +327,8 @@ def run_detection(
         energy = frame_activity_energy(activity_scores(dec.S, motion_prior(patches)))
         scores.append(FrameScore(t, energy))
 
-    tau_on, tau_off = cfg.tau_on, cfg.tau_off
-    if cfg.normalize:
-        peak = max((sc.lsmd_energy for sc in scores), default=0.0)
-        tau_on, tau_off = tau_on * peak, tau_off * peak
-        if peak <= 0.0:
-            return scores, []
-    events = detect_events(scores, tau_on, tau_off, cfg.min_len)
+    peak = max((sc.lsmd_energy for sc in scores), default=0.0)
+    if peak <= 0.0:
+        return scores, []
+    events = detect_events(scores, cfg.tau_on * peak, cfg.tau_off * peak, cfg.min_len)
     return scores, events

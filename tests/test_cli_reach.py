@@ -73,7 +73,7 @@ def run_every_subcommand(tmp_path):
     commands = [
         ["synth", "--spec", spec, "--seed", "3", "--out-dir", clip],
         ["detect", clip, "--out", tmp_path / "scores.csv", "--events", events,
-         "--set", "detector.normalize=true", "--set", "detector.tau_on=0.5", "--verbose"],
+         "--set", "detector.tau_off=0.35", "--set", "detector.tau_on=0.5", "--verbose"],
         ["eval", "--events", events, "--truth", clip / "truth.csv", "--name", "a", "--append", report],
         ["eval", "--events", events, "--truth", clip / "truth.csv", "--name", "b", "--append", report],
         ["track", square, "--init", "20,32,0,1,1,0", "--out", tmp_path / "track.csv",

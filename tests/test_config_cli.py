@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from motion_lsmd import cli, errors, fileio, tracker
-from motion_lsmd.config import Config, parse_config
+from motion_lsmd.config import SCHEMA, Config, parse_config
 from motion_lsmd.detector import DetectorConfig, run_detection
 from motion_lsmd.ingest import load_frame_sequence
 from motion_lsmd.lsmd import LsmdParams
@@ -95,15 +95,27 @@ class TestParseConfig:
             "detector.stride=2",
             "sparse.max_iter=10",
             "ingest.template_size=16",
+            "detector.normalize=off",
         ],
     )
     def test_removed_keys_are_unknown(self, override):
         with pytest.raises(errors.InputError, match="unknown config key"):
             parse_config(None, overrides=[override])
 
-    def test_bool_parsing(self):
-        cfg = parse_config(None, overrides=["detector.normalize=off"])
-        assert cfg["detector.normalize"] is False
+    def test_every_key_moves_a_view(self):
+        default = Config()
+        for key, (typ, value, _check, _legal) in SCHEMA.items():
+            # a legal value other than the default; tau_on is raised, since
+            # below tau_off it is refused
+            new = value + 1 if typ is int else value * (2.0 if key == "detector.tau_on" else 0.5)
+            cfg = parse_config(None, overrides=[f"{key}={new!r}"])
+            moved = []
+            for view in ("detector_config", "tracker_config", "lsmd_params"):
+                try:
+                    assert_same_fields(getattr(cfg, view)(), getattr(default, view)())
+                except AssertionError:
+                    moved.append(view)
+            assert moved, key
 
     def test_unknown_key_lookup(self):
         with pytest.raises(KeyError, match="nope.nope"):
@@ -488,21 +500,32 @@ class TestCliErrors:
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
-        "command, kv",
-        [("detect", "detector.stride=2"), ("track", "sparse.max_iter=10"), ("track", "ingest.template_size=16")],
-        ids=["detector-stride", "sparse-max-iter", "ingest-template-size"],
+        "command, kv, where",
+        [
+            ("detect", "detector.stride=2", "--set"),
+            ("track", "sparse.max_iter=10", "--set"),
+            ("track", "ingest.template_size=16", "--set"),
+            ("detect", "detector.normalize=false", "--set"),
+            ("detect", "detector.normalize = true", "--config"),
+        ],
+        ids=["detector-stride", "sparse-max-iter", "ingest-template-size", "detector-normalize",
+             "detector-normalize-in-config-file"],
     )
-    def test_removed_key_exits_1_as_unknown(self, synth_dir, tmp_path, capsys, command, kv):
+    def test_removed_key_exits_1_as_unknown(self, synth_dir, tmp_path, capsys, command, kv, where):
         out = tmp_path / "out.csv"
         if command == "detect":
             argv = ["detect", str(synth_dir), "--out", str(out), "--events", str(tmp_path / "e.csv")]
         else:
             argv = ["track", str(synth_dir), "--init", "32,32,0,1,1,0", "--out", str(out),
                     "--set", "tracker.n_particles=20"]
-        rc = cli.main([*argv, "--set", kv])
+        key = kv.split("=")[0].strip()
+        if where == "--config":
+            (tmp_path / "c.cfg").write_text(kv + "\n", encoding="utf-8")
+            kv = str(tmp_path / "c.cfg")
+        rc = cli.main([*argv, where, kv])
         err = capsys.readouterr().err
         assert rc == 1, err
-        assert err.startswith(f"error: unknown config key {kv.split('=')[0]!r}"), err
+        assert err.startswith(f"error: unknown config key {key!r}"), err
         assert not out.exists()
 
     def test_init_number_that_float_reads_but_an_init_never_holds(self, synth_dir, tmp_path, capsys):

@@ -272,6 +272,20 @@ class TestRunDetection:
         assert len(events) == 1
         assert match_events(events, truth) == 1
 
+    def test_motion_outside_the_proposal_grid_scores_zero(self):
+        # 16x16 patches at stride 8 cover rows and columns 0..47 of a 50x50
+        # frame, so a change in row 49 alone gives an all-zero feature matrix,
+        # which decomposes to L = S = +0.0 under the clip tree
+        base = np.random.default_rng(2).random((50, 50))
+        frames = []
+        for t in range(6):
+            frame = base.copy()
+            frame[49] = 0.1 * t
+            frames.append(frame)
+        scores, events = run_detection(frames, DetectorConfig())
+        assert [sc.lsmd_energy.hex() for sc in scores] == ["0x0.0p+0"] * 5
+        assert events == []
+
     def test_contrast_invariance(self):
         frames = list(synth_sequence(SynthSpec(64, 64, 60, [(20, 40, "burst")]), seed=7)[0])
         halved = [f * 0.5 for f in frames]
