@@ -1,5 +1,9 @@
 """Command-line front end: detect, track, decompose, synth, eval.
 
+The parser is the one description of the command line: each subcommand
+names its ``_cmd_*`` function, and a usage error ends with the usage of
+the (sub)command that failed.
+
 Exit codes: 0 success, 1 input/usage error, 2 internal error.
 """
 
@@ -14,31 +18,20 @@ import numpy as np
 from . import fileio
 from .config import iter_kv_lines, parse_config
 from .detector import ReportRow, SynthSpec, aggregate_report, match_events, run_detection, synth_sequence
-from .errors import InputError, UsageError, holds_foreign_number_text
+from .errors import InputError, holds_foreign_number_text
 from .ingest import load_frame_sequence, write_pgm
 from .lsmd import build_index_tree, decompose
 from .tracker import AffineState, track_sequence
 
-SYNOPSIS = """\
-usage: motion-lsmd <subcommand> [options]
-
-subcommands:
-  detect <frames-dir> --config C --out scores.csv --events events.csv
-  track <frames-dir> --init "lx,ly,theta,s,alpha,phi" --out track.csv
-  decompose <features.csv> --out-prefix P
-  synth --spec spec.csv --seed S --out-dir D
-  eval --events events.csv --truth truth.csv --name NAME --append report.csv
-"""
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(f"{message}\n{self.format_usage()}")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="motion-lsmd", add_help=True)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("--config", default=None)
@@ -49,20 +42,24 @@ def _build_parser() -> _Parser:
     p.add_argument("frames", help="frame directory or manifest file")
     p.add_argument("--out", required=True, help="per-frame scores CSV")
     p.add_argument("--events", required=True, help="detected events CSV")
+    p.set_defaults(run=_cmd_detect)
 
     p = sub.add_parser("track", parents=[configured], help="track a target through a sequence")
     p.add_argument("frames")
     p.add_argument("--init", required=True, help='"lx,ly,theta,s,alpha,phi"')
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_track)
 
     p = sub.add_parser("decompose", parents=[configured], help="low-rank/sparse split of a feature matrix")
     p.add_argument("features", help="matrix CSV ('rows,cols' header)")
     p.add_argument("--out-prefix", required=True)
+    p.set_defaults(run=_cmd_decompose)
 
     p = sub.add_parser("synth", help="generate a synthetic PGM sequence")
     p.add_argument("--spec", required=True, help="synth spec file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
+    p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("eval", help="match events to truth and extend a report")
     p.add_argument("--events", required=True)
@@ -70,6 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--name", required=True)
     p.add_argument("--frames", type=int, default=0, help="total frame count for the row (0: derive)")
     p.add_argument("--append", required=True, help="report CSV to create or extend")
+    p.set_defaults(run=_cmd_eval)
 
     return parser
 
@@ -183,31 +181,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "detect": _cmd_detect,
-    "track": _cmd_track,
-    "decompose": _cmd_decompose,
-    "synth": _cmd_synth,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("missing subcommand")
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(SYNOPSIS, file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.run(args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:  # only input files are decoded

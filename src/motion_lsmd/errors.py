@@ -2,10 +2,11 @@
 user text applies before it raises.
 
 - :class:`InputError` is for a condition that user input can reach: a
-  file, a config value, an option or a frame the CLI was handed. The CLI
-  prints its message and exits 1.
-- :class:`UsageError` is an :class:`InputError` about the command line
-  itself; the CLI also prints the synopsis.
+  file, a config value, a frame or the command line itself. The CLI
+  prints ``error: <message>`` and exits 1; for a malformed command line
+  the message ends with the usage of the command that failed.
+- ``OSError`` and ``UnicodeDecodeError`` from reading or writing the
+  files the CLI was handed also exit 1.
 - ``ValueError`` and any other exception mean a bug in a caller or in
   the package (exit 2).
 
@@ -16,10 +17,6 @@ from the package, so every other module can import it.
 
 class InputError(Exception):
     """A condition that user input can reach (exit 1)."""
-
-
-class UsageError(InputError):
-    """A malformed command line (exit 1, plus the synopsis)."""
 
 
 def holds_foreign_number_text(text: str) -> bool:

@@ -177,10 +177,10 @@ _LOCAL_TOL = 1e-10
 _LOCAL_MAX_ITER = 200
 
 # score_particles warps _WARP_CHUNK particles at a time: the warp holds
-# about 64 kB of temporaries per 32x32 particle (tracemalloc), and the
-# chunk size changes no score. A 300-particle call on a track-square
-# frame took a median 9.8-10.2 ms at 8, 9.0-9.4 ms at 16 and 9.9-10.2 ms
-# at 32 (2 vCPUs, numpy 2.4)
+# about 64 kB of temporaries per 32x32 particle (tracemalloc), so a chunk
+# of 8 stays near 0.5 MB, and the chunk size changes no score. Timed on
+# the criterion-6 sequence, chunks of 8, 16 and 64 were within noise of
+# one another and 300 was the slowest (2 vCPUs, numpy 2.4)
 _WARP_CHUNK = 8
 
 

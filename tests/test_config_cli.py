@@ -436,11 +436,27 @@ class TestCliErrors:
         res = run_cli(["frobnicate"])
         assert res.returncode == 1
         assert "usage:" in res.stderr
+        assert "{detect,track,decompose,synth,eval}" in res.stderr
 
     def test_missing_subcommand(self):
         res = run_cli([])
         assert res.returncode == 1
         assert "usage:" in res.stderr
+        assert "{detect,track,decompose,synth,eval}" in res.stderr
+
+    def test_subcommand_usage_names_its_options(self, tmp_path):
+        # argparse wraps its usage to COLUMNS, so only substrings are pinned
+        res = run_cli(["detect", tmp_path, "--out", tmp_path / "s.csv"])
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: the following arguments are required: --events"), res.stderr
+        assert "usage: motion-lsmd detect" in res.stderr and "--events EVENTS" in res.stderr, res.stderr
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]], ids=["top", "detect"])
+    def test_help_exits_0_with_usage(self, argv):
+        res = run_cli(argv)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage: motion-lsmd"), res.stdout
 
     def test_missing_frames_dir(self, tmp_path):
         res = run_cli(["detect", tmp_path / "gone", "--out", tmp_path / "s.csv",
@@ -663,7 +679,9 @@ class TestCliErrors:
 
     def test_matrix_whose_sum_of_squares_overflows(self, tmp_path):
         # finite entries, but 0.5 ||F||_F^2 (the objective at L = S = 0) is
-        # inf: rejected before k-means could draw from a NaN distribution
+        # inf: decompose refuses it with exit 1, no warning and no output
+        # file (the tree is built first; k-means divides the points by a
+        # power of two, so it never draws from NaN)
         features = tmp_path / "features.csv"
         fileio.write_matrix_csv(features, np.random.default_rng(2).standard_normal((6, 5)) * 1e200)
         res = run_cli(["decompose", features, "--out-prefix", tmp_path / "dec"])
