@@ -34,9 +34,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     configured = argparse.ArgumentParser(add_help=False)
-    configured.add_argument("--config", default=None)
-    configured.add_argument("--set", dest="overrides", action="append", default=[])
-    configured.add_argument("--verbose", action="store_true")
+    configured.add_argument("--config", default=None, help="config file of 'key = value' lines")
+    configured.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                            help="set one config key; repeats, and wins over the config file")
+    configured.add_argument("--verbose", action="store_true", help="echo the effective config to stderr")
 
     p = sub.add_parser("detect", parents=[configured], help="score a sequence and emit events")
     p.add_argument("frames", help="frame directory or manifest file")
@@ -45,26 +46,26 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_detect)
 
     p = sub.add_parser("track", parents=[configured], help="track a target through a sequence")
-    p.add_argument("frames")
+    p.add_argument("frames", help="frame directory or manifest file")
     p.add_argument("--init", required=True, help='"lx,ly,theta,s,alpha,phi"')
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="per-frame track CSV")
     p.set_defaults(run=_cmd_track)
 
     p = sub.add_parser("decompose", parents=[configured], help="low-rank/sparse split of a feature matrix")
     p.add_argument("features", help="matrix CSV ('rows,cols' header)")
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--out-prefix", required=True, help="stem of the _L.csv, _S.csv and _obj.csv outputs")
     p.set_defaults(run=_cmd_decompose)
 
     p = sub.add_parser("synth", help="generate a synthetic PGM sequence")
     p.add_argument("--spec", required=True, help="synth spec file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the noise and the blob starts, >= 0 (default 0)")
+    p.add_argument("--out-dir", required=True, help="directory for the PGM frames and truth.csv")
     p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("eval", help="match events to truth and extend a report")
-    p.add_argument("--events", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--name", required=True)
+    p.add_argument("--events", required=True, help="detected events CSV")
+    p.add_argument("--truth", required=True, help="truth events CSV")
+    p.add_argument("--name", required=True, help="the row's name in the report")
     p.add_argument("--frames", type=int, default=0, help="total frame count for the row (0: derive)")
     p.add_argument("--append", required=True, help="report CSV to create or extend")
     p.set_defaults(run=_cmd_eval)
@@ -87,7 +88,7 @@ def _parse_init(text: str) -> AffineState:
 def _cmd_detect(args) -> int:
     cfg = parse_config(args.config, args.overrides, verbose=args.verbose)
     frames = load_frame_sequence(args.frames)
-    scores, events = run_detection(frames, cfg.detector_config())
+    scores, events = run_detection(frames, cfg.detector)
     fileio.write_scores_csv(args.out, scores)
     fileio.write_events_csv(args.events, events)
     return 0
@@ -96,7 +97,7 @@ def _cmd_detect(args) -> int:
 def _cmd_track(args) -> int:
     cfg = parse_config(args.config, args.overrides, verbose=args.verbose)
     frames = load_frame_sequence(args.frames)
-    results = track_sequence(frames, _parse_init(args.init), cfg.tracker_config())
+    results = track_sequence(frames, _parse_init(args.init), cfg.tracker)
     fileio.write_track_csv(args.out, results)
     return 0
 
@@ -109,8 +110,8 @@ def _cmd_decompose(args) -> int:
     # column position plus the feature vector
     pos = (np.arange(n, dtype=np.float64) / max(n - 1, 1))[:, None]
     points = np.hstack([pos, data.T])
-    tree = build_index_tree(points, k=cfg["lsmd.k"], seed=cfg["pipeline.seed"])
-    dec = decompose(data, tree, cfg.lsmd_params())
+    tree = build_index_tree(points, k=cfg.detector.tree_k, seed=cfg.detector.seed)
+    dec = decompose(data, tree, cfg.detector.lsmd)
     prefix = args.out_prefix
     fileio.write_matrix_csv(f"{prefix}_L.csv", dec.L)
     fileio.write_matrix_csv(f"{prefix}_S.csv", dec.S)

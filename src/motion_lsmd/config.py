@@ -1,19 +1,22 @@
-"""Flat key=value configuration covering every documented default."""
+"""Flat key=value configuration of the detector and the tracker.
+
+Each key sets one or more fields of ``DetectorConfig`` or
+``TrackerConfig``. Those dataclasses state every default and type; this
+module states which fields each key sets and the range it accepts.
+"""
 
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from .detector import DetectorConfig
 from .errors import InputError, holds_foreign_number_text
-from .lsmd import LsmdParams
-from .tracker import MotionModelParams, TrackerConfig
+from .tracker import TrackerConfig
 
 
 def _positive(v) -> bool:
@@ -28,113 +31,83 @@ def _unit(v) -> bool:
     return 0.0 <= v <= 1.0
 
 
-# key -> (type, default, range predicate, description of the legal range)
-SCHEMA: dict[str, tuple[type, object, object, str]] = {
-    "pipeline.seed": (int, 0, _non_negative, ">= 0"),
-    "ingest.patch_size": (int, 16, _positive, "> 0"),
-    "ingest.stride": (int, 8, _positive, "> 0"),
-    "sparse.lambda1": (float, 0.01, _non_negative, ">= 0"),
-    "sparse.tol": (float, 1e-8, _positive, "> 0"),
-    "lsmd.mu_L": (float, 1.0, _positive, "> 0"),
-    "lsmd.mu_S": (float, 0.3, _positive, "> 0"),
-    "lsmd.lambda_l1": (float, 0.05, _non_negative, ">= 0"),
-    "lsmd.max_iter": (int, 200, _positive, "> 0"),
-    "lsmd.rel_tol": (float, 1e-6, _positive, "> 0"),
-    "lsmd.k": (int, 4, lambda v: v >= 2, ">= 2"),
-    "tracker.n_particles": (int, 600, _positive, "> 0"),
-    "tracker.sigma_lx": (float, 4.0, _non_negative, ">= 0"),
-    "tracker.sigma_ly": (float, 4.0, _non_negative, ">= 0"),
-    "tracker.sigma_theta": (float, 0.02, _non_negative, ">= 0"),
-    "tracker.sigma_s": (float, 0.01, _non_negative, ">= 0"),
-    "tracker.sigma_alpha": (float, 0.002, _non_negative, ">= 0"),
-    "tracker.sigma_phi": (float, 0.001, _non_negative, ">= 0"),
-    "tracker.n_templates": (int, 10, lambda v: v >= 2, ">= 2"),
-    "tracker.sigma_c": (float, 0.1, _positive, "> 0"),
-    "tracker.eps_occ": (float, 0.15, _positive, "> 0"),
-    "tracker.tau_update": (float, 0.3, _unit, "in [0,1]"),
-    "tracker.occ_gate": (float, 0.3, _unit, "in [0,1]"),
-    "tracker.ring_scale": (float, 1.5, _positive, "> 0"),
-    "detector.tau_on": (float, 0.5, _non_negative, ">= 0"),
-    "detector.tau_off": (float, 0.35, _non_negative, ">= 0"),
-    "detector.min_len": (int, 5, _positive, "> 0"),
+# key -> (the fields it sets, space-separated; range predicate;
+# description of the legal range). A field is a dotted path from Config,
+# where a digit step indexes an array. A key's type is its default's.
+SCHEMA: dict[str, tuple[str, object, str]] = {
+    "pipeline.seed": ("detector.seed tracker.seed", _non_negative, ">= 0"),
+    "ingest.patch_size": ("detector.patch_size", _positive, "> 0"),
+    "ingest.stride": ("detector.stride", _positive, "> 0"),
+    "sparse.lambda1": ("tracker.lambda1", _non_negative, ">= 0"),
+    "sparse.tol": ("tracker.tol", _positive, "> 0"),
+    "lsmd.mu_L": ("detector.lsmd.mu_L", _positive, "> 0"),
+    "lsmd.mu_S": ("detector.lsmd.mu_S", _positive, "> 0"),
+    "lsmd.lambda_l1": ("detector.lsmd.lambda_l1", _non_negative, ">= 0"),
+    "lsmd.max_iter": ("detector.lsmd.max_iter", _positive, "> 0"),
+    "lsmd.rel_tol": ("detector.lsmd.rel_tol", _positive, "> 0"),
+    "lsmd.k": ("detector.tree_k", lambda v: v >= 2, ">= 2"),
+    "tracker.n_particles": ("tracker.n_particles", _positive, "> 0"),
+    "tracker.sigma_lx": ("tracker.motion.sigma.0", _non_negative, ">= 0"),
+    "tracker.sigma_ly": ("tracker.motion.sigma.1", _non_negative, ">= 0"),
+    "tracker.sigma_theta": ("tracker.motion.sigma.2", _non_negative, ">= 0"),
+    "tracker.sigma_s": ("tracker.motion.sigma.3", _non_negative, ">= 0"),
+    "tracker.sigma_alpha": ("tracker.motion.sigma.4", _non_negative, ">= 0"),
+    "tracker.sigma_phi": ("tracker.motion.sigma.5", _non_negative, ">= 0"),
+    "tracker.n_templates": ("tracker.n_templates", lambda v: v >= 2, ">= 2"),
+    "tracker.sigma_c": ("tracker.sigma_c", _positive, "> 0"),
+    "tracker.eps_occ": ("tracker.eps_occ", _positive, "> 0"),
+    "tracker.tau_update": ("tracker.tau_update", _unit, "in [0,1]"),
+    "tracker.occ_gate": ("tracker.occ_gate", _unit, "in [0,1]"),
+    "tracker.ring_scale": ("tracker.ring_scale", _positive, "> 0"),
+    "detector.tau_on": ("detector.tau_on", _non_negative, ">= 0"),
+    "detector.tau_off": ("detector.tau_off", _non_negative, ">= 0"),
+    "detector.min_len": ("detector.min_len", _positive, "> 0"),
 }
+
+
+def _step(obj, name: str):
+    return obj[int(name)] if name.isdigit() else getattr(obj, name)
 
 
 @dataclass
 class Config:
-    values: dict[str, object] = field(default_factory=dict)
+    """The library configs a run uses, each built from its own defaults.
+    ``cfg[key] = value`` writes each field the key sets, and ``cfg[key]``
+    reads the first one back."""
 
-    def __post_init__(self):
-        merged = {k: spec[1] for k, spec in SCHEMA.items()}
-        merged.update(self.values)
-        self.values = merged
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    tracker: TrackerConfig = field(default_factory=TrackerConfig)
+
+    def _fields(self, key: str) -> Iterator[tuple[object, str]]:
+        """(owner, last step) of each field that ``key`` sets."""
+        for path in SCHEMA[key][0].split():
+            *parents, last = path.split(".")
+            yield reduce(_step, parents, self), last
 
     def __getitem__(self, key: str):
-        return self.values[key]
+        owner, last = next(self._fields(key))
+        value = _step(owner, last)
+        return float(value) if isinstance(value, float) else value  # a sigma entry is a numpy float
+
+    def __setitem__(self, key: str, value) -> None:
+        for owner, last in self._fields(key):
+            if last.isdigit():
+                owner[int(last)] = value
+            else:
+                setattr(owner, last, value)
 
     def echo(self) -> None:
-        for key in sorted(self.values):
-            print(f"{key} = {self.values[key]}", file=sys.stderr)
-
-    # --- views consumed by the library modules ---
-
-    def tracker_config(self) -> TrackerConfig:
-        sigma = np.array(
-            [
-                self["tracker.sigma_lx"],
-                self["tracker.sigma_ly"],
-                self["tracker.sigma_theta"],
-                self["tracker.sigma_s"],
-                self["tracker.sigma_alpha"],
-                self["tracker.sigma_phi"],
-            ]
-        )
-        return TrackerConfig(
-            n_particles=self["tracker.n_particles"],
-            motion=MotionModelParams(sigma=sigma),
-            n_templates=self["tracker.n_templates"],
-            sigma_c=self["tracker.sigma_c"],
-            eps_occ=self["tracker.eps_occ"],
-            tau_update=self["tracker.tau_update"],
-            occ_gate=self["tracker.occ_gate"],
-            ring_scale=self["tracker.ring_scale"],
-            seed=self["pipeline.seed"],
-            lambda1=self["sparse.lambda1"],
-            tol=self["sparse.tol"],
-        )
-
-    def lsmd_params(self) -> LsmdParams:
-        return LsmdParams(
-            mu_L=self["lsmd.mu_L"],
-            mu_S=self["lsmd.mu_S"],
-            lambda_l1=self["lsmd.lambda_l1"],
-            max_iter=self["lsmd.max_iter"],
-            rel_tol=self["lsmd.rel_tol"],
-        )
-
-    def detector_config(self) -> DetectorConfig:
-        return DetectorConfig(
-            patch_size=self["ingest.patch_size"],
-            stride=self["ingest.stride"],
-            tree_k=self["lsmd.k"],
-            lsmd=self.lsmd_params(),
-            tau_on=self["detector.tau_on"],
-            tau_off=self["detector.tau_off"],
-            min_len=self["detector.min_len"],
-            seed=self["pipeline.seed"],
-        )
+        for key in sorted(SCHEMA):
+            print(f"{key} = {self[key]}", file=sys.stderr)
 
 
-def _convert(key: str, raw: str):
-    typ, _default, check, legal = SCHEMA[key]
+def _convert(key: str, raw: str, typ: type):
+    _paths, check, legal = SCHEMA[key]
     raw = raw.strip()
     if holds_foreign_number_text(raw):
         raise InputError(f"{key} = {raw!r} holds '_' or non-ASCII text")
     try:
-        if typ is int:
-            val = int(raw)
-        else:
-            val = float(raw)
+        val = typ(raw)
     except ValueError as exc:
         raise InputError(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
     if typ is float and not math.isfinite(val):
@@ -165,7 +138,7 @@ def parse_config(
     """Parse a config file plus 'key=value' override strings.
 
     Overrides win over file values, and a repeated key keeps its last
-    value; absent keys take documented defaults.
+    value; absent keys keep their dataclass defaults.
     """
     pairs: list[tuple[str, str]] = []
     if path is not None:
@@ -176,12 +149,11 @@ def parse_config(
             raise InputError(f"override must look like key=value, got {item!r}")
         key, raw = item.split("=", 1)
         pairs.append((key.strip(), raw))
-    values: dict[str, object] = {}
+    cfg = Config()
     for key, raw in pairs:
         if key not in SCHEMA:
             raise InputError(f"unknown config key {key!r}")
-        values[key] = _convert(key, raw)
-    cfg = Config(values=values)
+        cfg[key] = _convert(key, raw, type(cfg[key]))
     if cfg["detector.tau_off"] > cfg["detector.tau_on"]:
         raise InputError("detector.tau_off must not exceed detector.tau_on")
     if verbose:

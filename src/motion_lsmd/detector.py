@@ -66,7 +66,7 @@ class DetectionReport:
 @dataclass
 class DetectorConfig:
     """Settings of the LSMD detection pipeline: proposal grid, index tree,
-    solver and hysteresis thresholds."""
+    solver and hysteresis thresholds. Their defaults are the config's."""
 
     patch_size: int = 16
     stride: int = 8

@@ -145,7 +145,9 @@ class TrackResult:
 
 @dataclass
 class TrackerConfig:
-    """Knobs of the tracking loop; defaults match the documented config."""
+    """Knobs of the tracking loop, whose defaults are the config's: each
+    ``tracker.*`` and ``sparse.*`` key and ``pipeline.seed`` sets one
+    field, or one entry of ``motion.sigma`` for a ``tracker.sigma_*``."""
 
     n_particles: int = 600
     motion: MotionModelParams = field(default_factory=MotionModelParams)

@@ -24,17 +24,33 @@ def run_cli(args):
     )
 
 
-def assert_same_fields(got, want):
-    """Dataclasses equal field by field; arrays compare elementwise."""
-    assert type(got) is type(want)
-    for f in dataclasses.fields(want):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if dataclasses.is_dataclass(b):
-            assert_same_fields(a, b)
-        elif isinstance(b, np.ndarray):
-            assert np.array_equal(a, b), f.name
+def leaves(obj, prefix=""):
+    """{dotted path: value} of every field under a dataclass, nested ones
+    included; an array's entries are fields "name.0", "name.1", ..."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value, path = getattr(obj, f.name), prefix + f.name
+        if dataclasses.is_dataclass(value):
+            out.update(leaves(value, path + "."))
+        elif isinstance(value, np.ndarray):
+            out.update({f"{path}.{i}": v for i, v in enumerate(value)})
         else:
-            assert a == b, f.name
+            out[path] = value
+    return out
+
+
+# (key, text) of each line of the --verbose echo of the defaults, in its
+# sorted order; it pins every default value and how it prints
+DEFAULT_ECHO = [
+    ("detector.min_len", "5"), ("detector.tau_off", "0.35"), ("detector.tau_on", "0.5"),
+    ("ingest.patch_size", "16"), ("ingest.stride", "8"), ("lsmd.k", "4"), ("lsmd.lambda_l1", "0.05"),
+    ("lsmd.max_iter", "200"), ("lsmd.mu_L", "1.0"), ("lsmd.mu_S", "0.3"), ("lsmd.rel_tol", "1e-06"),
+    ("pipeline.seed", "0"), ("sparse.lambda1", "0.01"), ("sparse.tol", "1e-08"), ("tracker.eps_occ", "0.15"),
+    ("tracker.n_particles", "600"), ("tracker.n_templates", "10"), ("tracker.occ_gate", "0.3"),
+    ("tracker.ring_scale", "1.5"), ("tracker.sigma_alpha", "0.002"), ("tracker.sigma_c", "0.1"),
+    ("tracker.sigma_lx", "4.0"), ("tracker.sigma_ly", "4.0"), ("tracker.sigma_phi", "0.001"),
+    ("tracker.sigma_s", "0.01"), ("tracker.sigma_theta", "0.02"), ("tracker.tau_update", "0.3"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -102,41 +118,45 @@ class TestParseConfig:
         with pytest.raises(errors.InputError, match="unknown config key"):
             parse_config(None, overrides=[override])
 
-    def test_every_key_moves_a_view(self):
-        default = Config()
-        for key, (typ, value, _check, _legal) in SCHEMA.items():
+    def test_every_key_sets_exactly_its_fields(self):
+        default = leaves(Config())
+        set_by: dict[str, list[str]] = {path: [] for path in default}
+        for key, (paths, _check, _legal) in SCHEMA.items():
+            value = Config()[key]
             # a legal value other than the default; tau_on is raised, since
             # below tau_off it is refused
-            new = value + 1 if typ is int else value * (2.0 if key == "detector.tau_on" else 0.5)
+            new = value + 1 if type(value) is int else value * (2.0 if key == "detector.tau_on" else 0.5)
             cfg = parse_config(None, overrides=[f"{key}={new!r}"])
-            moved = []
-            for view in ("detector_config", "tracker_config", "lsmd_params"):
-                try:
-                    assert_same_fields(getattr(cfg, view)(), getattr(default, view)())
-                except AssertionError:
-                    moved.append(view)
-            assert moved, key
+            moved = sorted(path for path, v in leaves(cfg).items() if v != default[path])
+            assert moved == sorted(paths.split()), key
+            assert cfg[key] == new and type(cfg[key]) is type(value), key
+            for path in moved:
+                set_by[path].append(key)
+        # so each field has one key: pipeline.seed reaches both seeds
+        assert {path: keys for path, keys in set_by.items() if len(keys) != 1} == {}
 
     def test_unknown_key_lookup(self):
         with pytest.raises(KeyError, match="nope.nope"):
             Config()["nope.nope"]
 
-    def test_verbose_echo(self, tmp_path, capsys):
-        parse_config(None, overrides=["pipeline.seed=3"], verbose=True)
-        err = capsys.readouterr().err
-        assert "pipeline.seed = 3" in err
+    def test_verbose_echo(self, capsys):
+        for changed in [{}, {"pipeline.seed": "3", "tracker.sigma_lx": "1.5", "lsmd.k": "3"}]:
+            parse_config(None, overrides=[f"{key}={value}" for key, value in changed.items()], verbose=True)
+            want = "".join(f"{key} = {changed.get(key, value)}\n" for key, value in DEFAULT_ECHO)
+            assert capsys.readouterr().err == want
 
-    def test_default_views_equal_dataclass_defaults(self):
-        cfg = Config()
-        assert_same_fields(cfg.detector_config(), DetectorConfig())
-        assert_same_fields(cfg.tracker_config(), TrackerConfig())
-        assert_same_fields(cfg.lsmd_params(), LsmdParams())
+    def test_override_leaves_the_defaults_alone(self):
+        # the sigma entry is written in place, so a default array shared
+        # between instances would carry it into the next run
+        assert parse_config(None, ["tracker.sigma_lx=1.5"])["tracker.sigma_lx"] == 1.5
+        assert TrackerConfig().motion.sigma[0] == 4.0
+        assert Config()["tracker.sigma_lx"] == 4.0
 
     def test_views_reflect_overrides(self):
         cfg = parse_config(None, overrides=["lsmd.mu_S=0.2", "tracker.sigma_lx=1.5", "ingest.stride=4"])
-        assert cfg.lsmd_params().mu_S == 0.2
-        assert cfg.tracker_config().motion.sigma[0] == 1.5
-        assert cfg.detector_config().stride == 4
+        assert cfg.detector.lsmd.mu_S == 0.2
+        assert cfg.tracker.motion.sigma[0] == 1.5
+        assert cfg.detector.stride == 4
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +253,7 @@ class TestCliDetectEval:
         res = run_cli(["detect", synth_dir, "--out", cli_scores, "--events", cli_events])
         assert res.returncode == 0, res.stderr
 
-        scores, events = run_detection(load_frame_sequence(synth_dir), Config().detector_config())
+        scores, events = run_detection(load_frame_sequence(synth_dir), DetectorConfig())
         lib_scores = tmp_path / "lib_scores.csv"
         lib_events = tmp_path / "lib_events.csv"
         fileio.write_scores_csv(lib_scores, scores)
@@ -415,6 +435,31 @@ class TestCliDecompose:
         vals = [float(line.split(",")[1]) for line in obj_lines[1:]]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
+    def test_reads_the_tree_and_solver_keys(self, tmp_path, monkeypatch):
+        # decompose builds its tree and solver from the detector's config
+        seen = {}
+        build, solve = cli.build_index_tree, cli.decompose
+
+        def recording_build(points, k, seed):
+            seen.update(k=k, seed=seed)
+            return build(points, k=k, seed=seed)
+
+        def recording_solve(data, tree, params):
+            seen.update(params=params)
+            return solve(data, tree, params)
+
+        monkeypatch.setattr(cli, "build_index_tree", recording_build)
+        monkeypatch.setattr(cli, "decompose", recording_solve)
+        features = tmp_path / "features.csv"
+        fileio.write_matrix_csv(features, np.random.default_rng(1).standard_normal((6, 12)))
+        overrides = ["lsmd.k=3", "pipeline.seed=5", "lsmd.mu_L=2", "lsmd.mu_S=0.2", "lsmd.lambda_l1=0.1",
+                     "lsmd.max_iter=7", "lsmd.rel_tol=1e-5"]
+        rc = cli.main(["decompose", str(features), "--out-prefix", str(tmp_path / "dec"),
+                       *[arg for kv in overrides for arg in ("--set", kv)]])
+        assert rc == 0
+        assert seen == {"k": 3, "seed": 5,
+                        "params": LsmdParams(mu_L=2.0, mu_S=0.2, lambda_l1=0.1, max_iter=7, rel_tol=1e-5)}
+
     def test_huge_sparse_weights_keep_the_trace_finite(self, tmp_path):
         # mu_S * lambda_l1 overflows to inf, and S stays 0: its l1 term is
         # 0, not inf * 0 = nan, so the stop rule can fire
@@ -452,11 +497,12 @@ class TestCliErrors:
         assert "usage: motion-lsmd detect" in res.stderr and "--events EVENTS" in res.stderr, res.stderr
         assert not (tmp_path / "s.csv").exists()
 
-    @pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]], ids=["top", "detect"])
-    def test_help_exits_0_with_usage(self, argv):
+    @pytest.mark.parametrize("argv, text", [(["--help"], "detect"), (["detect", "--help"], "--set KEY=VALUE")],
+                             ids=["top", "detect"])
+    def test_help_exits_0_with_usage(self, argv, text):
         res = run_cli(argv)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.startswith("usage: motion-lsmd"), res.stdout
+        assert res.stdout.startswith("usage: motion-lsmd") and text in res.stdout, res.stdout
 
     def test_missing_frames_dir(self, tmp_path):
         res = run_cli(["detect", tmp_path / "gone", "--out", tmp_path / "s.csv",
