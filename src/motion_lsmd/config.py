@@ -19,49 +19,44 @@ from .errors import InputError, holds_foreign_number_text
 from .tracker import TrackerConfig
 
 
-def _positive(v) -> bool:
-    return v > 0
+# legal-range text -> its check
+_RANGES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 2": lambda v: v >= 2,
+    "in [0,1]": lambda v: 0.0 <= v <= 1.0,
+}
 
-
-def _non_negative(v) -> bool:
-    return v >= 0
-
-
-def _unit(v) -> bool:
-    return 0.0 <= v <= 1.0
-
-
-# key -> (the fields it sets, space-separated; range predicate;
-# description of the legal range). A field is a dotted path from Config,
-# where a digit step indexes an array. A key's type is its default's.
-SCHEMA: dict[str, tuple[str, object, str]] = {
-    "pipeline.seed": ("detector.seed tracker.seed", _non_negative, ">= 0"),
-    "ingest.patch_size": ("detector.patch_size", _positive, "> 0"),
-    "ingest.stride": ("detector.stride", _positive, "> 0"),
-    "sparse.lambda1": ("tracker.lambda1", _non_negative, ">= 0"),
-    "sparse.tol": ("tracker.tol", _positive, "> 0"),
-    "lsmd.mu_L": ("detector.lsmd.mu_L", _positive, "> 0"),
-    "lsmd.mu_S": ("detector.lsmd.mu_S", _positive, "> 0"),
-    "lsmd.lambda_l1": ("detector.lsmd.lambda_l1", _non_negative, ">= 0"),
-    "lsmd.max_iter": ("detector.lsmd.max_iter", _positive, "> 0"),
-    "lsmd.rel_tol": ("detector.lsmd.rel_tol", _positive, "> 0"),
-    "lsmd.k": ("detector.tree_k", lambda v: v >= 2, ">= 2"),
-    "tracker.n_particles": ("tracker.n_particles", _positive, "> 0"),
-    "tracker.sigma_lx": ("tracker.motion.sigma.0", _non_negative, ">= 0"),
-    "tracker.sigma_ly": ("tracker.motion.sigma.1", _non_negative, ">= 0"),
-    "tracker.sigma_theta": ("tracker.motion.sigma.2", _non_negative, ">= 0"),
-    "tracker.sigma_s": ("tracker.motion.sigma.3", _non_negative, ">= 0"),
-    "tracker.sigma_alpha": ("tracker.motion.sigma.4", _non_negative, ">= 0"),
-    "tracker.sigma_phi": ("tracker.motion.sigma.5", _non_negative, ">= 0"),
-    "tracker.n_templates": ("tracker.n_templates", lambda v: v >= 2, ">= 2"),
-    "tracker.sigma_c": ("tracker.sigma_c", _positive, "> 0"),
-    "tracker.eps_occ": ("tracker.eps_occ", _positive, "> 0"),
-    "tracker.tau_update": ("tracker.tau_update", _unit, "in [0,1]"),
-    "tracker.occ_gate": ("tracker.occ_gate", _unit, "in [0,1]"),
-    "tracker.ring_scale": ("tracker.ring_scale", _positive, "> 0"),
-    "detector.tau_on": ("detector.tau_on", _non_negative, ">= 0"),
-    "detector.tau_off": ("detector.tau_off", _non_negative, ">= 0"),
-    "detector.min_len": ("detector.min_len", _positive, "> 0"),
+# key -> (the fields it sets, space-separated; its legal range, a key of
+# _RANGES). A field is a dotted path from Config, where a digit step
+# indexes an array. A key's type is its default's.
+SCHEMA: dict[str, tuple[str, str]] = {
+    "pipeline.seed": ("detector.seed tracker.seed", ">= 0"),
+    "ingest.patch_size": ("detector.patch_size", "> 0"),
+    "ingest.stride": ("detector.stride", "> 0"),
+    "sparse.lambda1": ("tracker.lambda1", ">= 0"),
+    "lsmd.mu_L": ("detector.lsmd.mu_L", "> 0"),
+    "lsmd.mu_S": ("detector.lsmd.mu_S", "> 0"),
+    "lsmd.lambda_l1": ("detector.lsmd.lambda_l1", ">= 0"),
+    "lsmd.max_iter": ("detector.lsmd.max_iter", "> 0"),
+    "lsmd.rel_tol": ("detector.lsmd.rel_tol", "> 0"),
+    "lsmd.k": ("detector.tree_k", ">= 2"),
+    "tracker.n_particles": ("tracker.n_particles", "> 0"),
+    "tracker.sigma_lx": ("tracker.motion.sigma.0", ">= 0"),
+    "tracker.sigma_ly": ("tracker.motion.sigma.1", ">= 0"),
+    "tracker.sigma_theta": ("tracker.motion.sigma.2", ">= 0"),
+    "tracker.sigma_s": ("tracker.motion.sigma.3", ">= 0"),
+    "tracker.sigma_alpha": ("tracker.motion.sigma.4", ">= 0"),
+    "tracker.sigma_phi": ("tracker.motion.sigma.5", ">= 0"),
+    "tracker.n_templates": ("tracker.n_templates", ">= 2"),
+    "tracker.sigma_c": ("tracker.sigma_c", "> 0"),
+    "tracker.eps_occ": ("tracker.eps_occ", "> 0"),
+    "tracker.tau_update": ("tracker.tau_update", "in [0,1]"),
+    "tracker.occ_gate": ("tracker.occ_gate", "in [0,1]"),
+    "tracker.ring_scale": ("tracker.ring_scale", "> 0"),
+    "detector.tau_on": ("detector.tau_on", ">= 0"),
+    "detector.tau_off": ("detector.tau_off", ">= 0"),
+    "detector.min_len": ("detector.min_len", "> 0"),
 }
 
 
@@ -102,7 +97,7 @@ class Config:
 
 
 def _convert(key: str, raw: str, typ: type):
-    _paths, check, legal = SCHEMA[key]
+    legal = SCHEMA[key][1]
     raw = raw.strip()
     if holds_foreign_number_text(raw):
         raise InputError(f"{key} = {raw!r} holds '_' or non-ASCII text")
@@ -112,7 +107,7 @@ def _convert(key: str, raw: str, typ: type):
         raise InputError(f"{key}: cannot parse {raw!r} as {typ.__name__}") from exc
     if typ is float and not math.isfinite(val):
         raise InputError(f"{key} = {raw!r} is not a finite number")
-    if not check(val):
+    if not _RANGES[legal](val):
         raise InputError(f"{key} = {val!r} outside legal range ({legal})")
     return val
 

@@ -146,8 +146,9 @@ class TrackResult:
 @dataclass
 class TrackerConfig:
     """Knobs of the tracking loop, whose defaults are the config's: each
-    ``tracker.*`` and ``sparse.*`` key and ``pipeline.seed`` sets one
-    field, or one entry of ``motion.sigma`` for a ``tracker.sigma_*``."""
+    ``tracker.*`` key, ``sparse.lambda1`` and ``pipeline.seed`` sets one
+    field, or one entry of ``motion.sigma`` for a ``tracker.sigma_*``.
+    The codes stop by ``_TOL`` and ``_MAX_ITER``, which solve them exactly."""
 
     n_particles: int = 600
     motion: MotionModelParams = field(default_factory=MotionModelParams)
@@ -158,25 +159,23 @@ class TrackerConfig:
     occ_gate: float = 0.3
     ring_scale: float = 1.5
     seed: int = 0
-    # the holistic codes' l1 penalty, and the KKT violation above which
-    # the active-set solver adds a zero coordinate
-    lambda1: float = 0.01
-    tol: float = 1e-8
+    lambda1: float = 0.01  # the holistic codes' l1 penalty
 
 
 # SCM's local appearance model codes BLOCK x BLOCK pixel blocks
 BLOCK = 8
 
-# the holistic codes stop after at most _HOLISTIC_MAX_ITER active-set
-# steps; criterion 6's take at most 7
-_HOLISTIC_MAX_ITER = 500
+# the one stop rule of the holistic and the block codes: the active-set
+# solver adds a coordinate while its KKT violation exceeds _TOL, for at
+# most _MAX_ITER steps. Both stages code over the same distinct
+# templates, and criterion 6's codes take at most 7 (holistic) and 12
+# (block) steps
+_TOL = 1e-10
+_MAX_ITER = 200
 
 # local block coding runs unregularized so an exactly representable block
-# reports zero residual; the active-set solver adds a coordinate while its
-# KKT violation exceeds _LOCAL_TOL, for at most _LOCAL_MAX_ITER steps
+# reports zero residual
 _LOCAL_LAMBDA = 0.0
-_LOCAL_TOL = 1e-10
-_LOCAL_MAX_ITER = 200
 
 # score_particles warps _WARP_CHUNK particles at a time: the warp holds
 # about 64 kB of temporaries per 32x32 particle (tracemalloc), so a chunk
@@ -340,7 +339,7 @@ def discriminative_confidence(c_pos, c_neg, tt, templates: TemplateSet, cfg: Tra
     solves = [
         _kernels.nn_lasso_gram_batch(
             gram[None], which, c, tt,
-            float(cfg.lambda1), float(cfg.tol), _HOLISTIC_MAX_ITER,
+            float(cfg.lambda1), _TOL, _MAX_ITER,
         )
         for gram, c in ((templates.holistic_gram, c_pos), (templates.negative_gram, c_neg))
     ]
@@ -360,7 +359,7 @@ def generative_confidence(c_blk, solve, templates: TemplateSet, cfg: TrackerConf
     """
     residuals, steps = _kernels.block_residuals(
         templates.local_grams, c_blk, solve, templates.local_has_content,
-        _LOCAL_LAMBDA, _LOCAL_TOL, _LOCAL_MAX_ITER,
+        _LOCAL_LAMBDA, _TOL, _MAX_ITER,
     )
     occluded = residuals > cfg.eps_occ
     # a tiny eps_occ overflows the terms of occluded blocks only, which
@@ -377,9 +376,10 @@ def score_particles(
     """Warp and score every particle state (N, 6) of a frame in batches.
 
     The candidates are CANONICAL_SIZE square; the holistic codes use
-    cfg.lambda1 and cfg.tol, and cfg.sigma_c and cfg.eps_occ set the
-    discriminative and generative scores. The particles are warped _WARP_CHUNK at a
-    time; then ``discriminative_confidence`` codes their holistic
+    cfg.lambda1, both stages stop by _TOL and _MAX_ITER, and cfg.sigma_c
+    and cfg.eps_occ set the discriminative and generative scores. The
+    particles are warped _WARP_CHUNK at a time; then
+    ``discriminative_confidence`` codes their holistic
     coefficients by one batch per dictionary, and
     ``generative_confidence`` the blocks of all N particles by one batch.
     """

@@ -170,8 +170,8 @@ def test_criterion_6_tracker_synthetic_accuracy(monkeypatch):
 
     def counting(frame, states, templates, cfg):
         scores = score(frame, states, templates, cfg)
-        cap_hits.append(int((scores.holistic_steps >= tracker._HOLISTIC_MAX_ITER).sum()
-                            + (scores.block_steps >= tracker._LOCAL_MAX_ITER).sum()))
+        cap_hits.append(int((scores.holistic_steps >= tracker._MAX_ITER).sum()
+                            + (scores.block_steps >= tracker._MAX_ITER).sum()))
         return scores
 
     monkeypatch.setattr(tracker, "score_particles", counting)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,7 +46,7 @@ DEFAULT_ECHO = [
     ("detector.min_len", "5"), ("detector.tau_off", "0.35"), ("detector.tau_on", "0.5"),
     ("ingest.patch_size", "16"), ("ingest.stride", "8"), ("lsmd.k", "4"), ("lsmd.lambda_l1", "0.05"),
     ("lsmd.max_iter", "200"), ("lsmd.mu_L", "1.0"), ("lsmd.mu_S", "0.3"), ("lsmd.rel_tol", "1e-06"),
-    ("pipeline.seed", "0"), ("sparse.lambda1", "0.01"), ("sparse.tol", "1e-08"), ("tracker.eps_occ", "0.15"),
+    ("pipeline.seed", "0"), ("sparse.lambda1", "0.01"), ("tracker.eps_occ", "0.15"),
     ("tracker.n_particles", "600"), ("tracker.n_templates", "10"), ("tracker.occ_gate", "0.3"),
     ("tracker.ring_scale", "1.5"), ("tracker.sigma_alpha", "0.002"), ("tracker.sigma_c", "0.1"),
     ("tracker.sigma_lx", "4.0"), ("tracker.sigma_ly", "4.0"), ("tracker.sigma_phi", "0.001"),
@@ -112,6 +113,7 @@ class TestParseConfig:
             "sparse.max_iter=10",
             "ingest.template_size=16",
             "detector.normalize=off",
+            "sparse.tol=1e-8",
         ],
     )
     def test_removed_keys_are_unknown(self, override):
@@ -121,7 +123,7 @@ class TestParseConfig:
     def test_every_key_sets_exactly_its_fields(self):
         default = leaves(Config())
         set_by: dict[str, list[str]] = {path: [] for path in default}
-        for key, (paths, _check, _legal) in SCHEMA.items():
+        for key, (paths, _legal) in SCHEMA.items():
             value = Config()[key]
             # a legal value other than the default; tau_on is raised, since
             # below tau_off it is refused
@@ -134,6 +136,18 @@ class TestParseConfig:
                 set_by[path].append(key)
         # so each field has one key: pipeline.seed reaches both seeds
         assert {path: keys for path, keys in set_by.items() if len(keys) != 1} == {}
+
+    def test_readme_knob_table_names_exactly_the_keys(self):
+        # each row's first column names its keys in backticks; the one
+        # shorthand, tracker.sigma_*, stands for the six motion std-devs
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Key config knobs (defaults)\n\n")[1].split("\n\n")[0]
+        sigmas = {key for key, (paths, _legal) in SCHEMA.items() if paths.startswith("tracker.motion.sigma.")}
+        named = []
+        for row in table.splitlines()[2:]:
+            for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                named += sorted(sigmas) if name == "tracker.sigma_*" else [name]
+        assert sorted(named) == sorted(SCHEMA)
 
     def test_unknown_key_lookup(self):
         with pytest.raises(KeyError, match="nope.nope"):
@@ -407,8 +421,8 @@ class TestCliTrack:
         def counting(frame, states, templates, cfg):
             counts.append(len(templates.distinct))
             scores = score(frame, states, templates, cfg)
-            cap_hits.append(int((scores.holistic_steps >= tracker._HOLISTIC_MAX_ITER).sum()
-                                + (scores.block_steps >= tracker._LOCAL_MAX_ITER).sum()))
+            cap_hits.append(int((scores.holistic_steps >= tracker._MAX_ITER).sum()
+                                + (scores.block_steps >= tracker._MAX_ITER).sum()))
             return scores
 
         monkeypatch.setattr(tracker, "score_particles", counting)
@@ -569,9 +583,11 @@ class TestCliErrors:
             ("track", "ingest.template_size=16", "--set"),
             ("detect", "detector.normalize=false", "--set"),
             ("detect", "detector.normalize = true", "--config"),
+            ("track", "sparse.tol=1e-8", "--set"),
+            ("track", "sparse.tol = 1e-8", "--config"),
         ],
         ids=["detector-stride", "sparse-max-iter", "ingest-template-size", "detector-normalize",
-             "detector-normalize-in-config-file"],
+             "detector-normalize-in-config-file", "sparse-tol", "sparse-tol-in-config-file"],
     )
     def test_removed_key_exits_1_as_unknown(self, synth_dir, tmp_path, capsys, command, kv, where):
         out = tmp_path / "out.csv"
